@@ -1,9 +1,9 @@
 """Command line interface.
 
 Exposes the exact mode computation, basis and character listings, fixed
-point and closure calculations, and batch verification suites.  All
-payloads are JSON with sorted keys, so identical invocations produce
-byte-identical output.
+point and closure calculations, and the verification suites defined in
+`structure_analysis`.  All payloads are JSON with sorted keys, so
+identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 scalar
 context error.
@@ -16,16 +16,13 @@ import json
 import os
 import sys
 from fractions import Fraction
-from math import isqrt
 
 from .scalars import ConductorError, Context, ContextMismatchError
 from .state_space import (
-    BasisMonomial,
     Vector,
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
-    partition_count,
     split_virasoro_vector,
     vacuum,
     vector_from_json,
@@ -33,25 +30,21 @@ from .state_space import (
     weight4_primary,
 )
 from .structure_analysis import (
-    CertificateRefused,
     CheckReport,
-    certify_virasoro_vector,
+    axiom_report,
     close_subalgebra,
+    decomposition_reports,
     fixed_point_subspace,
-    omega_residuals,
+    fixed_points_report,
+    lemma_weight4_report,
+    mode_prop_report,
+    omega_report,
     sl2_zero_mode_check,
-    solve_omega_constraint,
-    verify_decomposition,
     verify_w_tensor_split,
     virasoro_character,
+    virasoro_report,
 )
-from .vertex_engine import (
-    heis_apply,
-    mode_request,
-    translation_covariance_defect,
-    vertex_mode,
-    virasoro_apply,
-)
+from .vertex_engine import mode_request
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -92,15 +85,17 @@ def _check_cutoff(value: int) -> int:
 
 
 def resolve_conductor(args) -> int:
-    if getattr(args, "conductor", None) is not None:
-        return args.conductor
-    env = os.environ.get("VOA_CONDUCTOR")
-    if env is None:
-        return 4
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise UsageError(f"VOA_CONDUCTOR must be an integer, got {env!r}") from exc
+    """--conductor, else VOA_CONDUCTOR, else 4; raises ConductorError for
+    a conductor the scalar field does not support."""
+    conductor = getattr(args, "conductor", None)
+    if conductor is None:
+        env = os.environ.get("VOA_CONDUCTOR", "4")
+        try:
+            conductor = int(env)
+        except ValueError as exc:
+            raise UsageError(f"VOA_CONDUCTOR must be an integer, got {env!r}") from exc
+    Context(1, conductor)
+    return conductor
 
 
 def resolve_vector(ctx: Context, ref: str) -> Vector:
@@ -174,239 +169,11 @@ def render_text(payload: dict, indent: str = "") -> str:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
-    """Creation, translation covariance, and the three commutator families,
-    checked as exact operator identities on every basis vector up to the
-    cutoff with modes in [-mode_range, mode_range]."""
-    zero = Vector.zero(ctx)
-    vac = vacuum(ctx)
-    pool = [
-        Vector(ctx, {m: 1})
-        for w in range(cutoff + 1)
-        for m in enumerate_basis(ctx, w)
-    ]
-    rows = []
-
-    def record(relation: str, checked: int, ok: bool) -> None:
-        rows.append({"relation": relation, "checked": checked, "ok": ok})
-
-    checked, ok = 0, True
-    for a in pool:
-        for n in range(mode_range + 1):
-            ok = ok and vertex_mode(a, n, vac).is_zero()
-            checked += 1
-        ok = ok and vertex_mode(a, -1, vac) == a
-        checked += 1
-    record("a_(n) vacuum = 0 for n >= 0 and a_(-1) vacuum = a", checked, ok)
-
-    small = [a for a in pool if a.weight() <= min(3, cutoff)]
-    checked, ok = 0, True
-    for a in small:
-        for b in pool:
-            for n in range(-mode_range, mode_range + 1):
-                ok = ok and translation_covariance_defect(a, n, b).is_zero()
-                checked += 1
-    record("(L_{-1} a)_(n) = -n a_(n-1)", checked, ok)
-
-    checked, ok = 0, True
-    for v in pool:
-        for m in range(-mode_range, mode_range + 1):
-            for n in range(-mode_range, mode_range + 1):
-                lhs = heis_apply(m, heis_apply(n, v)) - heis_apply(n, heis_apply(m, v))
-                rhs = v.scale(m) if m + n == 0 else zero
-                ok = ok and lhs == rhs
-                checked += 1
-    record("[J_m, J_n] = m delta_{m,-n}", checked, ok)
-
-    checked, ok = 0, True
-    for v in pool:
-        for m in range(-mode_range, mode_range + 1):
-            for n in range(-mode_range, m + 1):
-                lhs = virasoro_apply(m, virasoro_apply(n, v)) - virasoro_apply(
-                    n, virasoro_apply(m, v)
-                )
-                rhs = virasoro_apply(m + n, v).scale(m - n)
-                if m + n == 0:
-                    rhs = rhs + v.scale(Fraction(m**3 - m, 12))
-                ok = ok and lhs == rhs
-                checked += 1
-    record("[L_m, L_n] = (m-n) L_{m+n} + (m^3-m)/12 delta_{m,-n}", checked, ok)
-
-    checked, ok = 0, True
-    for v in pool:
-        for m in range(-mode_range, mode_range + 1):
-            for n in range(-mode_range, mode_range + 1):
-                lhs = virasoro_apply(m, heis_apply(n, v)) - heis_apply(
-                    n, virasoro_apply(m, v)
-                )
-                ok = ok and lhs == heis_apply(m + n, v).scale(-n)
-                checked += 1
-    record("[L_m, J_n] = -n J_{m+n}", checked, ok)
-
-    verdict = all(r["ok"] for r in rows)
-    params = {"N": ctx.N, "cutoff": cutoff, "mode_range": mode_range}
-    return CheckReport("axioms", params, rows, verdict)
-
-
-def lemma_weight4_report(ctx: Context) -> CheckReport:
-    """The quartic weight-4 vector is primary, and the two weight-4
-    Virasoro descendants of the vacuum line have their closed forms."""
-    u = weight4_primary(ctx)
-    rows = []
-    for m in range(1, 7):
-        rows.append(
-            {"relation": f"L_{m} u = 0", "ok": virasoro_apply(m, u).is_zero()}
-        )
-    lm2 = Vector(
-        ctx,
-        {
-            BasisMonomial((-1, -1, -1, -1), 0): Fraction(1, 4),
-            BasisMonomial((-3, -1), 0): 1,
-        },
-    )
-    rows.append(
-        {
-            "relation": "L_{-2} nu = (1/4) J^4 vacuum + J_{-3} J_{-1} vacuum",
-            "ok": virasoro_apply(-2, conformal_vector(ctx)) == lm2,
-        }
-    )
-    lm4 = Vector(
-        ctx,
-        {
-            BasisMonomial((-2, -2), 0): Fraction(1, 2),
-            BasisMonomial((-3, -1), 0): 1,
-        },
-    )
-    rows.append(
-        {
-            "relation": "L_{-4} vacuum = (1/2) J_{-2}^2 vacuum + J_{-3} J_{-1} vacuum",
-            "ok": virasoro_apply(-4, vacuum(ctx)) == lm4,
-        }
-    )
-    verdict = all(r["ok"] for r in rows)
-    return CheckReport("lemma-weight4", {"N": ctx.N}, rows, verdict)
-
-
-def mode_prop_report(conductor: int = 4) -> CheckReport:
-    """Charged vacuum products at the two singular mode depths.
-
-    With g^2 = 2N: the depth g^2-2 product of opposite charged vacua is
-    (+/-) g J_{-1} vacuum, and the depth g^2-5 self-product of the pair
-    e_+ + b e_- is b times the quartic vector v_g."""
-    rows = []
-    for n_lat in (2, 3):
-        ctx = Context(n_lat, conductor)
-        gsq = 2 * n_lat
-        ep, em = charged_vacuum(ctx, 1), charged_vacuum(ctx, -1)
-        gj = Vector.monomial(ctx, (-1,), 0, ctx.sqrt_2n())
-        rows.append(
-            {
-                "relation": f"N={n_lat}: (e_+)_(g^2-2) e_- = g J_{{-1}} vacuum",
-                "ok": vertex_mode(ep, gsq - 2, em) == gj,
-            }
-        )
-        rows.append(
-            {
-                "relation": f"N={n_lat}: (e_-)_(g^2-2) e_+ = -g J_{{-1}} vacuum",
-                "ok": vertex_mode(em, gsq - 2, ep) == -gj,
-            }
-        )
-        vg = Vector(
-            ctx,
-            {
-                BasisMonomial((-1, -1, -1, -1), 0): Fraction(gsq * gsq, 12),
-                BasisMonomial((-3, -1), 0): Fraction(2 * gsq, 3),
-                BasisMonomial((-2, -2), 0): Fraction(gsq, 4),
-            },
-        )
-        for b_name, b in (("1", ctx.one()), ("i", ctx.i())):
-            e = ep + em.scale(b)
-            rows.append(
-                {
-                    "relation": f"N={n_lat}, b={b_name}: (e_b)_(g^2-5) e_b = b v_g",
-                    "ok": vertex_mode(e, gsq - 5, e) == vg.scale(b),
-                }
-            )
-    verdict = all(r["ok"] for r in rows)
-    return CheckReport("mode-prop", {"conductor": conductor}, rows, verdict)
-
-
-def omega_report(ctx: Context) -> CheckReport:
-    """Conformal-vector constraint system plus, when the conductor allows
-    eighth roots, the full circle of solutions b = zeta_8^k / 4."""
-    base = solve_omega_constraint(ctx)
-    rows = list(base.rows)
-    verdict = base.verdict
-    if ctx.conductor % 8 == 0:
-        for k in range(8):
-            b = ctx.embed_root_of_unity(k, 8) * Fraction(1, 4)
-            ok = all(r.is_zero() for r in omega_residuals(ctx, Fraction(1, 2), b))
-            rows.append({"relation": f"a = 1/2, b = zeta_8^{k}/4 solves", "ok": ok})
-            verdict = verdict and ok
-    return CheckReport("omega-constraint", dict(base.params), rows, verdict)
-
-
-def fixed_points_report(ctx: Context, cutoff: int, k: int = 2) -> CheckReport:
-    """Cyclic fixed points match the rescaled lattice; torus fixed points
-    count partitions."""
-    target = Context(ctx.N * k * k, ctx.conductor)
-    zdims = fixed_point_subspace(ctx, f"Z{k}", cutoff).dims()
-    ldims = [len(enumerate_basis(target, w)) for w in range(cutoff + 1)]
-    tdims = fixed_point_subspace(ctx, "T", cutoff).dims()
-    pdims = [partition_count(w) for w in range(cutoff + 1)]
-    rows = [
-        {
-            "relation": f"Z{k} fixed dims match N={target.N} graded dims",
-            "dims": zdims,
-            "ok": zdims == ldims,
-        },
-        {
-            "relation": "torus fixed dims are the partition numbers",
-            "dims": tdims,
-            "ok": tdims == pdims,
-        },
-    ]
-    verdict = all(r["ok"] for r in rows)
-    params = {"N": ctx.N, "k": k, "cutoff": cutoff}
-    return CheckReport("fixed-points", params, rows, verdict)
-
-
-def decomposition_reports(ctx: Context, cutoff: int) -> list:
-    # the charged families need N non-square; the others hold for any N
-    if isqrt(ctx.N) ** 2 == ctx.N:
-        which = ("M1", "M1+")
-    else:
-        which = ("V", "M1", "V+", "M1+")
-    return [verify_decomposition(ctx, name, cutoff) for name in which]
-
-
-def virasoro_report(omega: Vector, central_charge, cutoff: int) -> CheckReport:
-    params = {
-        "N": omega.ctx.N,
-        "central_charge": _fraction_json(Fraction(central_charge)),
-        "cutoff": cutoff,
-    }
-    try:
-        cert = certify_virasoro_vector(omega, central_charge, cutoff=cutoff)
-    except CertificateRefused as refusal:
-        rows = [{"relation": refusal.relation, "ok": False}]
-        return CheckReport("virasoro-certificate", params, rows, False)
-    rows = [
-        {
-            "relation": "all bracket relations hold",
-            "basis_dimension": cert.basis_dimension,
-            "relations_checked": cert.relations_checked,
-            "ok": True,
-        }
-    ]
-    return CheckReport("virasoro-certificate", params, rows, True)
+# verification suite dispatch
 
 
 def run_suite(name: str, args) -> CheckReport | list:
-    conductor = resolve_conductor(args)
+    conductor = args.conductor
     cutoff = _check_cutoff(args.cutoff)
     n_lat = args.N
 
@@ -438,7 +205,7 @@ def run_suite(name: str, args) -> CheckReport | list:
 
 
 def cmd_mode(args) -> int:
-    ctx = Context(args.N, resolve_conductor(args))
+    ctx = Context(args.N, args.conductor)
     a = resolve_vector(ctx, args.a)
     b = resolve_vector(ctx, args.b)
     request = {
@@ -484,7 +251,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    ctx = Context(args.N, resolve_conductor(args))
+    ctx = Context(args.N, args.conductor)
     weight = _check_cutoff(args.weight)
     monos = enumerate_basis(ctx, weight)
     payload = {
@@ -519,7 +286,7 @@ def cmd_character(args) -> int:
 
 
 def cmd_fixed(args) -> int:
-    ctx = Context(args.N, resolve_conductor(args))
+    ctx = Context(args.N, args.conductor)
     cutoff = _check_cutoff(args.cutoff)
     t = None
     if args.t is not None:
@@ -542,7 +309,7 @@ def cmd_fixed(args) -> int:
 
 
 def cmd_close(args) -> int:
-    ctx = Context(args.N, resolve_conductor(args))
+    ctx = Context(args.N, args.conductor)
     cutoff = _check_cutoff(args.cutoff)
     refs = args.gen if args.gen else ["nu"]
     generators = [resolve_vector(ctx, ref) for ref in refs]
@@ -641,6 +408,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        args.conductor = resolve_conductor(args)
         return args.func(args)
     except (ConductorError, ContextMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -467,12 +467,32 @@ class Scalar:
     __repr__ = __str__
 
 
+def json_int(value, what: str) -> int:
+    """value if it is a JSON integer (not a boolean), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def scalar_from_json(data: dict, ctx: Context | None = None) -> Scalar:
-    want = Context(N=data["N"], conductor=data["n"])
+    """Parse scalar JSON; malformed input raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"scalar JSON must be an object, got {data!r}")
+    want = Context(
+        N=json_int(data.get("N"), "scalar N"), conductor=json_int(data.get("n"), "scalar n")
+    )
     if ctx is not None and ctx != want:
         raise ContextMismatchError(
             f"scalar JSON carries context {want}, expected {ctx}"
         )
-    rat = [Fraction(p, q) for p, q in data["rat"]]
-    rad = [Fraction(p, q) for p, q in data["rad"]]
-    return want.scalar(rat, rad)
+    parts = []
+    for key in ("rat", "rad"):
+        pairs = data.get(key)
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 for pair in pairs
+        ):
+            raise ValueError(f"scalar {key} must be a list of [p, q] pairs, got {pairs!r}")
+        if any(json_int(q, f"scalar {key} denominator") == 0 for _, q in pairs):
+            raise ValueError(f"scalar {key} has a zero denominator")
+        parts.append([Fraction(json_int(p, f"scalar {key} numerator"), q) for p, q in pairs])
+    return want.scalar(*parts)

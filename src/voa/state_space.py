@@ -23,12 +23,14 @@ J_m^dagger = J_{-m} and [J_m, J_{-m}] = m on unit-norm charged vacua.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, isqrt
+from types import MappingProxyType
 
-from .scalars import Context, ContextMismatchError, Scalar, scalar_from_json
+from .scalars import Context, ContextMismatchError, Scalar, json_int, scalar_from_json
 
 
 @lru_cache(maxsize=None)
@@ -300,10 +302,6 @@ def enumerate_basis(ctx: Context, weight: int) -> tuple:
     return tuple(out)
 
 
-def weight_of(v: Vector) -> int | None:
-    return v.weight()
-
-
 def pct(v: Vector) -> Vector:
     """Antiunitary PCT operator: charge flip, sign (-1)^s, conjugated coefficients."""
     out: dict = {}
@@ -353,13 +351,21 @@ def gram_matrix(ctx: Context, weight: int, subspace=None) -> list:
     return [[inner_product(a, b) for b in vectors] for a in vectors]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedSubspace:
-    """A weight-graded subspace given by per-weight lists of basis vectors."""
+    """A weight-graded subspace given by per-weight basis vectors.
+
+    Immutable: the bases are stored as tuples behind a read-only mapping,
+    so a cached subspace can be handed to every caller.
+    """
 
     ctx: Context
     cutoff: int
-    basis_by_weight: dict
+    basis_by_weight: Mapping
+
+    def __post_init__(self):
+        frozen = {w: tuple(vs) for w, vs in self.basis_by_weight.items()}
+        object.__setattr__(self, "basis_by_weight", MappingProxyType(frozen))
 
     def weight_basis(self, w: int) -> list:
         return list(self.basis_by_weight.get(w, ()))
@@ -386,7 +392,10 @@ def vector_to_json(v: Vector) -> dict:
 
 
 def vector_from_json(data: dict, ctx: Context | None = None) -> Vector:
-    n_lat = data["N"]
+    """Parse vector JSON; malformed input raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise ValueError("vector JSON must be an object with N and a terms list")
+    n_lat = json_int(data.get("N"), "vector N")
     if ctx is not None and ctx.N != n_lat:
         raise ContextMismatchError(
             f"vector JSON has N={n_lat}, context has N={ctx.N}"
@@ -394,9 +403,17 @@ def vector_from_json(data: dict, ctx: Context | None = None) -> Vector:
     terms = {}
     built = ctx
     for term in data["terms"]:
-        coeff = scalar_from_json(term["coeff"], built)
+        if not isinstance(term, dict) or not isinstance(term.get("partition"), list):
+            raise ValueError(f"vector term must be an object with a partition list, got {term!r}")
+        mono = BasisMonomial(
+            tuple(json_int(m, "partition mode") for m in term["partition"]),
+            json_int(term.get("charge"), "charge"),
+        )
+        if mono in terms:
+            raise ValueError(f"vector JSON repeats the monomial {mono}")
+        coeff = scalar_from_json(term.get("coeff"), built)
         built = coeff.ctx
-        terms[BasisMonomial(tuple(term["partition"]), term["charge"])] = coeff
+        terms[mono] = coeff
     if built is None:
         built = Context(N=n_lat)
     if built.N != n_lat:

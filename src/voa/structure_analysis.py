@@ -3,6 +3,9 @@
 Primary vectors, Virasoro characters, graded decomposition checks,
 automorphism fixed points, subalgebra closure, and certificates for
 conformal vectors of central charge one half.
+
+Every verification suite lives here and returns a report whose rows each
+carry an "ok" flag; a report's verdict is the conjunction of its rows.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 from .linalg import EchelonSpan, operator_kernel, solve, span_basis
@@ -28,17 +32,29 @@ from .state_space import (
     pct,
     split_virasoro_vector,
     vacuum,
+    weight4_primary,
 )
-from .vertex_engine import vertex_mode, vertex_window, virasoro_apply
+from .vertex_engine import (
+    heis_apply,
+    translation_covariance_defect,
+    vertex_mode,
+    vertex_window,
+    virasoro_apply,
+)
 
 __all__ = [
     "CertificateRefused",
     "CheckReport",
     "DecompositionReport",
-    "VirasoroVectorCertificate",
+    "axiom_report",
     "certify_virasoro_vector",
     "close_subalgebra",
+    "decomposition_reports",
     "fixed_point_subspace",
+    "fixed_points_report",
+    "lemma_weight4_report",
+    "mode_prop_report",
+    "omega_report",
     "omega_residuals",
     "primary_basis",
     "project_conformal",
@@ -48,6 +64,7 @@ __all__ = [
     "verify_decomposition",
     "verify_w_tensor_split",
     "virasoro_character",
+    "virasoro_report",
 ]
 
 
@@ -58,7 +75,10 @@ class DecompositionReport:
     check: str
     params: dict
     per_weight: list
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return all(row["ok"] for row in self.per_weight)
 
     def to_json(self) -> dict:
         return {
@@ -71,12 +91,18 @@ class DecompositionReport:
 
 @dataclass
 class CheckReport:
-    """Generic verification report: named rows, each with an "ok" flag."""
+    """Generic verification report: named rows, each with an "ok" flag.
+
+    The verdict is the conjunction of the rows' flags.
+    """
 
     check: str
     params: dict
     rows: list
-    verdict: bool
+
+    @property
+    def verdict(self) -> bool:
+        return all(row["ok"] for row in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -96,38 +122,24 @@ class CertificateRefused(Exception):
         self.defect = defect
 
 
-@dataclass
-class VirasoroVectorCertificate:
-    """Record of an exhaustive, exact Virasoro bracket verification."""
+def _identity_row(relation: str, cases) -> dict:
+    """Report row for an identity checked on each (lhs, rhs) pair of cases."""
+    results = [lhs == rhs for lhs, rhs in cases]
+    return {"relation": relation, "checked": len(results), "ok": all(results)}
 
-    central_charge: Fraction
-    cutoff: int
-    mode_range: int
-    basis_dimension: int
-    relations_checked: int
 
-    def to_json(self) -> dict:
-        c = self.central_charge
-        return {
-            "check": "virasoro-certificate",
-            "params": {
-                "central_charge": [c.numerator, c.denominator],
-                "cutoff": self.cutoff,
-                "mode_range": self.mode_range,
-            },
-            "rows": [
-                {
-                    "basis_dimension": self.basis_dimension,
-                    "relations_checked": self.relations_checked,
-                    "ok": True,
-                }
-            ],
-            "verdict": True,
-        }
+def _virasoro_table(omega: Vector, v: Vector, wmax: int) -> dict:
+    """Modes of omega on v, keyed by Virasoro index: omega_(n) acts as L_{n-1}."""
+    return {n - 1: u for n, u in vertex_window(omega, v, wmax).items()}
 
 
 def _unit_vectors(ctx: Context, weight: int) -> list:
     return [Vector(ctx, {m: 1}) for m in enumerate_basis(ctx, weight)]
+
+
+def _unit_pool(ctx: Context, cutoff: int) -> list:
+    """Unit vectors of every basis monomial of weight <= cutoff."""
+    return [v for w in range(cutoff + 1) for v in _unit_vectors(ctx, w)]
 
 
 def quasi_primary_basis(ctx: Context, weight: int, ambient=None) -> list:
@@ -307,7 +319,7 @@ def project_conformal(sub: GradedSubspace) -> Vector:
 
 def certify_virasoro_vector(
     omega: Vector, central_charge, cutoff: int = 6, mode_range: int = 3
-) -> VirasoroVectorCertificate:
+) -> CheckReport:
     """Exact certificate that omega's modes close a Virasoro algebra.
 
     Verifies L^w_0 omega = 2 omega, L^w_1 omega = L^w_3 omega = L^w_4
@@ -316,6 +328,8 @@ def certify_virasoro_vector(
     applied to every basis vector of weight <= cutoff, for all
     -mode_range <= n < m <= mode_range.  Every comparison is exact; the
     first failure raises CertificateRefused carrying the defect vector.
+    A certificate is a report with one row: the number of basis vectors
+    and of relations checked.
     """
     ctx = omega.ctx
     c = Fraction(central_charge)
@@ -325,16 +339,12 @@ def certify_virasoro_vector(
     zero = Vector.zero(ctx)
     counter = [0]
 
-    def ltable(v: Vector) -> dict:
-        # modes by Virasoro index: omega_(n) contributes as L_{n-1}
-        return {n - 1: u for n, u in vertex_window(omega, v, wmax).items()}
-
     def demand(lhs: Vector, rhs: Vector, relation: str) -> None:
         counter[0] += 1
         if lhs != rhs:
             raise CertificateRefused(relation, lhs - rhs)
 
-    own = ltable(omega)
+    own = _virasoro_table(omega, omega, wmax)
     demand(own.get(0, zero), omega.scale(2), "L_0 omega = 2 omega")
     for m in (1, 3, 4):
         demand(own.get(m, zero), zero, f"L_{m} omega = 0")
@@ -345,11 +355,11 @@ def certify_virasoro_vector(
         for mono in enumerate_basis(ctx, w):
             v = Vector(ctx, {mono: 1})
             dim += 1
-            base = ltable(v)
+            base = _virasoro_table(omega, v, wmax)
             second = {}
             for m in range(-mode_range, mode_range + 1):
                 x = base.get(m)
-                second[m] = ltable(x) if x is not None else {}
+                second[m] = _virasoro_table(omega, x, wmax) if x is not None else {}
             for m in range(-mode_range + 1, mode_range + 1):
                 for n in range(-mode_range, m):
                     lhs = second[n].get(m, zero) - second[m].get(n, zero)
@@ -357,7 +367,13 @@ def certify_virasoro_vector(
                     if m + n == 0:
                         rhs = rhs + v.scale(c * (m**3 - m) / 12)
                     demand(lhs, rhs, f"[L_{m}, L_{n}] on {mono}")
-    return VirasoroVectorCertificate(c, cutoff, mode_range, dim, counter[0])
+    params = {
+        "central_charge": [c.numerator, c.denominator],
+        "cutoff": cutoff,
+        "mode_range": mode_range,
+    }
+    rows = [{"basis_dimension": dim, "relations_checked": counter[0], "ok": True}]
+    return CheckReport("virasoro-certificate", params, rows)
 
 
 @lru_cache(maxsize=None)
@@ -449,26 +465,22 @@ def solve_omega_constraint(ctx: Context) -> CheckReport:
         (Fraction(0), ctx.zero(), True),
         (Fraction(1, 2), ctx.from_fraction(Fraction(1, 2)), False),
     ]
-    verdict = matches
     for a, b, expect in samples:
         res = omega_residuals(ctx, a, b)
         solves = all(r.is_zero() for r in res)
-        ok = solves == expect
-        verdict = verdict and ok
         rows.append(
             {
                 "a": [a.numerator, a.denominator],
                 "b": b.to_json(),
                 "solves": solves,
                 "expected": expect,
-                "ok": ok,
+                "ok": solves == expect,
             }
         )
     return CheckReport(
         "omega-constraint",
         {"N": ctx.N, "conductor": ctx.conductor, "equations": len(system)},
         rows,
-        verdict,
     )
 
 
@@ -480,50 +492,26 @@ def verify_w_tensor_split(ctx: Context, cutoff: int = 6, mode_range: int = 2) ->
         raise ValueError("the split pair lives in V_{L_4} (N = 2)")
     w0 = split_virasoro_vector(ctx, 0, 1)
     wpi = split_virasoro_vector(ctx, 1, 2)
-    rows = []
     sum_ok = (w0 + wpi) == conformal_vector(ctx)
-    rows.append({"relation": "omega_0 + omega_pi = nu", "ok": sum_ok})
-
     wmax = cutoff + 2 * mode_range
     zero = Vector.zero(ctx)
     span = range(-mode_range, mode_range + 1)
-    checked = 0
-    commute_ok = True
-    for w in range(cutoff + 1):
-        for mono in enumerate_basis(ctx, w):
-            v = Vector(ctx, {mono: 1})
-            t0 = {n - 1: u for n, u in vertex_window(w0, v, wmax).items()}
-            tp = {n - 1: u for n, u in vertex_window(wpi, v, wmax).items()}
-            after_pi = {
-                n: {m - 1: u for m, u in vertex_window(w0, tp[n], wmax).items()}
-                for n in span
-                if n in tp
-            }
-            after_0 = {
-                m: {n - 1: u for n, u in vertex_window(wpi, t0[m], wmax).items()}
-                for m in span
-                if m in t0
-            }
-            for m in span:
-                for n in span:
-                    lhs = after_pi.get(n, {}).get(m, zero)
-                    rhs = after_0.get(m, {}).get(n, zero)
-                    checked += 1
-                    if lhs != rhs:
-                        commute_ok = False
-    rows.append(
-        {
-            "relation": f"[L^0_m, L^pi_n] = 0 for |m|, |n| <= {mode_range}",
-            "checked": checked,
-            "ok": commute_ok,
-        }
-    )
-    return CheckReport(
-        "w-tensor-split",
-        {"N": ctx.N, "cutoff": cutoff, "mode_range": mode_range},
-        rows,
-        sum_ok and commute_ok,
-    )
+
+    def commutator_cases():
+        for v in _unit_pool(ctx, cutoff):
+            t0 = _virasoro_table(w0, v, wmax)
+            tp = _virasoro_table(wpi, v, wmax)
+            after_pi = {n: _virasoro_table(w0, tp[n], wmax) for n in span if n in tp}
+            after_0 = {m: _virasoro_table(wpi, t0[m], wmax) for m in span if m in t0}
+            for m, n in product(span, span):
+                yield after_pi.get(n, {}).get(m, zero), after_0.get(m, {}).get(n, zero)
+
+    rows = [
+        {"relation": "omega_0 + omega_pi = nu", "ok": sum_ok},
+        _identity_row(f"[L^0_m, L^pi_n] = 0 for |m|, |n| <= {mode_range}", commutator_cases()),
+    ]
+    params = {"N": ctx.N, "cutoff": cutoff, "mode_range": mode_range}
+    return CheckReport("w-tensor-split", params, rows)
 
 
 def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckReport:
@@ -564,24 +552,19 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     )
     rows.append({"relation": "weight-one basis orthonormal", "ok": ortho})
 
-    triple = (("E", e), ("F", f), ("H", h))
-    checked = 0
-    op_ok = True
-    for _, a in triple:
-        for _, b in triple:
+    pool = _unit_pool(ctx, cutoff)
+
+    def operator_cases():
+        for a, b in product((e, f, h), repeat=2):
             ab = bracket(a, b)
-            for w in range(cutoff + 1):
-                for mono in enumerate_basis(ctx, w):
-                    v = Vector(ctx, {mono: 1})
-                    lhs = vertex_mode(a, 0, vertex_mode(b, 0, v)) - vertex_mode(
-                        b, 0, vertex_mode(a, 0, v)
-                    )
-                    checked += 1
-                    if lhs != vertex_mode(ab, 0, v):
-                        op_ok = False
-    rows.append({"relation": "[a_(0), b_(0)] = (a_(0) b)_(0)", "checked": checked, "ok": op_ok})
-    verdict = all(r["ok"] for r in rows)
-    return CheckReport("sl2-zero-modes", {"N": ctx.N, "cutoff": cutoff}, rows, verdict)
+            for v in pool:
+                lhs = vertex_mode(a, 0, vertex_mode(b, 0, v)) - vertex_mode(
+                    b, 0, vertex_mode(a, 0, v)
+                )
+                yield lhs, vertex_mode(ab, 0, v)
+
+    rows.append(_identity_row("[a_(0), b_(0)] = (a_(0) b)_(0)", operator_cases()))
+    return CheckReport("sl2-zero-modes", {"N": ctx.N, "cutoff": cutoff}, rows)
 
 
 def verify_decomposition(ctx: Context, which: str, cutoff: int) -> DecompositionReport:
@@ -639,9 +622,199 @@ def verify_decomposition(ctx: Context, which: str, cutoff: int) -> Decomposition
         {"w": w, "lhs": lhs[w], "rhs": rhs[w], "ok": lhs[w] == rhs[w]}
         for w in range(cutoff + 1)
     ]
-    return DecompositionReport(
-        f"decomposition:{which}",
-        {"N": n_lat, "cutoff": cutoff},
-        per_weight,
-        all(r["ok"] for r in per_weight),
+    params = {"N": n_lat, "cutoff": cutoff}
+    return DecompositionReport(f"decomposition:{which}", params, per_weight)
+
+
+def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
+    """Creation, translation covariance, and the three commutator families,
+    checked as exact operator identities on every basis vector up to the
+    cutoff with modes in [-mode_range, mode_range]."""
+    zero = Vector.zero(ctx)
+    vac = vacuum(ctx)
+    pool = _unit_pool(ctx, cutoff)
+    small = [a for a in pool if a.weight() <= min(3, cutoff)]
+    modes = range(-mode_range, mode_range + 1)
+
+    def creation():
+        for a in pool:
+            for n in range(mode_range + 1):
+                yield vertex_mode(a, n, vac), zero
+            yield vertex_mode(a, -1, vac), a
+
+    def translation():
+        for a, b, n in product(small, pool, modes):
+            yield translation_covariance_defect(a, n, b), zero
+
+    def heisenberg():
+        for v, m, n in product(pool, modes, modes):
+            lhs = heis_apply(m, heis_apply(n, v)) - heis_apply(n, heis_apply(m, v))
+            yield lhs, v.scale(m) if m + n == 0 else zero
+
+    def virasoro():
+        for v, m in product(pool, modes):
+            for n in range(-mode_range, m + 1):
+                lhs = virasoro_apply(m, virasoro_apply(n, v)) - virasoro_apply(
+                    n, virasoro_apply(m, v)
+                )
+                rhs = virasoro_apply(m + n, v).scale(m - n)
+                if m + n == 0:
+                    rhs = rhs + v.scale(Fraction(m**3 - m, 12))
+                yield lhs, rhs
+
+    def mixed():
+        for v, m, n in product(pool, modes, modes):
+            lhs = virasoro_apply(m, heis_apply(n, v)) - heis_apply(n, virasoro_apply(m, v))
+            yield lhs, heis_apply(m + n, v).scale(-n)
+
+    rows = [
+        _identity_row("a_(n) vacuum = 0 for n >= 0 and a_(-1) vacuum = a", creation()),
+        _identity_row("(L_{-1} a)_(n) = -n a_(n-1)", translation()),
+        _identity_row("[J_m, J_n] = m delta_{m,-n}", heisenberg()),
+        _identity_row("[L_m, L_n] = (m-n) L_{m+n} + (m^3-m)/12 delta_{m,-n}", virasoro()),
+        _identity_row("[L_m, J_n] = -n J_{m+n}", mixed()),
+    ]
+    params = {"N": ctx.N, "cutoff": cutoff, "mode_range": mode_range}
+    return CheckReport("axioms", params, rows)
+
+
+def lemma_weight4_report(ctx: Context) -> CheckReport:
+    """The quartic weight-4 vector is primary, and the two weight-4
+    Virasoro descendants of the vacuum line have their closed forms."""
+    u = weight4_primary(ctx)
+    rows = []
+    for m in range(1, 7):
+        rows.append(
+            {"relation": f"L_{m} u = 0", "ok": virasoro_apply(m, u).is_zero()}
+        )
+    lm2 = Vector(
+        ctx,
+        {
+            BasisMonomial((-1, -1, -1, -1), 0): Fraction(1, 4),
+            BasisMonomial((-3, -1), 0): 1,
+        },
     )
+    rows.append(
+        {
+            "relation": "L_{-2} nu = (1/4) J^4 vacuum + J_{-3} J_{-1} vacuum",
+            "ok": virasoro_apply(-2, conformal_vector(ctx)) == lm2,
+        }
+    )
+    lm4 = Vector(
+        ctx,
+        {
+            BasisMonomial((-2, -2), 0): Fraction(1, 2),
+            BasisMonomial((-3, -1), 0): 1,
+        },
+    )
+    rows.append(
+        {
+            "relation": "L_{-4} vacuum = (1/2) J_{-2}^2 vacuum + J_{-3} J_{-1} vacuum",
+            "ok": virasoro_apply(-4, vacuum(ctx)) == lm4,
+        }
+    )
+    return CheckReport("lemma-weight4", {"N": ctx.N}, rows)
+
+
+def mode_prop_report(conductor: int = 4) -> CheckReport:
+    """Charged vacuum products at the two singular mode depths.
+
+    With g^2 = 2N: the depth g^2-2 product of opposite charged vacua is
+    (+/-) g J_{-1} vacuum, and the depth g^2-5 self-product of the pair
+    e_+ + b e_- is b times the quartic vector v_g."""
+    rows = []
+    for n_lat in (2, 3):
+        ctx = Context(n_lat, conductor)
+        gsq = 2 * n_lat
+        ep, em = charged_vacuum(ctx, 1), charged_vacuum(ctx, -1)
+        gj = Vector.monomial(ctx, (-1,), 0, ctx.sqrt_2n())
+        rows.append(
+            {
+                "relation": f"N={n_lat}: (e_+)_(g^2-2) e_- = g J_{{-1}} vacuum",
+                "ok": vertex_mode(ep, gsq - 2, em) == gj,
+            }
+        )
+        rows.append(
+            {
+                "relation": f"N={n_lat}: (e_-)_(g^2-2) e_+ = -g J_{{-1}} vacuum",
+                "ok": vertex_mode(em, gsq - 2, ep) == -gj,
+            }
+        )
+        vg = Vector(
+            ctx,
+            {
+                BasisMonomial((-1, -1, -1, -1), 0): Fraction(gsq * gsq, 12),
+                BasisMonomial((-3, -1), 0): Fraction(2 * gsq, 3),
+                BasisMonomial((-2, -2), 0): Fraction(gsq, 4),
+            },
+        )
+        for b_name, b in (("1", ctx.one()), ("i", ctx.i())):
+            e = ep + em.scale(b)
+            rows.append(
+                {
+                    "relation": f"N={n_lat}, b={b_name}: (e_b)_(g^2-5) e_b = b v_g",
+                    "ok": vertex_mode(e, gsq - 5, e) == vg.scale(b),
+                }
+            )
+    return CheckReport("mode-prop", {"conductor": conductor}, rows)
+
+
+def omega_report(ctx: Context) -> CheckReport:
+    """Conformal-vector constraint system plus, when the conductor allows
+    eighth roots, the full circle of solutions b = zeta_8^k / 4."""
+    base = solve_omega_constraint(ctx)
+    rows = list(base.rows)
+    if ctx.conductor % 8 == 0:
+        for k in range(8):
+            b = ctx.embed_root_of_unity(k, 8) * Fraction(1, 4)
+            ok = all(r.is_zero() for r in omega_residuals(ctx, Fraction(1, 2), b))
+            rows.append({"relation": f"a = 1/2, b = zeta_8^{k}/4 solves", "ok": ok})
+    return CheckReport("omega-constraint", dict(base.params), rows)
+
+
+def fixed_points_report(ctx: Context, cutoff: int, k: int = 2) -> CheckReport:
+    """Cyclic fixed points match the rescaled lattice; torus fixed points
+    count partitions."""
+    target = Context(ctx.N * k * k, ctx.conductor)
+    zdims = fixed_point_subspace(ctx, f"Z{k}", cutoff).dims()
+    ldims = [len(enumerate_basis(target, w)) for w in range(cutoff + 1)]
+    tdims = fixed_point_subspace(ctx, "T", cutoff).dims()
+    pdims = [partition_count(w) for w in range(cutoff + 1)]
+    rows = [
+        {
+            "relation": f"Z{k} fixed dims match N={target.N} graded dims",
+            "dims": zdims,
+            "ok": zdims == ldims,
+        },
+        {
+            "relation": "torus fixed dims are the partition numbers",
+            "dims": tdims,
+            "ok": tdims == pdims,
+        },
+    ]
+    params = {"N": ctx.N, "k": k, "cutoff": cutoff}
+    return CheckReport("fixed-points", params, rows)
+
+
+def decomposition_reports(ctx: Context, cutoff: int) -> list:
+    """Decomposition checks of every space whose character formula holds at ctx.N."""
+    # the charged families need N non-square; the others hold for any N
+    if isqrt(ctx.N) ** 2 == ctx.N:
+        which = ("M1", "M1+")
+    else:
+        which = ("V", "M1", "V+", "M1+")
+    return [verify_decomposition(ctx, name, cutoff) for name in which]
+
+
+def virasoro_report(omega: Vector, central_charge, cutoff: int) -> CheckReport:
+    """The Virasoro certificate of omega as a report; a refusal becomes
+    one failing row naming the relation that broke."""
+    c = Fraction(central_charge)
+    params = {"N": omega.ctx.N, "central_charge": [c.numerator, c.denominator], "cutoff": cutoff}
+    try:
+        cert = certify_virasoro_vector(omega, c, cutoff=cutoff)
+    except CertificateRefused as refusal:
+        rows = [{"relation": refusal.relation, "ok": False}]
+    else:
+        rows = [{"relation": "all bracket relations hold", **cert.rows[0]}]
+    return CheckReport("virasoro-certificate", params, rows)

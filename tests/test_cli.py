@@ -1,5 +1,6 @@
 """CLI: exit codes, payload shapes, determinism, vector references."""
 
+import hashlib
 import json
 
 import pytest
@@ -94,8 +95,27 @@ def test_mode_inline_json_round_trip(capsys):
     assert vector_from_json(data["result"], ctx) == weight4_primary(ctx)
 
 
-def test_mode_malformed_json_is_usage_error(capsys):
-    code, _ = run(capsys, "mode", "--N", "2", "--n", "0", "--a", "{bad", "--b", "vac")
+NU_TERM = {
+    "partition": [-1, -1],
+    "charge": 0,
+    "coeff": {"N": 2, "n": 4, "rat": [[1, 2]], "rad": []},
+}
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        "{bad",
+        json.dumps({"N": 2, "terms": [dict(NU_TERM, partition=[-1.5])]}),
+        json.dumps({"N": 2, "terms": [dict(NU_TERM, charge=0.5)]}),
+        json.dumps({"N": 2, "terms": [dict(NU_TERM, coeff=dict(NU_TERM["coeff"], rat=[[1, 0]]))]}),
+        "[1, 2]",
+        json.dumps({"N": 2, "terms": [NU_TERM, NU_TERM]}),
+    ],
+    ids=["not-json", "float-mode", "float-charge", "zero-denominator", "list", "repeated-term"],
+)
+def test_mode_malformed_json_is_usage_error(capsys, blob):
+    code, _ = run(capsys, "mode", "--N", "2", "--n", "0", "--a", blob, "--b", "vac")
     assert code == 2
 
 
@@ -145,6 +165,8 @@ def test_cutoff_guard(capsys):
 
 def test_invalid_conductor_is_context_error(capsys):
     code, _ = run(capsys, "--conductor", "6", "basis", "--N", "1", "--weight", "2")
+    assert code == 3
+    code, _ = run(capsys, "character", "--c", "1", "--h", "0", "--max", "4", "--conductor", "6")
     assert code == 3
 
 
@@ -196,8 +218,13 @@ def test_close_charged_vacua_generate_everything(capsys):
 
 
 def test_verify_all_small_cutoff(capsys):
-    code, data = run_json(capsys, "verify", "all", "--cutoff", "2")
+    code, out = run(capsys, "verify", "all", "--cutoff", "2")
     assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "96d1386061844cf5eccb089b6504a1c0eeb57527da256db64d2347d1113dcff0"
+    )
+    data = json.loads(out)
     assert data["verdict"] is True
     checks = [r["check"] for r in data["reports"]]
     assert "axioms" in checks

@@ -185,6 +185,16 @@ def test_fixed_points_torus_is_charge_zero_fock_space():
         assert fixed.dims() == [partition_count(w) for w in range(7)]
 
 
+def test_cached_fixed_points_cannot_be_mutated():
+    fixed = fixed_point_subspace(Context(N=1), "T", 4)
+    with pytest.raises(AttributeError):
+        fixed.basis_by_weight[2].clear()
+    with pytest.raises(TypeError):
+        fixed.basis_by_weight[2] = []
+    fixed.weight_basis(2).clear()
+    assert fixed_point_subspace(Context(N=1), "T", 4).dims() == [1, 1, 2, 3, 5]
+
+
 def test_fixed_points_dihedral_infinity_counts_even_length_partitions():
     fixed = fixed_point_subspace(Context(N=2), "Dinf", 6)
     assert fixed.dims() == [1, 0, 1, 1, 3, 3, 6]
@@ -255,19 +265,23 @@ def test_decomposition_report_json_shape():
 
 def test_certify_conformal_vector_central_charge_one():
     cert = certify_virasoro_vector(conformal_vector(Context(N=2)), 1, cutoff=4)
-    assert cert.central_charge == 1
-    assert cert.basis_dimension == sum(len(enumerate_basis(Context(N=2), w)) for w in range(5))
-    assert cert.relations_checked > 0
-    data = cert.to_json()
-    assert data["verdict"] is True
-    assert data["params"]["central_charge"] == [1, 1]
+    assert cert.params["central_charge"] == [1, 1]
+    row = cert.rows[0]
+    assert row["basis_dimension"] == sum(len(enumerate_basis(Context(N=2), w)) for w in range(5))
+    assert row["relations_checked"] > 0
+    assert cert.to_json() == {
+        "check": "virasoro-certificate",
+        "params": {"central_charge": [1, 1], "cutoff": 4, "mode_range": 3},
+        "rows": [{"basis_dimension": 20, "ok": True, "relations_checked": 425}],
+        "verdict": True,
+    }
 
 
 def test_certify_split_vectors_central_charge_half():
     ctx = Context(N=2)
     for vec in (split_virasoro_vector(ctx, 0, 1), split_virasoro_vector(ctx, 1, 2)):
         cert = certify_virasoro_vector(vec, Fraction(1, 2), cutoff=4)
-        assert cert.central_charge == Fraction(1, 2)
+        assert cert.params["central_charge"] == [1, 2]
 
 
 def test_certify_refuses_scaled_conformal_vector():
