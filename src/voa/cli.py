@@ -64,6 +64,7 @@ SUITES = (
     "tensor-split",
     "sl2",
 )
+ONE_LATTICE_SUITES = ("omega", "tensor-split", "sl2")
 
 
 class UsageError(ValueError):
@@ -175,7 +176,8 @@ def render_text(payload: dict, indent: str = "") -> str:
 def run_suite(name: str, args) -> CheckReport | list:
     conductor = args.conductor
     cutoff = _check_cutoff(args.cutoff)
-    n_lat = args.N
+    # under "all", a suite that lives at one lattice runs there whatever --N says
+    n_lat = None if args.suite == "all" and name in ONE_LATTICE_SUITES else args.N
 
     if name == "axioms":
         return axiom_report(Context(n_lat or 2, conductor), cutoff)

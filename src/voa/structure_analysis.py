@@ -34,13 +34,7 @@ from .state_space import (
     vacuum,
     weight4_primary,
 )
-from .vertex_engine import (
-    heis_apply,
-    translation_covariance_defect,
-    vertex_mode,
-    vertex_window,
-    virasoro_apply,
-)
+from .vertex_engine import heis_apply, vertex_mode, vertex_window, virasoro_apply
 
 __all__ = [
     "CertificateRefused",
@@ -66,6 +60,8 @@ __all__ = [
     "virasoro_character",
     "virasoro_report",
 ]
+
+MAX_CLOSURE_MEMBERS = 4000
 
 
 @dataclass
@@ -128,9 +124,34 @@ def _identity_row(relation: str, cases) -> dict:
     return {"relation": relation, "checked": len(results), "ok": all(results)}
 
 
-def _virasoro_table(omega: Vector, v: Vector, wmax: int) -> dict:
-    """Modes of omega on v, keyed by Virasoro index: omega_(n) acts as L_{n-1}."""
-    return {n - 1: u for n, u in vertex_window(omega, v, wmax).items()}
+def _bracket_cases(x, y, pool, pairs):
+    """Commutators of two mode families on every pool vector.
+
+    x and y map a vector to its mode table {mode: image}.  Yields
+    (v, m, n, x_m y_n v - y_n x_m v, x-table of v) for each v in pool
+    and each (m, n) in pairs.  Second-level tables are built only for
+    the modes that pairs reads, once over their union when x is y, and
+    one vector's tables are released before the next vector's are built.
+    """
+    pairs = tuple(pairs)
+    x_modes = {m for m, _ in pairs}
+    y_modes = {n for _, n in pairs}
+    if x is y:
+        x_modes = y_modes = x_modes | y_modes
+    for v in pool:
+        zero = Vector.zero(v.ctx)
+        xv = x(v)
+        y_after_x = {m: y(u) for m, u in xv.items() if m in x_modes}
+        x_after_y = y_after_x if x is y else {n: x(u) for n, u in y(v).items() if n in y_modes}
+        for m, n in pairs:
+            lhs = x_after_y.get(n, {}).get(m, zero) - y_after_x.get(m, {}).get(n, zero)
+            yield v, m, n, lhs, xv
+        del xv, y_after_x, x_after_y
+
+
+def _virasoro_table(omega: Vector, wmax: int):
+    """Mode table of omega's field, keyed by Virasoro index: omega_(n) acts as L_{n-1}."""
+    return lambda v: {n - 1: u for n, u in vertex_window(omega, v, wmax).items()}
 
 
 def _unit_vectors(ctx: Context, weight: int) -> list:
@@ -246,7 +267,7 @@ def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> Grade
     return GradedSubspace(ctx, cutoff, basis_by_weight)
 
 
-def close_subalgebra(ctx: Context, generators, cutoff: int, max_members: int = 4000) -> GradedSubspace:
+def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     """Smallest graded span containing the generators that is closed under
     all modes, PCT, and L_1, reported at weights 0..cutoff.
 
@@ -254,13 +275,14 @@ def close_subalgebra(ctx: Context, generators, cutoff: int, max_members: int = 4
     keeps adding PCT images, L_1 images, and every product a_(n) b that
     lands at weight <= cutoff, until the per-weight ranks stop growing.
     Products of pool vectors of any two weights are considered, so
-    generator components above the cutoff still contribute.
+    generator components above the cutoff still contribute.  A closure
+    that grows past MAX_CLOSURE_MEMBERS members raises RuntimeError.
     """
-    return _close_cached(ctx, tuple(generators), cutoff, max_members)
+    return _close_cached(ctx, tuple(generators), cutoff)
 
 
 @lru_cache(maxsize=None)
-def _close_cached(ctx: Context, generators: tuple, cutoff: int, max_members: int) -> GradedSubspace:
+def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> GradedSubspace:
     spans: dict = {}
     members: list = []
 
@@ -274,7 +296,7 @@ def _close_cached(ctx: Context, generators: tuple, cutoff: int, max_members: int
             row = span.insert(comp)
             if row is not None:
                 members.append(row)
-                if len(members) > max_members:
+                if len(members) > MAX_CLOSURE_MEMBERS:
                     raise RuntimeError("subalgebra closure exceeded its member budget")
 
     admit(vacuum(ctx))
@@ -344,35 +366,26 @@ def certify_virasoro_vector(
         if lhs != rhs:
             raise CertificateRefused(relation, lhs - rhs)
 
-    own = _virasoro_table(omega, omega, wmax)
+    table = _virasoro_table(omega, wmax)
+    own = table(omega)
     demand(own.get(0, zero), omega.scale(2), "L_0 omega = 2 omega")
     for m in (1, 3, 4):
         demand(own.get(m, zero), zero, f"L_{m} omega = 0")
     demand(own.get(2, zero), vacuum(ctx).scale(c / 2), "L_2 omega = (c/2) vacuum")
 
-    dim = 0
-    for w in range(cutoff + 1):
-        for mono in enumerate_basis(ctx, w):
-            v = Vector(ctx, {mono: 1})
-            dim += 1
-            base = _virasoro_table(omega, v, wmax)
-            second = {}
-            for m in range(-mode_range, mode_range + 1):
-                x = base.get(m)
-                second[m] = _virasoro_table(omega, x, wmax) if x is not None else {}
-            for m in range(-mode_range + 1, mode_range + 1):
-                for n in range(-mode_range, m):
-                    lhs = second[n].get(m, zero) - second[m].get(n, zero)
-                    rhs = base.get(m + n, zero).scale(m - n)
-                    if m + n == 0:
-                        rhs = rhs + v.scale(c * (m**3 - m) / 12)
-                    demand(lhs, rhs, f"[L_{m}, L_{n}] on {mono}")
+    pool = _unit_pool(ctx, cutoff)
+    pairs = [(m, n) for m in range(-mode_range + 1, mode_range + 1) for n in range(-mode_range, m)]
+    for v, m, n, lhs, base in _bracket_cases(table, table, pool, pairs):
+        rhs = base.get(m + n, zero).scale(m - n)
+        if m + n == 0:
+            rhs = rhs + v.scale(c * (m**3 - m) / 12)
+        demand(lhs, rhs, f"[L_{m}, L_{n}] on {next(iter(v.terms))}")
     params = {
         "central_charge": [c.numerator, c.denominator],
         "cutoff": cutoff,
         "mode_range": mode_range,
     }
-    rows = [{"basis_dimension": dim, "relations_checked": counter[0], "ok": True}]
+    rows = [{"basis_dimension": len(pool), "relations_checked": counter[0], "ok": True}]
     return CheckReport("virasoro-certificate", params, rows)
 
 
@@ -496,19 +509,14 @@ def verify_w_tensor_split(ctx: Context, cutoff: int = 6, mode_range: int = 2) ->
     wmax = cutoff + 2 * mode_range
     zero = Vector.zero(ctx)
     span = range(-mode_range, mode_range + 1)
-
-    def commutator_cases():
-        for v in _unit_pool(ctx, cutoff):
-            t0 = _virasoro_table(w0, v, wmax)
-            tp = _virasoro_table(wpi, v, wmax)
-            after_pi = {n: _virasoro_table(w0, tp[n], wmax) for n in span if n in tp}
-            after_0 = {m: _virasoro_table(wpi, t0[m], wmax) for m in span if m in t0}
-            for m, n in product(span, span):
-                yield after_pi.get(n, {}).get(m, zero), after_0.get(m, {}).get(n, zero)
-
+    x, y = _virasoro_table(w0, wmax), _virasoro_table(wpi, wmax)
+    cases = _bracket_cases(x, y, _unit_pool(ctx, cutoff), product(span, span))
     rows = [
         {"relation": "omega_0 + omega_pi = nu", "ok": sum_ok},
-        _identity_row(f"[L^0_m, L^pi_n] = 0 for |m|, |n| <= {mode_range}", commutator_cases()),
+        _identity_row(
+            f"[L^0_m, L^pi_n] = 0 for |m|, |n| <= {mode_range}",
+            ((lhs, zero) for _, _, _, lhs, _ in cases),
+        ),
     ]
     params = {"N": ctx.N, "cutoff": cutoff, "mode_range": mode_range}
     return CheckReport("w-tensor-split", params, rows)
@@ -553,15 +561,13 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     rows.append({"relation": "weight-one basis orthonormal", "ok": ortho})
 
     pool = _unit_pool(ctx, cutoff)
+    triple = [(a, lambda v, a=a: {0: bracket(a, v)}) for a in (e, f, h)]
 
     def operator_cases():
-        for a, b in product((e, f, h), repeat=2):
+        for (a, x), (b, y) in product(triple, repeat=2):
             ab = bracket(a, b)
-            for v in pool:
-                lhs = vertex_mode(a, 0, vertex_mode(b, 0, v)) - vertex_mode(
-                    b, 0, vertex_mode(a, 0, v)
-                )
-                yield lhs, vertex_mode(ab, 0, v)
+            for v, _, _, lhs, _ in _bracket_cases(x, y, pool, [(0, 0)]):
+                yield lhs, bracket(ab, v)
 
     rows.append(_identity_row("[a_(0), b_(0)] = (a_(0) b)_(0)", operator_cases()))
     return CheckReport("sl2-zero-modes", {"N": ctx.N, "cutoff": cutoff}, rows)
@@ -643,28 +649,34 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
             yield vertex_mode(a, -1, vac), a
 
     def translation():
-        for a, b, n in product(small, pool, modes):
-            yield translation_covariance_defect(a, n, b), zero
+        for a, b in product(small, pool):
+            # both sides have weight wt a + wt b - n, so one window holds every mode n
+            wmax = a.weight() + b.weight() + mode_range
+            shifted = vertex_window(virasoro_apply(-1, a), b, wmax)
+            plain = vertex_window(a, b, wmax)
+            for n in modes:
+                yield shifted.get(n, zero), plain.get(n - 1, zero).scale(-n)
+
+    def heis(v: Vector) -> dict:
+        return {k: heis_apply(k, v) for k in modes}
+
+    def vir(v: Vector) -> dict:
+        return {k: virasoro_apply(k, v) for k in modes}
 
     def heisenberg():
-        for v, m, n in product(pool, modes, modes):
-            lhs = heis_apply(m, heis_apply(n, v)) - heis_apply(n, heis_apply(m, v))
+        for v, m, n, lhs, _ in _bracket_cases(heis, heis, pool, product(modes, modes)):
             yield lhs, v.scale(m) if m + n == 0 else zero
 
     def virasoro():
-        for v, m in product(pool, modes):
-            for n in range(-mode_range, m + 1):
-                lhs = virasoro_apply(m, virasoro_apply(n, v)) - virasoro_apply(
-                    n, virasoro_apply(m, v)
-                )
-                rhs = virasoro_apply(m + n, v).scale(m - n)
-                if m + n == 0:
-                    rhs = rhs + v.scale(Fraction(m**3 - m, 12))
-                yield lhs, rhs
+        ordered = [(m, n) for m in modes for n in range(-mode_range, m + 1)]
+        for v, m, n, lhs, _ in _bracket_cases(vir, vir, pool, ordered):
+            rhs = virasoro_apply(m + n, v).scale(m - n)
+            if m + n == 0:
+                rhs = rhs + v.scale(Fraction(m**3 - m, 12))
+            yield lhs, rhs
 
     def mixed():
-        for v, m, n in product(pool, modes, modes):
-            lhs = virasoro_apply(m, heis_apply(n, v)) - heis_apply(n, virasoro_apply(m, v))
+        for v, m, n, lhs, _ in _bracket_cases(vir, heis, pool, product(modes, modes)):
             yield lhs, heis_apply(m + n, v).scale(-n)
 
     rows = [

@@ -70,23 +70,13 @@ def heis_apply(m: int, v: Vector) -> Vector:
             if mono.charge:
                 out[mono] = c * (root * mono.charge)
         return _clean(ctx, out)
+    if m > 0:
+        return _clean(ctx, _apply_annihilators((m,), v.terms))
     out: dict = {}
-    if m < 0:
-        for mono, c in v.terms.items():
-            new = BasisMonomial(tuple(sorted(mono.partition + (m,))), mono.charge)
-            prev = out.get(new)
-            out[new] = c if prev is None else prev + c
-    else:
-        for mono, c in v.terms.items():
-            cnt = mono.partition.count(-m)
-            if not cnt:
-                continue
-            parts = list(mono.partition)
-            parts.remove(-m)
-            new = BasisMonomial(tuple(parts), mono.charge)
-            add = c * (cnt * m)
-            prev = out.get(new)
-            out[new] = add if prev is None else prev + add
+    for mono, c in v.terms.items():
+        new = BasisMonomial(tuple(sorted(mono.partition + (m,))), mono.charge)
+        prev = out.get(new)
+        out[new] = c if prev is None else prev + c
     return _clean(ctx, out)
 
 
@@ -200,7 +190,7 @@ def _eminus_poly(ctx: Context, k: int, q: int) -> tuple:
     )
 
 
-def _apply_annihilators(modes, vec: dict, ctx: Context) -> dict:
+def _apply_annihilators(modes, vec: dict) -> dict:
     """Apply a product of positive-mode factors to a monomial dict."""
     cur = vec
     for m in modes:
@@ -275,7 +265,7 @@ def eminus_apply(ctx: Context, k: int, v: Vector, z_window) -> list:
             continue
         acc: dict = {}
         for modes, coeff in _eminus_poly(ctx, k, q):
-            piece = _apply_annihilators(modes, v.terms, ctx)
+            piece = _apply_annihilators(modes, v.terms)
             for mono, c in piece.items():
                 add = coeff * c
                 prev = acc.get(mono)
@@ -475,11 +465,6 @@ def virasoro_field_of(omega: Vector, m: int, v: Vector) -> Vector:
     if omega.is_zero() or omega.weight() != 2:
         raise ValueError("conformal candidates must be homogeneous of weight 2")
     return vertex_mode(omega, m + 1, v)
-
-
-def translation_covariance_defect(a: Vector, n: int, b: Vector) -> Vector:
-    """(L_{-1} a)_(n) b + n a_(n-1) b; zero exactly when translation covariance holds."""
-    return vertex_mode(virasoro_apply(-1, a), n, b) + vertex_mode(a, n - 1, b).scale(n)
 
 
 def _commutator_coefficient_kills(a: Vector, b: Vector, order: int, c: Vector, wf_max: int) -> bool:

@@ -233,6 +233,22 @@ def test_verify_all_small_cutoff(capsys):
     assert all(r["verdict"] for r in data["reports"])
 
 
+@pytest.mark.parametrize("n_lat", ["1", "2", "3"])
+def test_verify_all_at_each_lattice(capsys, n_lat):
+    # sl2, omega and tensor-split keep their own lattice; --N sets the rest
+    code, data = run_json(capsys, "verify", "all", "--N", n_lat, "--cutoff", "2")
+    assert code == 0
+    params = {r["check"]: r["params"] for r in data["reports"]}
+    assert params["axioms"]["N"] == int(n_lat)
+    assert params["sl2-zero-modes"]["N"] == 1
+    assert params["w-tensor-split"]["N"] == 2
+
+
+def test_verify_one_lattice_suite_refuses_other_n(capsys):
+    assert main(["verify", "sl2", "--N", "2"]) == 2
+    assert "lives at N = 1" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "verify" in capsys.readouterr().out

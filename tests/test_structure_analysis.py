@@ -1,6 +1,7 @@
 """Structure analysis: primaries, characters, fixed points, closure, certificates."""
 
 from fractions import Fraction
+from itertools import product
 import random
 
 import pytest
@@ -20,8 +21,12 @@ from voa.state_space import (
     vacuum,
     weight4_primary,
 )
+from voa import structure_analysis
 from voa.structure_analysis import (
     CertificateRefused,
+    _bracket_cases,
+    _identity_row,
+    axiom_report,
     certify_virasoro_vector,
     close_subalgebra,
     fixed_point_subspace,
@@ -35,7 +40,7 @@ from voa.structure_analysis import (
     verify_w_tensor_split,
     virasoro_character,
 )
-from voa.vertex_engine import vertex_window, virasoro_apply
+from voa.vertex_engine import heis_apply, vertex_window, virasoro_apply
 
 
 def test_primary_basis_charge_vacua_at_weight_three():
@@ -166,6 +171,13 @@ def test_close_subalgebra_generator_corollary_matches_flip_fixed_points():
     closed = close_subalgebra(ctx, [conformal_vector(ctx), charge_pair_vector(ctx, 1)], 8)
     assert closed.dims() == fixed_point_subspace(ctx, "D1", 8).dims()
     assert closed.dims() == [1, 0, 1, 2, 4, 5, 9, 12, 19]
+
+
+def test_close_subalgebra_member_budget(monkeypatch):
+    monkeypatch.setattr(structure_analysis, "MAX_CLOSURE_MEMBERS", 3)
+    ctx = Context(N=5)
+    with pytest.raises(RuntimeError, match="member budget"):
+        close_subalgebra(ctx, [conformal_vector(ctx)], 5)
 
 
 def test_project_conformal_recovers_generators():
@@ -354,3 +366,55 @@ def test_sl2_zero_mode_report():
 def test_sl2_check_needs_n_one():
     with pytest.raises(ValueError):
         sl2_zero_mode_check(Context(N=2))
+
+
+def _pool_size(ctx, cutoff):
+    return sum(len(enumerate_basis(ctx, w)) for w in range(cutoff + 1))
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+def test_bracket_checks_count_every_case(n_lat):
+    # each identity row checks its closed-form number of cases
+    ctx = Context(N=n_lat)
+    cutoff, r = 3, 2
+    pool = _pool_size(ctx, cutoff)
+    small = _pool_size(ctx, 3)
+    checked = {row["relation"]: row["checked"] for row in axiom_report(ctx, cutoff, r).rows}
+    assert list(checked.values()) == [
+        pool * (r + 2),
+        small * pool * (2 * r + 1),
+        pool * (2 * r + 1) ** 2,
+        pool * (2 * r + 1) * (2 * r + 2) // 2,
+        pool * (2 * r + 1) ** 2,
+    ]
+    cert = certify_virasoro_vector(conformal_vector(ctx), 1, cutoff, r)
+    assert cert.rows[0]["relations_checked"] == 5 + pool * r * (2 * r + 1)
+    if n_lat == 2:
+        split = verify_w_tensor_split(ctx, cutoff, r)
+        assert split.rows[1]["checked"] == pool * (2 * r + 1) ** 2
+
+
+def test_bracket_row_with_false_right_side_fails_on_full_count():
+    ctx = Context(N=2)
+    pool = [Vector(ctx, {m: 1}) for w in range(3) for m in enumerate_basis(ctx, w)]
+    modes = range(-2, 3)
+
+    def heis(v):
+        return {k: heis_apply(k, v) for k in modes}
+
+    def row(rhs):
+        cases = _bracket_cases(heis, heis, pool, product(modes, modes))
+        return _identity_row("[J_m, J_n]", ((lhs, rhs(v, m, n)) for v, m, n, lhs, _ in cases))
+
+    full = len(pool) * len(modes) ** 2
+    # the true commutator holds; dropping its central term must fail
+    assert row(lambda v, m, n: v.scale(m) if m + n == 0 else Vector.zero(ctx)) == {
+        "relation": "[J_m, J_n]",
+        "checked": full,
+        "ok": True,
+    }
+    assert row(lambda v, m, n: Vector.zero(ctx)) == {
+        "relation": "[J_m, J_n]",
+        "checked": full,
+        "ok": False,
+    }
