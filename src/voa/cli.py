@@ -198,7 +198,7 @@ def run_suite(name: str, args) -> CheckReport | list:
     if name == "tensor-split":
         return verify_w_tensor_split(Context(n_lat or 2, conductor), cutoff)
     if name == "sl2":
-        return sl2_zero_mode_check(Context(n_lat or 1, conductor))
+        return sl2_zero_mode_check(Context(n_lat or 1, conductor), cutoff)
     raise UsageError(f"unknown suite {name!r}")
 
 

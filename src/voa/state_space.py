@@ -23,6 +23,7 @@ J_m^dagger = J_{-m} and [J_m, J_{-m}] = m on unit-norm charged vacua.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,6 +60,14 @@ def partition_count(n: int) -> int:
     return len(partitions_of(n))
 
 
+def z_lambda(parts) -> int:
+    """prod over part sizes m of m^{a_m} a_m!, with a_m the multiplicity of m."""
+    out = 1
+    for m, a in Counter(parts).items():
+        out *= m**a * factorial(a)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class BasisMonomial:
     """One basis monomial: mode partition (ascending, negative) and charge."""
@@ -91,14 +100,8 @@ class BasisMonomial:
         return (self.charge, self.partition)
 
     def norm_factor(self) -> int:
-        """Squared norm of the monomial: prod over modes m of m^{a_m} a_m!."""
-        out = 1
-        mult: dict = {}
-        for m in self.partition:
-            mult[-m] = mult.get(-m, 0) + 1
-        for m, a in mult.items():
-            out *= m**a * factorial(a)
-        return out
+        """Squared norm of the monomial: z_lambda of its mode sizes."""
+        return z_lambda([-m for m in self.partition])
 
     def __str__(self):
         js = "".join(f"J({m})" for m in self.partition)

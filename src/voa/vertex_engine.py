@@ -16,6 +16,14 @@ creation factor to the left of every annihilation factor; for these free
 fields all nestings of the ordering agree, and J_0 factors act on the
 charge of the right input (before the e_alpha shift).
 
+Mode products of basis monomials run in the unnormalized alpha-basis
+alpha_{n_1}...alpha_{n_s} e^{k alpha}, where every structure constant of
+the lattice vertex operator is rational (Frenkel-Lepowsky-Meurman 1988),
+so each term carries a single Fraction.  As J = alpha / sqrt(2N), the
+J-basis coefficient of an output monomial is that Fraction times
+sqrt(2N)^{len(out) - len(a) - len(b)}; the conversion happens once per
+final entry.
+
 Everything is computed exactly; mode products of basis monomial pairs
 are cached per requested weight window.
 """
@@ -33,10 +41,10 @@ from .state_space import (
     partitions_of,
     vector_from_json,
     vector_to_json,
+    z_lambda,
 )
 
 _RAT_ONE = (Fraction(1),)
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -71,7 +79,7 @@ def heis_apply(m: int, v: Vector) -> Vector:
                 out[mono] = c * (root * mono.charge)
         return _clean(ctx, out)
     if m > 0:
-        return _clean(ctx, _apply_annihilators((m,), v.terms))
+        return _clean(ctx, _apply_annihilators((m,), v.terms, 1))
     out: dict = {}
     for mono, c in v.terms.items():
         new = BasisMonomial(tuple(sorted(mono.partition + (m,))), mono.charge)
@@ -111,64 +119,45 @@ def virasoro_apply(m: int, v: Vector) -> Vector:
     return acc
 
 
-def _zsym(parts) -> int:
-    out = 1
-    mult: dict = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for p, a in mult.items():
-        fact = 1
-        for t in range(2, a + 1):
-            fact *= t
-        out *= p**a * fact
-    return out
-
-
 @lru_cache(maxsize=None)
-def _eplus_pairs(n_lat: int, k: int, m: int) -> tuple:
-    """z^m coefficient of E_+(k alpha, z) as (creation partition, f, odd) triples.
+def _eplus_pairs(k: int, m: int) -> tuple:
+    """z^m coefficient of E_+(k alpha, z) as (creation partition, Fraction) pairs.
 
-    The scalar weight of a partition lambda is g^{len(lambda)}/z_lambda
-    with g = k sqrt(2N); it is carried as the rational f = k^len *
-    (2N)^(len//2) / z_lambda together with the parity bit of the
-    leftover sqrt(2N) factor.
+    In the alpha-basis E_+ = exp(sum_{j>0} k alpha_{-j} z^j / j), so the
+    weight of a partition lambda of m is k^{len(lambda)}/z_lambda.
     """
     if m < 0:
         return ()
     if m == 0:
-        return (((), _F1, False),)
+        return (((), _F1),)
     if k == 0:
         return ()
-    two_n = 2 * n_lat
-    out = []
-    for parts in partitions_of(m):
-        ln = len(parts)
-        f = Fraction(k**ln * two_n ** (ln // 2), _zsym(parts))
-        out.append((tuple(-p for p in parts), f, bool(ln & 1)))
-    return tuple(out)
+    return tuple(
+        (tuple(-p for p in parts), Fraction(k ** len(parts), z_lambda(parts)))
+        for parts in partitions_of(m)
+    )
 
 
 @lru_cache(maxsize=None)
-def _eminus_pairs(n_lat: int, k: int, q: int) -> tuple:
-    """z^{-q} coefficient of E_-(k alpha, z) as (annihilator modes, f, odd) triples."""
+def _eminus_pairs(k: int, q: int) -> tuple:
+    """z^{-q} coefficient of E_-(k alpha, z) as (annihilator modes, Fraction) pairs."""
     if q < 0:
         return ()
     if q == 0:
-        return (((), _F1, False),)
+        return (((), _F1),)
     if k == 0:
         return ()
-    two_n = 2 * n_lat
-    out = []
-    for parts in partitions_of(q):
-        ln = len(parts)
-        sign = -1 if ln % 2 else 1
-        f = Fraction(sign * k**ln * two_n ** (ln // 2), _zsym(parts))
-        out.append((parts, f, bool(ln & 1)))
-    return tuple(out)
+    return tuple(
+        (parts, Fraction((-k) ** len(parts), z_lambda(parts))) for parts in partitions_of(q)
+    )
 
 
-def _pair_scalar(ctx: Context, f: Fraction, odd: bool) -> Scalar:
-    return ctx.scalar(0, f) if odd else ctx.from_fraction(f)
+def _root_power(ctx: Context, f: Fraction, d: int) -> Scalar:
+    """f * sqrt(2N)^d; built through ctx.scalar so the radical folds where it can."""
+    half = d // 2
+    if half:
+        f = f * Fraction(2 * ctx.N) ** half
+    return ctx.scalar(0, f) if d & 1 else ctx.from_fraction(f)
 
 
 def eplus_coefficient(ctx: Context, k: int, m: int) -> tuple:
@@ -179,19 +168,23 @@ def eplus_coefficient(ctx: Context, k: int, m: int) -> tuple:
     times the corresponding creation monomial.
     """
     return tuple(
-        (parts, _pair_scalar(ctx, f, odd)) for parts, f, odd in _eplus_pairs(ctx.N, k, m)
+        (parts, _root_power(ctx, f, len(parts))) for parts, f in _eplus_pairs(k, m)
     )
 
 
 def _eminus_poly(ctx: Context, k: int, q: int) -> tuple:
     """z^{-q} coefficient of E_-(k alpha, z) as (annihilator mode tuple, Scalar) pairs."""
     return tuple(
-        (parts, _pair_scalar(ctx, f, odd)) for parts, f, odd in _eminus_pairs(ctx.N, k, q)
+        (parts, _root_power(ctx, f, len(parts))) for parts, f in _eminus_pairs(k, q)
     )
 
 
-def _apply_annihilators(modes, vec: dict) -> dict:
-    """Apply a product of positive-mode factors to a monomial dict."""
+def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
+    """Apply a product of positive-mode factors to a monomial dict.
+
+    norm is the squared norm of the Heisenberg generator: 1 for J, whose
+    modes satisfy [J_m, J_{-m}] = m, and 2N for alpha.
+    """
     cur = vec
     for m in modes:
         nxt: dict = {}
@@ -202,48 +195,9 @@ def _apply_annihilators(modes, vec: dict) -> dict:
             parts = list(mono.partition)
             parts.remove(-m)
             new = _mk_mono(tuple(parts), mono.charge)
-            add = c * (cnt * m)
+            add = c * (cnt * m * norm)
             prev = nxt.get(new)
             nxt[new] = add if prev is None else prev + add
-        if not nxt:
-            return {}
-        cur = nxt
-    return cur
-
-
-def _pair_int(c, t: int):
-    c0, c1 = c
-    return (c0 * t if c0 else _F0, c1 * t if c1 else _F0)
-
-
-def _pair_coeff(c, f: Fraction, odd: bool, two_n: int):
-    # multiply the pair c0 + c1 sqrt(2N) by f or by f sqrt(2N)
-    c0, c1 = c
-    if odd:
-        return (c1 * f * two_n if c1 else _F0, c0 * f if c0 else _F0)
-    return (c0 * f if c0 else _F0, c1 * f if c1 else _F0)
-
-
-def _pair_add(a, b):
-    a0, a1 = a
-    b0, b1 = b
-    return (a0 + b0 if a0 and b0 else (a0 or b0), a1 + b1 if a1 and b1 else (a1 or b1))
-
-
-def _annihilate_pairs(modes, vec: dict) -> dict:
-    cur = vec
-    for m in modes:
-        nxt: dict = {}
-        for mono, c in cur.items():
-            cnt = mono.partition.count(-m)
-            if not cnt:
-                continue
-            parts = list(mono.partition)
-            parts.remove(-m)
-            new = _mk_mono(tuple(parts), mono.charge)
-            add = _pair_int(c, cnt * m)
-            prev = nxt.get(new)
-            nxt[new] = add if prev is None else _pair_add(prev, add)
         if not nxt:
             return {}
         cur = nxt
@@ -265,7 +219,7 @@ def eminus_apply(ctx: Context, k: int, v: Vector, z_window) -> list:
             continue
         acc: dict = {}
         for modes, coeff in _eminus_poly(ctx, k, q):
-            piece = _apply_annihilators(modes, v.terms)
+            piece = _apply_annihilators(modes, v.terms, 1)
             for mono, c in piece.items():
                 add = coeff * c
                 prev = acc.get(mono)
@@ -295,6 +249,11 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
     z-exponent and pending-creation multiset), then applies E_-, the
     z^{(a|b)} shift from z^{alpha_0} at b's original charge, the charge
     shift, and the E_+ and pending creation halves.
+
+    Works in the alpha-basis, one Fraction per term: [alpha_m, alpha_n] =
+    2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
+    coefficients (+-k)^{len lambda}/z_lambda.  An output monomial's J-basis
+    coefficient is its Fraction times sqrt(2N)^{len(out) - len(a) - len(b)}.
     """
     n_lat = ctx.N
     two_n = 2 * n_lat
@@ -305,12 +264,9 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
     if fmax < 0:
         return {}
     wa, wb = amono.weight(n_lat), bmono.weight(n_lat)
-    fcb = Fraction(cb)
 
-    # coefficients are (q0, q1) pairs meaning q0 + q1 sqrt(2N); canonical
-    # Scalars are only built once per final block entry
-    # stage 1: one mode choice per J-factor of a
-    entries: dict = {(0, ()): {bmono: (_F1, _F0)}}
+    # stage 1: one mode choice per alpha-factor of a
+    entries: dict = {(0, ()): {bmono: _F1}}
     for part in amono.partition:
         k = -part - 1
         new: dict = {}
@@ -323,23 +279,22 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
                 new[key] = (
                     dict(vec_terms)
                     if factor == 1
-                    else {m: _pair_int(c, factor) for m, c in vec_terms.items()}
+                    else {m: c * factor for m, c in vec_terms.items()}
                 )
                 return
             for m, c in vec_terms.items():
-                add = _pair_int(c, factor) if factor != 1 else c
+                add = c * factor if factor != 1 else c
                 prev = cur.get(m)
-                cur[m] = add if prev is None else _pair_add(prev, add)
+                cur[m] = add if prev is None else prev + add
 
         for (zexp, pend), vec in entries.items():
             pend_sum = -sum(pend)
-            # annihilation choices: J_0 (nonzero charge) and every part size
+            # annihilation choices: alpha_0 (nonzero charge) and every part size
             if cb:
-                scaled = {m: _pair_coeff(c, fcb, True, two_n) for m, c in vec.items()}
-                put((zexp - k - 1, pend), scaled, _field_coeff(k, 0))
+                put((zexp - k - 1, pend), vec, _field_coeff(k, 0) * two_n * cb)
             sizes = sorted({-p for m in vec for p in m.partition})
             for s in sizes:
-                img = _annihilate_pairs((s,), vec)
+                img = _apply_annihilators((s,), vec, two_n)
                 put((zexp - s - k - 1, pend), img, _field_coeff(k, s))
             # creation choices: modes -k-1, -k-2, ... within the Fock budget
             for s in range(k + 1, fmax - pend_sum + 1):
@@ -348,10 +303,7 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
                     vec,
                     _field_coeff(k, -s),
                 )
-        entries = {
-            key: {m: c for m, c in vec.items() if c[0] or c[1]}
-            for key, vec in new.items()
-        }
+        entries = {key: {m: c for m, c in vec.items() if c} for key, vec in new.items()}
         entries = {key: vec for key, vec in entries.items() if vec}
         if not entries:
             return {}
@@ -363,13 +315,13 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
         vfock = max((-sum(m.partition) for m in vec), default=0)
         for q in range(0, vfock + 1):
             acc: dict = {}
-            for modes, f, odd in _eminus_pairs(n_lat, ca, q):
-                piece = _annihilate_pairs(modes, vec)
+            for modes, f in _eminus_pairs(ca, q):
+                piece = _apply_annihilators(modes, vec, two_n)
                 for mono, c in piece.items():
-                    add = _pair_coeff(c, f, odd, two_n)
+                    add = c * f if f != 1 else c
                     prev = acc.get(mono)
-                    acc[mono] = add if prev is None else _pair_add(prev, add)
-            acc = {m: c for m, c in acc.items() if c[0] or c[1]}
+                    acc[mono] = add if prev is None else prev + add
+            acc = {m: c for m, c in acc.items() if c}
             if not acc:
                 continue
             e1 = zexp - q + zshift
@@ -377,23 +329,23 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
             p_lo = max(0, base - wa - wb - e1)
             p_hi = wmax - wa - wb - e1
             for p in range(p_lo, p_hi + 1):
-                for cparts, f, odd in _eplus_pairs(n_lat, ca, p):
+                for cparts, f in _eplus_pairs(ca, p):
                     ext = cparts + pend
                     n = -(e1 + p) - 1
                     block = result.setdefault(n, {})
                     for mono, c in acc.items():
                         new_mono = _mk_mono(tuple(sorted(mono.partition + ext)), ctot)
-                        add = _pair_coeff(c, f, odd, two_n)
+                        add = c * f if f != 1 else c
                         prev = block.get(new_mono)
-                        block[new_mono] = add if prev is None else _pair_add(prev, add)
+                        block[new_mono] = add if prev is None else prev + add
 
+    # back to the J-basis, one Scalar per final block entry
+    lab = len(amono.partition) + len(bmono.partition)
     out: dict = {}
     for n, block in result.items():
-        clean = {}
-        for m, (q0, q1) in block.items():
-            s = ctx.scalar(q0, q1)
-            if not s.is_zero():
-                clean[m] = s
+        clean = {
+            m: _root_power(ctx, c, len(m.partition) - lab) for m, c in block.items() if c
+        }
         if clean:
             out[n] = clean
     return out

@@ -222,7 +222,7 @@ def test_verify_all_small_cutoff(capsys):
     assert code == 0
     assert (
         hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "96d1386061844cf5eccb089b6504a1c0eeb57527da256db64d2347d1113dcff0"
+        == "0aff2bf7bf8517a4af96518966619efe45925437bcf246519af195caf1b97a36"
     )
     data = json.loads(out)
     assert data["verdict"] is True
@@ -242,6 +242,14 @@ def test_verify_all_at_each_lattice(capsys, n_lat):
     assert params["axioms"]["N"] == int(n_lat)
     assert params["sl2-zero-modes"]["N"] == 1
     assert params["w-tensor-split"]["N"] == 2
+
+
+@pytest.mark.parametrize("cutoff, checked", [(2, 72), (4, 252)])
+def test_verify_sl2_honours_cutoff(capsys, cutoff, checked):
+    code, data = run_json(capsys, "verify", "sl2", "--cutoff", str(cutoff))
+    assert code == 0
+    assert data["params"]["cutoff"] == cutoff
+    assert data["rows"][-1]["checked"] == checked
 
 
 def test_verify_one_lattice_suite_refuses_other_n(capsys):

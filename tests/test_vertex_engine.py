@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +22,7 @@ from voa.state_space import (
     weight4_primary,
 )
 from voa.vertex_engine import (
+    _mono_products,
     eminus_apply,
     eplus_coefficient,
     find_locality_order,
@@ -346,6 +349,53 @@ def test_vertex_window_agrees_with_single_modes():
         if not expect.is_zero() and max(expect.weights()) <= 8:
             assert got == expect, n
     assert all(max(v.weights()) <= 8 for v in win.values())
+
+
+def _unit_pairs(ctx, max_weight=3):
+    units = [
+        mono(ctx, m.partition, m.charge)
+        for w in range(max_weight + 1)
+        for m in enumerate_basis(ctx, w)
+    ]
+    return [(a, b) for a in units for b in units]
+
+
+def test_kernel_golden_digest():
+    # every window of every weight <= 3 monomial pair, in contexts where
+    # sqrt(2N) folds into Q(zeta_n) (N = 2, and N = 1 at conductor 8) and
+    # where it does not
+    digest = hashlib.sha256()
+    pairs = 0
+    for n_lat in (1, 2, 3):
+        for conductor in (4, 8):
+            for a, b in _unit_pairs(Context(n_lat, conductor)):
+                win = vertex_window(a, b, a.weight() + b.weight() + 2)
+                data = {str(n): vector_to_json(v) for n, v in win.items()}
+                digest.update(json.dumps(data, sort_keys=True).encode("utf-8"))
+                pairs += 1
+    assert pairs == 854
+    assert digest.hexdigest() == (
+        "6909e9cdc823d5ca58ad7ae6c96efed7de4237680192181c4a6ee3f75bf9dd41"
+    )
+
+
+@pytest.mark.parametrize("n_lat, conductor", [(1, 4), (3, 4), (3, 8)])
+def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conductor):
+    # in the alpha-basis every structure constant is rational, so a J-basis
+    # coefficient is one rational times sqrt(2N)^(len out - len a - len b):
+    # where sqrt(2N) does not fold, it sits on rad exactly when that is odd
+    ctx = Context(n_lat, conductor)
+    seen = {0: 0, 1: 0}
+    for a, b in _unit_pairs(ctx):
+        (am,), (bm,) = a.terms, b.terms
+        products = _mono_products(ctx, am, bm, a.weight() + b.weight() + 2)
+        for block in products.values():
+            for out, c in block.items():
+                odd = (len(out.partition) - len(am.partition) - len(bm.partition)) % 2
+                rat, rad = (c.rad, c.rat) if odd else (c.rat, c.rad)
+                assert len(rat) == 1 and not rad, (am, bm, out, c)
+                seen[odd] += 1
+    assert seen[0] and seen[1]
 
 
 def test_locality_orders():
