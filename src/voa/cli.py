@@ -210,6 +210,9 @@ def cmd_mode(args) -> int:
     ctx = Context(args.N, args.conductor)
     a = resolve_vector(ctx, args.a)
     b = resolve_vector(ctx, args.b)
+    # operand and result weights share the budget; a negative result weight means zero
+    wa, wb = (max(v.weights(), default=0) for v in (a, b))
+    _check_cutoff(max(wa, wb, wa + wb - args.n - 1))
     request = {
         "N": args.N,
         "n": args.n,

@@ -166,8 +166,6 @@ def _unit_pool(ctx: Context, cutoff: int) -> list:
 def quasi_primary_basis(ctx: Context, weight: int, ambient=None) -> list:
     """Reduced echelon basis of the weight subspace killed by L_1."""
     domain = ambient.weight_basis(weight) if ambient is not None else _unit_vectors(ctx, weight)
-    if not domain:
-        return []
     return operator_kernel(ctx, domain, [lambda v: virasoro_apply(1, v)])
 
 
@@ -178,8 +176,6 @@ def primary_basis(ctx: Context, weight: int, ambient=None) -> list:
     is the full primary subspace.
     """
     domain = ambient.weight_basis(weight) if ambient is not None else _unit_vectors(ctx, weight)
-    if not domain:
-        return []
     ops = [lambda v: virasoro_apply(1, v), lambda v: virasoro_apply(2, v)]
     return operator_kernel(ctx, domain, ops)
 
@@ -242,28 +238,20 @@ def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> Grade
     kind, k = _parse_group(group)
     if t is not None and kind != "D":
         raise ValueError("only dihedral subgroups take a conjugating angle")
+    ops = []
+    if kind in ("Z", "D"):
+        ops.append(lambda v: apply_torus(v, 1, k) - v)
+    if kind in ("Dinf", "D"):
+        ops.append(lambda v: apply_flip(v) - v)
     basis_by_weight: dict = {}
     for w in range(cutoff + 1):
-        monos = enumerate_basis(ctx, w)
-        if kind == "T":
-            rows = [Vector(ctx, {m: 1}) for m in monos if m.charge == 0]
-        elif kind == "Dinf":
-            domain = [Vector(ctx, {m: 1}) for m in monos if m.charge == 0]
-            rows = operator_kernel(ctx, domain, [lambda v: apply_flip(v) - v]) if domain else []
-        else:
-            domain = [Vector(ctx, {m: 1}) for m in monos]
-            ops = [lambda v: apply_torus(v, 1, k) - v]
-            if kind == "D":
-                ops.append(lambda v: apply_flip(v) - v)
-            rows = operator_kernel(ctx, domain, ops) if domain else []
+        # k = 0 for T and Dinf, which contain the whole torus: charge 0 only
+        domain = [v for v in _unit_vectors(ctx, w) if k or v.charges() == {0}]
+        rows = operator_kernel(ctx, domain, ops)
+        if t is not None:
+            rows = span_basis(ctx, [apply_torus(v, *t) for v in rows])
         if rows:
             basis_by_weight[w] = rows
-    if t is not None:
-        p, q = t
-        basis_by_weight = {
-            w: span_basis(ctx, [apply_torus(v, p, q) for v in rows])
-            for w, rows in basis_by_weight.items()
-        }
     return GradedSubspace(ctx, cutoff, basis_by_weight)
 
 
@@ -277,6 +265,13 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     Products of pool vectors of any two weights are considered, so
     generator components above the cutoff still contribute.  A closure
     that grows past MAX_CLOSURE_MEMBERS members raises RuntimeError.
+
+    Each unordered pair of members is multiplied once, the later member a
+    on the left.  By skew symmetry b_(n) a = sum_j (-1)^(n+j+1)
+    L_{-1}^j (a_(n+j) b) / j!, each a_(n+j) b has weight <= cutoff, and
+    the span is L_{-1}-stable since the vacuum is member 0 and a_(-2)
+    vacuum = L_{-1} a; so the reversed products are already in the span.
+    With the earlier member on the left, L_{-1} a would never be admitted.
     """
     return _close_cached(ctx, tuple(generators), cutoff)
 
@@ -308,11 +303,9 @@ def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> GradedSubspac
         admit(pct(x))
         admit(virasoro_apply(1, x))
         for j in range(i + 1):
-            y = members[j]
-            for left, right in ((x, y), (y, x)):
-                window = vertex_window(left, right, cutoff)
-                for n in sorted(window):
-                    admit(window[n])
+            window = vertex_window(x, members[j], cutoff)
+            for n in sorted(window):
+                admit(window[n])
         i += 1
     return GradedSubspace(
         ctx,

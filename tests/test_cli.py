@@ -161,6 +161,8 @@ def test_cutoff_guard(capsys):
     assert code == 2
     code, _ = run(capsys, "basis", "--N", "1", "--weight", "17")
     assert code == 2
+    code, _ = run(capsys, "mode", "--N", "1", "--n", "-20", "--a", "e_plus", "--b", "e_minus")
+    assert code == 2
 
 
 def test_invalid_conductor_is_context_error(capsys):

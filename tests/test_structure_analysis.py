@@ -1,8 +1,9 @@
 """Structure analysis: primaries, characters, fixed points, closure, certificates."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
-import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from voa.state_space import (
     partition_count,
     split_virasoro_vector,
     vacuum,
+    vector_to_json,
     weight4_primary,
 )
 from voa import structure_analysis
@@ -150,20 +152,54 @@ def test_close_subalgebra_of_conformal_vector_gives_vacuum_character():
     assert closed.dims() == virasoro_character(1, 0, 8)
 
 
-def test_close_subalgebra_is_mode_closed():
-    ctx = Context(N=2)
-    closed = close_subalgebra(ctx, [conformal_vector(ctx)], 6)
-    pool = [v for w in range(7) for v in closed.weight_basis(w)]
-    spans = {w: EchelonSpan(ctx) for w in range(7)}
-    for w in range(7):
+def _closure_family():
+    """(key, ctx, generators, cutoff) for the pinned closure digest."""
+    for n_lat in (1, 2, 3):
+        ctx = Context(N=n_lat)
+        yield f"{n_lat} nu", ctx, [conformal_vector(ctx)], 5
+        yield f"{n_lat} J", ctx, [Vector.monomial(ctx, (-1,), 0)], 5
+        yield f"{n_lat} e+ - e-", ctx, [charge_pair_vector(ctx, 1, -1)], 5
+        yield f"{n_lat} nu, e+ + e-", ctx, [conformal_vector(ctx), charge_pair_vector(ctx, 1)], 5
+        yield f"{n_lat} e+", ctx, [charged_vacuum(ctx, 1)], 4
+    ctx = Context(N=2, conductor=8)
+    yield "split 1/8", ctx, [split_virasoro_vector(ctx, 1, 8)], 5
+
+
+@pytest.mark.parametrize(
+    "n_lat, gens, cutoff",
+    [
+        (2, lambda c: [conformal_vector(c)], 6),
+        (3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1)], 6),
+        # multiplying the earlier member on the left misses L_{-1} J here
+        (1, lambda c: [Vector.monomial(c, (-1,), 0)], 2),
+        (3, lambda c: [charged_vacuum(c, 1)], 4),
+    ],
+    ids=["nu", "nu+pair", "J", "e+"],
+)
+def test_close_subalgebra_is_mode_closed(n_lat, gens, cutoff):
+    ctx = Context(N=n_lat)
+    closed = close_subalgebra(ctx, gens(ctx), cutoff)
+    pool = [v for w in range(cutoff + 1) for v in closed.weight_basis(w)]
+    spans = {w: EchelonSpan(ctx) for w in range(cutoff + 1)}
+    for w in range(cutoff + 1):
         for v in closed.weight_basis(w):
             spans[w].add(v)
-    rng = random.Random(20240817)
-    for _ in range(12):
-        x = pool[rng.randrange(len(pool))]
-        y = pool[rng.randrange(len(pool))]
-        for n, prod in vertex_window(x, y, 6).items():
-            assert spans[prod.weight()].contains(prod), n
+    for x in pool:
+        for y in pool:
+            for n, prod in vertex_window(x, y, cutoff).items():
+                assert spans[prod.weight()].contains(prod), (x, y, n)
+
+
+def test_closure_golden_digest():
+    # reduced echelon bases are canonical, so equal spans give equal bytes
+    data = {}
+    for key, ctx, gens, cutoff in _closure_family():
+        sub = close_subalgebra(ctx, gens, cutoff)
+        data[key] = {
+            str(w): [vector_to_json(v) for v in sub.weight_basis(w)] for w in range(cutoff + 1)
+        }
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == "81c9dcd169b87827240ff9f6509e0d73c8f680d38ea2c99ca21b1ff951eef09c"
 
 
 def test_close_subalgebra_generator_corollary_matches_flip_fixed_points():

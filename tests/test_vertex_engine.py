@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -377,6 +378,32 @@ def test_kernel_golden_digest():
     assert digest.hexdigest() == (
         "6909e9cdc823d5ca58ad7ae6c96efed7de4237680192181c4a6ee3f75bf9dd41"
     )
+
+
+def test_skew_symmetry():
+    # Y(b, z) a = e^{z L_{-1}} Y(a, -z) b, mode by mode:
+    # b_(n) a = sum_j (-1)^(n+j+1) L_{-1}^j (a_(n+j) b) / j!
+    checks = 0
+    for n_lat in (1, 2, 3):
+        ctx = Context(n_lat)
+        zero = Vector.zero(ctx)
+        for a, b in _unit_pairs(ctx):
+            wmax = a.weight() + b.weight() + 2
+            ab = vertex_window(a, b, wmax)
+            ba = vertex_window(b, a, wmax)
+            for n in range(-3, 4):
+                rhs = zero
+                for m, v in ab.items():
+                    if m < n:
+                        continue
+                    j = m - n
+                    for _ in range(j):
+                        v = virasoro_apply(-1, v)
+                    sign = -1 if (n + j) % 2 == 0 else 1
+                    rhs = rhs + v.scale(Fraction(sign, factorial(j)))
+                assert ba.get(n, zero) == rhs, (a, b, n)
+                checks += 1
+    assert checks == 2989
 
 
 @pytest.mark.parametrize("n_lat, conductor", [(1, 4), (3, 4), (3, 8)])
