@@ -32,6 +32,7 @@ from .state_space import (
     pct,
     split_virasoro_vector,
     vacuum,
+    vector_to_json,
     weight4_primary,
 )
 from .vertex_engine import heis_apply, vertex_mode, vertex_window, virasoro_apply
@@ -65,36 +66,18 @@ MAX_CLOSURE_MEMBERS = 4000
 
 
 @dataclass
-class DecompositionReport:
-    """Per-weight comparison of honest dimensions against character sums."""
-
-    check: str
-    params: dict
-    per_weight: list
-
-    @property
-    def verdict(self) -> bool:
-        return all(row["ok"] for row in self.per_weight)
-
-    def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "per_weight": [dict(r) for r in self.per_weight],
-            "verdict": self.verdict,
-        }
-
-
-@dataclass
 class CheckReport:
     """Generic verification report: named rows, each with an "ok" flag.
 
-    The verdict is the conjunction of the rows' flags.
+    The verdict is the conjunction of the rows' flags.  rows_key names the
+    rows in the JSON form.
     """
 
     check: str
     params: dict
     rows: list
+
+    rows_key = "rows"
 
     @property
     def verdict(self) -> bool:
@@ -104,9 +87,14 @@ class CheckReport:
         return {
             "check": self.check,
             "params": dict(self.params),
-            "rows": [dict(r) for r in self.rows],
+            self.rows_key: [dict(r) for r in self.rows],
             "verdict": self.verdict,
         }
+
+
+# per-weight comparison of honest dimensions against character sums
+class DecompositionReport(CheckReport):
+    rows_key = "per_weight"
 
 
 class CertificateRefused(Exception):
@@ -637,9 +625,11 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
 
     def creation():
         for a in pool:
+            # a_(n) vacuum has weight wt a - n - 1, so one window holds n >= -1
+            window = vertex_window(a, vac, a.weight())
             for n in range(mode_range + 1):
-                yield vertex_mode(a, n, vac), zero
-            yield vertex_mode(a, -1, vac), a
+                yield window.get(n, zero), zero
+            yield window.get(-1, zero), a
 
     def translation():
         for a, b in product(small, pool):
@@ -819,7 +809,8 @@ def virasoro_report(omega: Vector, central_charge, cutoff: int) -> CheckReport:
     try:
         cert = certify_virasoro_vector(omega, c, cutoff=cutoff)
     except CertificateRefused as refusal:
-        rows = [{"relation": refusal.relation, "ok": False}]
+        defect = vector_to_json(refusal.defect)
+        rows = [{"relation": refusal.relation, "defect": defect, "ok": False}]
     else:
         rows = [{"relation": "all bracket relations hold", **cert.rows[0]}]
     return CheckReport("virasoro-certificate", params, rows)

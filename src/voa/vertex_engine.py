@@ -352,28 +352,20 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
 
 
 def vertex_mode(a: Vector, n: int, b: Vector) -> Vector:
-    """The mode a_(n) b; bilinear in both slots, exact grading."""
+    """The mode a_(n) b; bilinear in both slots, exact grading.
+
+    A read of vertex_window per pair of weight components, bounded at that
+    pair's output weight, so both share the same kernel cache entries.
+    """
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
-    ctx = a.ctx
-    n_lat = ctx.N
-    acc: dict = {}
-    for am, cav in a.terms.items():
-        wa = am.weight(n_lat)
-        for bm, cbv in b.terms.items():
-            need = wa + bm.weight(n_lat) - n - 1
-            if need < 0:
-                continue
-            block = _mono_products(ctx, am, bm, need).get(n)
-            if not block:
-                continue
-            f = cav * cbv
-            unit = not f.rad and f.rat == _RAT_ONE
-            for mono, c in block.items():
-                add = c if unit else f * c
-                prev = acc.get(mono)
-                acc[mono] = add if prev is None else prev + add
-    return _clean(ctx, acc)
+    acc = zero = Vector.zero(a.ctx)
+    for wa, acomp in a.weight_components().items():
+        for wb, bcomp in b.weight_components().items():
+            need = wa + wb - n - 1
+            if need >= 0:
+                acc = acc + vertex_window(acomp, bcomp, need).get(n, zero)
+    return acc
 
 
 def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
@@ -486,9 +478,11 @@ def mode_request(data: dict, ctx: Context | None = None) -> dict:
     if data.get("N") != a.ctx.N:
         raise ContextMismatchError("request N does not match operand contexts")
     ok = True
+    result = Vector.zero(a.ctx)
     for wa, acomp in a.weight_components().items():
         for wb, bcomp in b.weight_components().items():
             part = vertex_mode(acomp, n, bcomp)
             if not part.is_zero() and part.weights() != {wa + wb - n - 1}:
                 ok = False
-    return {"result": vector_to_json(vertex_mode(a, n, b)), "weight_check": ok}
+            result = result + part
+    return {"result": vector_to_json(result), "weight_check": ok}

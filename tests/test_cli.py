@@ -120,8 +120,9 @@ def test_mode_malformed_json_is_usage_error(capsys, blob):
 
 
 def test_verify_refuses_doubled_conformal_vector(capsys, tmp_path):
+    nu = conformal_vector(Context(2))
     path = tmp_path / "two-nu.json"
-    path.write_text(json.dumps(vector_to_json(conformal_vector(Context(2)).scale(2))))
+    path.write_text(json.dumps(vector_to_json(nu.scale(2))))
     code, data = run_json(
         capsys,
         "verify",
@@ -134,6 +135,8 @@ def test_verify_refuses_doubled_conformal_vector(capsys, tmp_path):
     assert code == 1
     assert data["verdict"] is False
     assert data["rows"][0]["relation"].startswith("L_0")
+    # L_0 of 2 nu is 2 L_0, so (2 nu)_(1) (2 nu) = 8 nu against 2 (2 nu): the defect is 4 nu
+    assert data["rows"][0]["defect"] == vector_to_json(nu.scale(4))
 
 
 def test_verify_certifies_builtin_conformal_vector(capsys):

@@ -288,9 +288,9 @@ def test_decomposition_reports_verify_at_n_three():
     for which in ("V", "M1", "V+", "M1+"):
         report = verify_decomposition(ctx, which, 6)
         assert report.verdict, which
-        assert [r["ok"] for r in report.per_weight] == [True] * 7
+        assert [r["ok"] for r in report.rows] == [True] * 7
     vplus = verify_decomposition(ctx, "V+", 6)
-    assert [r["lhs"] for r in vplus.per_weight] == [1, 0, 1, 2, 4, 5, 9]
+    assert [r["lhs"] for r in vplus.rows] == [1, 0, 1, 2, 4, 5, 9]
 
 
 def test_decomposition_requires_nonsquare_charged_sectors():

@@ -6,7 +6,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import comb, factorial
 
 import pytest
 
@@ -404,6 +405,57 @@ def test_skew_symmetry():
                 assert ba.get(n, zero) == rhs, (a, b, n)
                 checks += 1
     assert checks == 2989
+
+
+def test_borcherds_identity():
+    # for p, r >= 0 both sides are finite sums:
+    # sum_i C(p,i) (a_(r+i) b)_(p+q-i) c
+    #   = sum_i (-1)^i C(r,i) [a_(p+r-i) b_(q+i) c - (-1)^r b_(q+r-i) a_(p+i) c]
+    checks = 0
+    for n_lat in (1, 2, 3):
+        ctx = Context(n_lat)
+        zero = Vector.zero(ctx)
+        for a, b, c in product(basis_vectors(ctx, 2), repeat=3):
+            for p, r, q in product(range(3), range(3), range(-1, 2)):
+                lhs = zero
+                for i in range(p + 1):
+                    term = vertex_mode(vertex_mode(a, r + i, b), p + q - i, c)
+                    lhs = lhs + term.scale(comb(p, i))
+                rhs = zero
+                for i in range(r + 1):
+                    first = vertex_mode(a, p + r - i, vertex_mode(b, q + i, c))
+                    second = vertex_mode(b, q + r - i, vertex_mode(a, p + i, c))
+                    term = first - second if r % 2 == 0 else first + second
+                    rhs = rhs + term.scale((-1) ** i * comb(r, i))
+                assert lhs == rhs, (a, b, c, p, q, r)
+                checks += 1
+    assert checks == 21384
+
+
+def test_vertex_mode_is_bilinear_across_components():
+    # mixed weights and charges, with coefficients in zeta_8 and sqrt(6),
+    # which does not fold at conductor 8
+    ctx = Context(3, 8)
+    z, root = ctx.zeta(), ctx.sqrt_2n()
+    a_terms = [
+        (z, mono(ctx, (-1,), 0)),
+        (root, charged_vacuum(ctx, 1)),
+        (z + ctx.from_fraction(Fraction(1, 3)), mono(ctx, (-2, -1), -1)),
+    ]
+    b_terms = [
+        (ctx.from_fraction(2) - ctx.zeta(3), vacuum(ctx)),
+        (root * z, mono(ctx, (-1, -1), 0)),
+        (ctx.from_fraction(Fraction(-1, 2)), charged_vacuum(ctx, -1)),
+    ]
+    a = sum((u.scale(c) for c, u in a_terms), Vector.zero(ctx))
+    b = sum((u.scale(c) for c, u in b_terms), Vector.zero(ctx))
+    assert sorted(a.weight_components()) == [1, 3, 6]
+    assert sorted(b.weight_components()) == [0, 2, 3]
+    for n in range(-3, 4):
+        expect = Vector.zero(ctx)
+        for (c, u), (d, v) in product(a_terms, b_terms):
+            expect = expect + vertex_mode(u, n, v).scale(c * d)
+        assert vertex_mode(a, n, b) == expect, n
 
 
 @pytest.mark.parametrize("n_lat, conductor", [(1, 4), (3, 4), (3, 8)])
