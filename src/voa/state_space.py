@@ -288,7 +288,7 @@ def split_virasoro_vector(ctx: Context, p: int = 0, q: int = 1) -> Vector:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def enumerate_basis(ctx: Context, weight: int) -> tuple:
     """All basis monomials of the given weight, canonically ordered."""
     if weight < 0:

@@ -209,7 +209,7 @@ def _parse_group(group: str):
     raise ValueError(f"unknown group name {group!r}; use T, Dinf, Zk, or Dk")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> GradedSubspace:
     """Fixed points of an automorphism subgroup, weight by weight.
 
@@ -264,7 +264,7 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     return _close_cached(ctx, tuple(generators), cutoff)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> GradedSubspace:
     spans: dict = {}
     members: list = []
@@ -370,7 +370,7 @@ def certify_virasoro_vector(
     return CheckReport("virasoro-certificate", params, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _omega_system(ctx: Context) -> tuple:
     """Constraint polynomials in (a, b, bbar) for a nu + b e+ + bbar e-
     to equal half its own weight under its own zero mode.

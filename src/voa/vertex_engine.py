@@ -22,7 +22,8 @@ the lattice vertex operator is rational (Frenkel-Lepowsky-Meurman 1988),
 so each term carries a single Fraction.  As J = alpha / sqrt(2N), the
 J-basis coefficient of an output monomial is that Fraction times
 sqrt(2N)^{len(out) - len(a) - len(b)}; the conversion happens once per
-final entry.
+final entry.  E_+ and E_- exist only as the kernel's alpha-basis tables
+_eplus_pairs and _eminus_pairs.
 
 Everything is computed exactly; mode products of basis monomial pairs
 are cached per requested weight window.
@@ -34,10 +35,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .scalars import Context, ContextMismatchError, Scalar
+from .scalars import Context, ContextMismatchError, Scalar, json_int
 from .state_space import (
     BasisMonomial,
     Vector,
+    enumerate_basis,
     partitions_of,
     vector_from_json,
     vector_to_json,
@@ -88,7 +90,7 @@ def heis_apply(m: int, v: Vector) -> Vector:
     return _clean(ctx, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=50_000)
 def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
     one = _raw(ctx, {mono: ctx.one()})
     if m == 0:
@@ -126,11 +128,7 @@ def _eplus_pairs(k: int, m: int) -> tuple:
     In the alpha-basis E_+ = exp(sum_{j>0} k alpha_{-j} z^j / j), so the
     weight of a partition lambda of m is k^{len(lambda)}/z_lambda.
     """
-    if m < 0:
-        return ()
-    if m == 0:
-        return (((), _F1),)
-    if k == 0:
+    if k == 0 and m:
         return ()
     return tuple(
         (tuple(-p for p in parts), Fraction(k ** len(parts), z_lambda(parts)))
@@ -141,11 +139,7 @@ def _eplus_pairs(k: int, m: int) -> tuple:
 @lru_cache(maxsize=None)
 def _eminus_pairs(k: int, q: int) -> tuple:
     """z^{-q} coefficient of E_-(k alpha, z) as (annihilator modes, Fraction) pairs."""
-    if q < 0:
-        return ()
-    if q == 0:
-        return (((), _F1),)
-    if k == 0:
+    if k == 0 and q:
         return ()
     return tuple(
         (parts, Fraction((-k) ** len(parts), z_lambda(parts))) for parts in partitions_of(q)
@@ -158,25 +152,6 @@ def _root_power(ctx: Context, f: Fraction, d: int) -> Scalar:
     if half:
         f = f * Fraction(2 * ctx.N) ** half
     return ctx.scalar(0, f) if d & 1 else ctx.from_fraction(f)
-
-
-def eplus_coefficient(ctx: Context, k: int, m: int) -> tuple:
-    """z^m coefficient of E_+(k alpha, z) as (creation partition, Scalar) pairs.
-
-    E_+ = exp(sum_{j>0} g J_{-j} z^j / j) with g = k sqrt(2N), so the z^m
-    coefficient is sum over partitions lambda of m of g^{len(lambda)}/z_lambda
-    times the corresponding creation monomial.
-    """
-    return tuple(
-        (parts, _root_power(ctx, f, len(parts))) for parts, f in _eplus_pairs(k, m)
-    )
-
-
-def _eminus_poly(ctx: Context, k: int, q: int) -> tuple:
-    """z^{-q} coefficient of E_-(k alpha, z) as (annihilator mode tuple, Scalar) pairs."""
-    return tuple(
-        (parts, _root_power(ctx, f, len(parts))) for parts, f in _eminus_pairs(k, q)
-    )
 
 
 def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
@@ -202,32 +177,6 @@ def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
             return {}
         cur = nxt
     return cur
-
-
-def eminus_apply(ctx: Context, k: int, v: Vector, z_window) -> list:
-    """Nonzero terms of E_-(k alpha, z) v with z-exponents in the window.
-
-    Returns (z_exponent, Vector) pairs, exponents descending from 0.
-    """
-    if v.ctx != ctx:
-        raise ContextMismatchError("vector context does not match")
-    wanted = set(z_window)
-    fmax = max((-sum(m.partition) for m in v.terms), default=0)
-    out = []
-    for q in range(0, fmax + 1):
-        if -q not in wanted:
-            continue
-        acc: dict = {}
-        for modes, coeff in _eminus_poly(ctx, k, q):
-            piece = _apply_annihilators(modes, v.terms, 1)
-            for mono, c in piece.items():
-                add = coeff * c
-                prev = acc.get(mono)
-                acc[mono] = add if prev is None else prev + add
-        vec = _clean(ctx, acc)
-        if not vec.is_zero():
-            out.append((-q, vec))
-    return out
 
 
 def _field_coeff(k: int, m: int) -> int:
@@ -415,18 +364,23 @@ def _commutator_coefficient_kills(a: Vector, b: Vector, order: int, c: Vector, w
     """Check (z-w)^order [Y(a,z), Y(b,w)] c = 0 on a finite exponent window."""
     wa, wb = a.weight(), b.weight()
     wc = c.weight()
+    inner = wf_max + wc + 2 * order  # largest weight of a_(m) c or b_(n) c in the window
+    # ab[n][m] = a_(m) b_(n) c and ba[m][n] = b_(n) a_(m) c, read from vertex_window tables
+    ab = {n: vertex_window(a, v, wf_max) for n, v in vertex_window(b, c, inner).items()}
+    ba = {m: vertex_window(b, v, wf_max) for m, v in vertex_window(a, c, inner).items()}
+    zero = Vector.zero(a.ctx)
     for wf in range(0, wf_max + 1):
         rs = wa + wb + wc - order - 2 - wf
         r_lo = rs - wb - wc + 1 - order
         r_hi = wa + wc - 1 + order
         for r in range(r_lo, r_hi + 1):
             s = rs - r
-            acc = Vector.zero(a.ctx)
+            acc = zero
             for i in range(order + 1):
                 sign = -1 if i % 2 else 1
                 f = sign * comb(order, i)
-                t1 = vertex_mode(a, r + order - i, vertex_mode(b, s + i, c))
-                t2 = vertex_mode(b, s + i, vertex_mode(a, r + order - i, c))
+                t1 = ab.get(s + i, {}).get(r + order - i, zero)
+                t2 = ba.get(r + order - i, {}).get(s + i, zero)
                 acc = acc + (t1 - t2).scale(f)
             if not acc.is_zero():
                 return False
@@ -439,10 +393,10 @@ def find_locality_order(a: Vector, b: Vector, test_weight: int = 4, max_order: i
     The commutator is tested against every basis vector of weight at most
     test_weight over a finite exponent window wide enough to cover all
     potentially nonzero coefficients at those weights.  Returns None when
-    no order up to max_order works.
+    no order up to max_order works.  A zero operand raises ValueError.
     """
-    from .state_space import enumerate_basis
-
+    if a.is_zero() or b.is_zero():
+        raise ValueError("locality needs nonzero operands")
     ctx = a.ctx
     tests = [
         Vector.monomial(ctx, m.partition, m.charge)
@@ -465,7 +419,7 @@ def mode_request(data: dict, ctx: Context | None = None) -> dict:
     check confirms wt(a_(n) b) = wt(a) + wt(b) - n - 1 on every pair of
     homogeneous components.
     """
-    n = data["n"]
+    n = json_int(data.get("n"), "mode n")
     a = vector_from_json(data["a"], ctx)
     b = vector_from_json(data["b"], a.ctx if a.terms else ctx)
     if a.ctx != b.ctx:

@@ -27,7 +27,9 @@ from voa import structure_analysis
 from voa.structure_analysis import (
     CertificateRefused,
     _bracket_cases,
+    _close_cached,
     _identity_row,
+    _omega_system,
     axiom_report,
     certify_virasoro_vector,
     close_subalgebra,
@@ -42,7 +44,13 @@ from voa.structure_analysis import (
     verify_w_tensor_split,
     virasoro_character,
 )
-from voa.vertex_engine import heis_apply, vertex_window, virasoro_apply
+from voa.vertex_engine import (
+    _mono_products,
+    _virasoro_mono,
+    heis_apply,
+    vertex_window,
+    virasoro_apply,
+)
 
 
 def test_primary_basis_charge_vacua_at_weight_three():
@@ -241,6 +249,19 @@ def test_cached_fixed_points_cannot_be_mutated():
         fixed.basis_by_weight[2] = []
     fixed.weight_basis(2).clear()
     assert fixed_point_subspace(Context(N=1), "T", 4).dims() == [1, 1, 2, 3, 5]
+
+
+def test_input_keyed_caches_are_bounded():
+    caches = (
+        _mono_products,
+        _virasoro_mono,
+        enumerate_basis,
+        fixed_point_subspace,
+        _close_cached,
+        _omega_system,
+    )
+    for cached in caches:
+        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 def test_fixed_points_dihedral_infinity_counts_even_length_partitions():

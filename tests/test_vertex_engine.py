@@ -24,9 +24,10 @@ from voa.state_space import (
     weight4_primary,
 )
 from voa.vertex_engine import (
+    _apply_annihilators,
+    _eminus_pairs,
+    _eplus_pairs,
     _mono_products,
-    eminus_apply,
-    eplus_coefficient,
     find_locality_order,
     heis_apply,
     mode_request,
@@ -169,41 +170,49 @@ def test_virasoro_heisenberg_mixed_commutator():
 
 
 def test_eplus_coefficients_low_orders():
-    ctx = Context(N=2)
-    g = ctx.sqrt_2n()  # folds to 2
-    assert eplus_coefficient(ctx, 1, 0) == (((), ctx.one()),)
-    assert eplus_coefficient(ctx, 0, 3) == ()
-    terms = dict(eplus_coefficient(ctx, 1, 1))
-    assert terms == {(-1,): g}
+    # alpha-basis: the z^m coefficient of E_+(k alpha, z) is k^len(lambda)/z_lambda
+    assert _eplus_pairs(1, 0) == (((), 1),)
+    assert _eplus_pairs(0, 3) == ()
+    assert dict(_eplus_pairs(1, 1)) == {(-1,): 1}
 
-    quartic = dict(eplus_coefficient(ctx, 1, 4))
-    assert quartic[(-4,)] == g * Fraction(1, 4)
-    assert quartic[(-2, -2)] == g * g * Fraction(1, 8)
-    assert quartic[(-3, -1)] == g * g * Fraction(1, 3)
-    assert quartic[(-2, -1, -1)] == g**3 * Fraction(1, 4)
-    assert quartic[(-1, -1, -1, -1)] == g**4 * Fraction(1, 24)
+    quartic = dict(_eplus_pairs(1, 4))
+    assert quartic == {
+        (-4,): Fraction(1, 4),
+        (-3, -1): Fraction(1, 3),
+        (-2, -2): Fraction(1, 8),
+        (-2, -1, -1): Fraction(1, 4),
+        (-1, -1, -1, -1): Fraction(1, 24),
+    }
     # charge -1 flips the sign of odd-length partitions
-    neg = dict(eplus_coefficient(ctx, -1, 4))
-    assert neg[(-4,)] == -g * Fraction(1, 4)
-    assert neg[(-2, -2)] == g * g * Fraction(1, 8)
+    neg = dict(_eplus_pairs(-1, 4))
+    assert neg == {parts: (-1) ** len(parts) * f for parts, f in quartic.items()}
 
 
 def test_eminus_action_on_conformal_vector():
-    # E_-(2J, z)(nu (x) e^{2J}) = nu e - 2 J_{-1} e z^{-1} + 2 e z^{-2} in V_{L_4}
-    ctx = Context(N=2)
-    carrier = mono(ctx, (-1, -1), 1, Fraction(1, 2))
-    out = eminus_apply(ctx, 1, carrier, range(-4, 1))
-    expect = [
-        (0, carrier),
-        (-1, mono(ctx, (-1,), 1, -2)),
-        (-2, mono(ctx, (), 1, 2)),
-    ]
-    assert out == expect
+    # alpha-basis: the z^{-q} coefficient of E_-(k alpha, z) is (-k)^len(lambda)/z_lambda
+    assert _eminus_pairs(1, 0) == (((), 1),)
+    assert _eminus_pairs(0, 2) == ()
+    assert dict(_eminus_pairs(1, 2)) == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+    assert dict(_eminus_pairs(-1, 1)) == {(1,): 1}
+
+    # E_-(alpha, z)(nu (x) e^alpha) = nu e - 2 J_{-1} e z^{-1} + 2 e z^{-2} in V_{L_4},
+    # with nu = J_{-1}^2 / 2 = alpha_{-1}^2 / 8, J_{-1} = alpha_{-1} / 2 and
+    # [alpha_m, alpha_{-m}] = 4m
+    carrier = {BasisMonomial((-1, -1), 1): Fraction(1, 8)}
+
+    def coefficient(k, q):
+        acc: dict = {}
+        for modes, f in _eminus_pairs(k, q):
+            for m, c in _apply_annihilators(modes, carrier, 4).items():
+                acc[m] = acc.get(m, 0) + f * c
+        return {m: c for m, c in acc.items() if c}
+
+    assert coefficient(1, 0) == carrier
+    assert coefficient(1, 1) == {BasisMonomial((-1,), 1): -1}
+    assert coefficient(1, 2) == {BasisMonomial((), 1): 2}
+    assert coefficient(1, 3) == {}
     # negative charge flips the middle sign
-    out = eminus_apply(ctx, -1, carrier, range(-4, 1))
-    assert out[1] == (-1, mono(ctx, (-1,), 1, 2))
-    # window filtering
-    assert eminus_apply(ctx, 1, carrier, range(-1, 1)) == expect[:2]
+    assert coefficient(-1, 1) == {BasisMonomial((-1,), 1): 1}
 
 
 # ------------------------------------------------------------- vertex modes
@@ -490,6 +499,39 @@ def test_locality_orders():
     assert find_locality_order(nu, nu, test_weight=2) == 4
 
 
+def test_locality_order_rejects_zero_operand():
+    ctx = Context(N=2)
+    ep, zero = charged_vacuum(ctx, 1), Vector.zero(ctx)
+    for a, b in ((zero, ep), (ep, zero)):
+        with pytest.raises(ValueError):
+            find_locality_order(a, b, test_weight=1)
+
+
+LOCALITY_OPERANDS = ("Jm1", "Jm2", "nu", "ep", "em")
+
+
+def _locality_operands(ctx):
+    return {
+        "Jm1": mono(ctx, (-1,), 0),
+        "Jm2": mono(ctx, (-2,), 0),
+        "nu": conformal_vector(ctx),
+        "ep": charged_vacuum(ctx, 1),
+        "em": charged_vacuum(ctx, -1),
+    }
+
+
+@pytest.mark.parametrize("n_lat", [1, 3])
+@pytest.mark.parametrize("left,right", list(product(LOCALITY_OPERANDS, repeat=2)))
+def test_locality_order_matches_commutator_formula(n_lat, left, right):
+    # [Y(a,z), Y(b,w)] = sum_{j>=0} Y(a_(j) b, w) d^(j) delta(z-w)  (Kac 1998), so
+    # the locality order is 1 + the largest j >= 0 with a_(j) b != 0, or 0 if none
+    ops = _locality_operands(Context(n_lat))
+    a, b = ops[left], ops[right]
+    products = vertex_window(a, b, a.weight() + b.weight() - 1)
+    top = max((j for j in products if j >= 0), default=-1)
+    assert find_locality_order(a, b, test_weight=2) == top + 1
+
+
 def test_mode_request_round_trip():
     ctx = Context(N=2)
     ep = charged_vacuum(ctx, 1)
@@ -506,3 +548,14 @@ def test_mode_request_round_trip():
 
     with pytest.raises(ContextMismatchError):
         mode_request({"N": 3, "n": 0, "a": vector_to_json(ep), "b": vector_to_json(em)})
+
+
+def test_mode_request_rejects_non_integer_mode():
+    ctx = Context(N=2)
+    ep, em = charged_vacuum(ctx, 1), charged_vacuum(ctx, -1)
+    req = {"N": 2, "a": vector_to_json(ep), "b": vector_to_json(em)}
+    with pytest.raises(ValueError):
+        mode_request(req)
+    for n in (1.5, "2", None, True):
+        with pytest.raises(ValueError):
+            mode_request({**req, "n": n})
