@@ -2,14 +2,22 @@
 
 Scalars live in Q(zeta_n)(sqrt(2N)): the cyclotomic field of conductor n
 (a multiple of 4, so i = zeta_n^{n/4} exists) extended by the square root
-of 2N.  A scalar is a pair of polynomials in zeta_n with rational
-coefficients, reduced mod the n-th cyclotomic polynomial:
+of 2N.  A scalar is a pair of polynomials in zeta_n with integer
+coefficients, reduced mod the n-th cyclotomic polynomial, over one shared
+denominator:
 
-    value = rat(zeta_n) + rad(zeta_n) * sqrt(2N)
+    value = (rat(zeta_n) + rad(zeta_n) * sqrt(2N)) / den
 
-Canonical form: both components are coefficient tuples by increasing
-power, degree below phi(n), trailing zeros dropped, every coefficient a
-reduced Fraction.  Equality is structural equality of canonical forms.
+Canonical form: both numerator components are tuples of Python ints by
+increasing power, degree below phi(n), trailing zeros dropped; den is a
+positive int with gcd(den, every numerator) = 1, and zero is stored with
+den = 1.  Equality is structural equality of canonical forms.  Phi_n is
+monic with integer coefficients (Cohen, A Course in Computational
+Algebraic Number Theory, 1993, 4.2), so sums, products, reduction and
+conjugation run in int arithmetic with one gcd pass per result.
+Fraction appears only at the boundaries (constructor inputs and the
+read-only rat/rad/as_fraction views) and inside the extended Euclid of
+inverse.
 
 When sqrt(2N) already lies in Q(zeta_n) the two-component form would not
 be canonical (nor a field), so construction eagerly folds the radical
@@ -27,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, lcm
 
 
 class ContextMismatchError(ValueError):
@@ -37,8 +45,6 @@ class ContextMismatchError(ValueError):
 class ConductorError(ValueError):
     """Raised when a requested root of unity does not exist at this conductor."""
 
-
-Poly = "tuple[Fraction, ...]"
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,27 +57,28 @@ def _trim(coeffs) -> tuple:
     return tuple(coeffs[:k])
 
 
-def _padd(a, b) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
+def _combine(a, fa: int, b, fb: int) -> tuple:
+    """fa * a + fb * b for trimmed integer coefficient tuples and nonzero fa, fb."""
     if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for k, c in enumerate(b):
-        out[k] += c
-    return _trim(out)
+        a, fa, b, fb = b, fb, a, fa
+    if fa == 1 and fb == 1:
+        out = [x + y for x, y in zip(a, b)]
+    else:
+        out = [fa * x + fb * y for x, y in zip(a, b)]
+    k = len(out)
+    if k < len(a):
+        # a's nonzero top coefficient survives, so nothing to trim
+        out.extend(a[k:] if fa == 1 else [fa * x for x in a[k:]])
+        return tuple(out)
+    while k and not out[k - 1]:
+        k -= 1
+    return tuple(out[:k])
 
 
-def _pneg(a) -> tuple:
-    return tuple(-c for c in a)
-
-
-def _pscale(a, f: Fraction) -> tuple:
-    if not f:
-        return ()
-    return tuple(c * f for c in a)
+def _common_den(coeffs) -> tuple:
+    """Fractions as (integer numerators, their positive lcm denominator)."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 @lru_cache(maxsize=None)
@@ -106,6 +113,10 @@ def _int_polydiv(num: list, den) -> list:
 
 
 def _reduce(coeffs: list, n: int) -> tuple:
+    """Integer coefficients mod Phi_n, trimmed; overwrites the list.
+
+    They stay integers because Phi_n is monic.
+    """
     phi = _cyclotomic(n)
     deg = len(phi) - 1
     for k in range(len(coeffs) - 1, deg - 1, -1):
@@ -113,14 +124,13 @@ def _reduce(coeffs: list, n: int) -> tuple:
         if c:
             for i in range(deg):
                 coeffs[k - deg + i] -= c * phi[i]
-            coeffs[k] = _ZERO
     return _trim(coeffs[:deg])
 
 
 def _pmulmod(a, b, n: int) -> tuple:
     if not a or not b:
         return ()
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
@@ -132,24 +142,28 @@ def _conj_poly(a, n: int) -> tuple:
     # zeta^k -> zeta^{-k} on the power basis, then reduce
     if not a:
         return a
-    out = [_ZERO] * n
+    out = [0] * n
     for k, c in enumerate(a):
         out[(n - k) % n] += c
     return _reduce(out, n)
 
 
 def _pinv_mod(a, n: int) -> tuple:
-    """Inverse of a mod Phi_n by the extended Euclidean algorithm over Q[x]."""
+    """Inverse of the integer polynomial a mod Phi_n, as (numerators, den).
+
+    The extended Euclidean algorithm runs over Q[x] in Fractions.
+    """
     if not a:
         raise ZeroDivisionError("scalar inverse of zero")
-    r0, r1 = [Fraction(c) for c in _cyclotomic(n)], list(a)
+    r0, r1 = [Fraction(c) for c in _cyclotomic(n)], [Fraction(c) for c in a]
     s0, s1 = [], [_ONE]
     while True:
         while r1 and not r1[-1]:
             r1.pop()
         if len(r1) == 1:
             inv = 1 / r1[0]
-            return _reduce([c * inv for c in s1], n)
+            nums, den = _common_den([c * inv for c in s1])
+            return _reduce(nums, n), den
         q = _q_polydivmod(r0, r1)
         r0, r1 = r1, r0
         s0, s1 = s1, _psub_list(s0, _plmul(q, s1))
@@ -205,7 +219,7 @@ def _squarefree_split(m: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _sqrt_fold(n: int, two_n: int):
-    """Canonical representation of sqrt(two_n) in Q(zeta_n), or None.
+    """sqrt(two_n) in Q(zeta_n) as an integer polynomial mod Phi_n, or None.
 
     Built from quadratic Gauss sums: for odd m, sum over a mod m of
     zeta_m^{a^2} equals sqrt(m) when m = 1 mod 4 and i*sqrt(m) when
@@ -213,27 +227,27 @@ def _sqrt_fold(n: int, two_n: int):
     """
     s, d = _squarefree_split(two_n)
     if d == 1:
-        return (Fraction(s),)
+        return (s,)
     m = d if d % 4 == 1 else 4 * d
     if n % m:
         return None
-    root = (Fraction(s),)
+    root = (s,)
     e = d
     if e % 2 == 0:
         e //= 2
-        sqrt2 = [_ZERO] * n
-        sqrt2[n // 8] = _ONE
-        sqrt2[3 * n // 8] = -_ONE
+        sqrt2 = [0] * n
+        sqrt2[n // 8] = 1
+        sqrt2[3 * n // 8] = -1
         root = _pmulmod(root, _reduce(sqrt2, n), n)
     if e > 1:
-        gauss = [_ZERO] * n
+        gauss = [0] * n
         step = n // e
         for a in range(e):
-            gauss[(step * a * a) % n] += _ONE
+            gauss[(step * a * a) % n] += 1
         gauss = _reduce(gauss, n)
         if e % 4 == 3:
-            minus_i = [_ZERO] * n
-            minus_i[n // 4] = -_ONE
+            minus_i = [0] * n
+            minus_i[n // 4] = -1
             gauss = _pmulmod(gauss, _reduce(minus_i, n), n)
         root = _pmulmod(root, gauss, n)
     return root
@@ -263,40 +277,50 @@ class Context:
         return _sqrt_fold(self.conductor, 2 * self.N)
 
     def scalar(self, rat=0, rad=0) -> "Scalar":
-        ratp = self._coerce_poly(rat)
-        radp = self._coerce_poly(rad)
-        if radp and self.fold is not None:
-            ratp = _padd(ratp, _pmulmod(radp, self.fold, self.conductor))
-            radp = ()
-        return Scalar(self, ratp, radp)
+        """(rat + rad * sqrt(2N)) from two rationals or sequences of them."""
+        ratp = [rat] if isinstance(rat, (int, Fraction)) else list(rat)
+        radp = [rad] if isinstance(rad, (int, Fraction)) else list(rad)
+        nums, den = _common_den([Fraction(c) for c in ratp + radp])
+        return self.from_ints(nums[: len(ratp)], nums[len(ratp) :], den)
 
-    def _coerce_poly(self, value) -> tuple:
-        if isinstance(value, (int, Fraction)):
-            return _trim((Fraction(value),))
-        return _reduce([Fraction(c) for c in value], self.conductor)
+    def from_ints(self, rat=(), rad=(), den: int = 1) -> "Scalar":
+        """(rat + rad * sqrt(2N)) / den from integer coefficient sequences, den > 0.
+
+        Reduces mod Phi_n, folds the radical where it lies in Q(zeta_n),
+        and divides out the gcd.
+        """
+        n = self.conductor
+        rat = _reduce(list(rat), n)
+        rad = _reduce(list(rad), n)
+        if rad and self.fold is not None:
+            rat = _combine(rat, 1, _pmulmod(rad, self.fold, n), 1)
+            rad = ()
+        return _canonical(self, rat, rad, den)
 
     def zero(self) -> "Scalar":
-        return Scalar(self, (), ())
+        return Scalar(self, (), (), 1)
 
     def one(self) -> "Scalar":
-        return Scalar(self, (_ONE,), ())
+        return Scalar(self, (1,), (), 1)
 
     def from_fraction(self, value) -> "Scalar":
-        return Scalar(self, _trim((Fraction(value),)), ())
+        f = value if type(value) is Fraction else Fraction(value)
+        return Scalar(self, (f.numerator,) if f else (), (), f.denominator)
 
     def zeta(self, power: int = 1) -> "Scalar":
         """zeta_conductor raised to the given power."""
         k = power % self.conductor
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = _ONE
-        return Scalar(self, _reduce(coeffs, self.conductor), ())
+        coeffs = [0] * (k + 1)
+        coeffs[k] = 1
+        # a power of zeta is a unit of Z[zeta], so its numerators are coprime
+        return Scalar(self, _reduce(coeffs, self.conductor), (), 1)
 
     def i(self) -> "Scalar":
         return self.zeta(self.conductor // 4)
 
     def sqrt_2n(self) -> "Scalar":
         """sqrt(2N), the norm of the lattice generator."""
-        return self.scalar(0, 1)
+        return self.from_ints((), (1,))
 
     def embed_root_of_unity(self, p: int, q: int) -> "Scalar":
         """zeta_q^p as an element of this field; q must divide the conductor."""
@@ -311,17 +335,58 @@ class Context:
         return self.zeta((self.conductor // q) * p)
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """Element of Q(zeta_n)(sqrt(2N)) in canonical two-component form.
+def _canonical(ctx: Context, rat: tuple, rad: tuple, den: int) -> "Scalar":
+    """Scalar from trimmed integer tuples over den > 0, after one gcd pass."""
+    g = gcd(den, *rat, *rad)
+    if g != 1:
+        den //= g
+        rat = tuple([c // g for c in rat])
+        if rad:
+            rad = tuple([c // g for c in rad])
+    return Scalar(ctx, rat, rad, den)
 
-    Do not call the constructor with unreduced data; go through
-    Context.scalar, which canonicalizes and folds the radical.
+
+class Scalar:
+    """Element (rat_num + rad_num * sqrt(2N)) / den of Q(zeta_n)(sqrt(2N)).
+
+    rat_num and rad_num are integer coefficient tuples in zeta_n over the
+    shared positive denominator den, in the canonical form of the module
+    docstring; the rat and rad properties give the same two components as
+    tuples of reduced Fractions.  Treated as immutable.  Do not call the
+    constructor with unreduced data; go through the Context constructors,
+    which canonicalize and fold the radical.
     """
 
-    ctx: Context
-    rat: tuple
-    rad: tuple
+    __slots__ = ("ctx", "rat_num", "rad_num", "den")
+
+    def __init__(self, ctx: Context, rat_num: tuple, rad_num: tuple, den: int):
+        self.ctx = ctx
+        self.rat_num = rat_num
+        self.rad_num = rad_num
+        self.den = den
+
+    @property
+    def rat(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.rat_num)
+
+    @property
+    def rad(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.rad_num)
+
+    def __eq__(self, other):
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.rat_num == other.rat_num
+            and self.rad_num == other.rad_num
+            and self.ctx == other.ctx
+        )
+
+    def __hash__(self):
+        return hash((self.rat_num, self.rad_num, self.den))
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
@@ -335,19 +400,34 @@ class Scalar:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.rat and not other.rad:
+        if other.__class__ is not Scalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not other.rat_num and not other.rad_num:
             return self
-        if not self.rat and not self.rad:
+        if not self.rat_num and not self.rad_num:
             return other
-        return Scalar(self.ctx, _padd(self.rat, other.rat), _padd(self.rad, other.rad))
+        da, db = self.den, other.den
+        if da == db:
+            fa = fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+        rat = _combine(self.rat_num, fa, other.rat_num, fb)
+        rad = (
+            _combine(self.rad_num, fa, other.rad_num, fb)
+            if self.rad_num or other.rad_num
+            else ()
+        )
+        return _canonical(self.ctx, rat, rad, da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ctx, _pneg(self.rat), _pneg(self.rad))
+        return Scalar(
+            self.ctx, tuple(-c for c in self.rat_num), tuple(-c for c in self.rad_num), self.den
+        )
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -359,44 +439,77 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        n = self.ctx.conductor
-        a, b = self, other
-        # fast path: rational factor
-        for x, y in ((a, b), (b, a)):
-            if not x.rad and len(x.rat) <= 1:
-                if not x.rat:
-                    return self.ctx.zero()
-                f = x.rat[0]
-                return Scalar(self.ctx, _pscale(y.rat, f), _pscale(y.rad, f))
-        two_n = 2 * self.ctx.N
-        rat = _padd(
-            _pmulmod(a.rat, b.rat, n),
-            _pscale(_pmulmod(a.rad, b.rad, n), Fraction(two_n)),
+        if other.__class__ is not Scalar or other.ctx is not self.ctx:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ctx = self.ctx
+        # fast path: a rational factor p/q; as for Fractions, the gcds of p
+        # with the other den and of q with the other numerators leave the
+        # product canonical without a further pass
+        if not other.rad_num and len(other.rat_num) <= 1:
+            x, y = other, self
+        elif not self.rad_num and len(self.rat_num) <= 1:
+            x, y = self, other
+        else:
+            n = ctx.conductor
+            a, b = self, other
+            rat = _pmulmod(a.rat_num, b.rat_num, n)
+            if a.rad_num and b.rad_num:
+                rat = _combine(rat, 1, _pmulmod(a.rad_num, b.rad_num, n), 2 * ctx.N)
+            rad = _combine(
+                _pmulmod(a.rat_num, b.rad_num, n), 1, _pmulmod(a.rad_num, b.rat_num, n), 1
+            )
+            return _canonical(ctx, rat, rad, a.den * b.den)
+        if not x.rat_num:
+            return ctx.zero()
+        p, q = x.rat_num[0], x.den
+        rat, rad, den = y.rat_num, y.rad_num, y.den
+        g = gcd(p, den)
+        if g != 1:
+            p //= g
+            den //= g
+        if q != 1:
+            g = gcd(q, *rat, *rad)
+            if g != 1:
+                q //= g
+                rat = [c // g for c in rat]
+                rad = [c // g for c in rad]
+            den *= q
+        return Scalar(
+            ctx,
+            tuple([p * c for c in rat]),
+            tuple([p * c for c in rad]) if rad else (),
+            den,
         )
-        rad = _padd(_pmulmod(a.rat, b.rad, n), _pmulmod(a.rad, b.rat, n))
-        return Scalar(self.ctx, rat, rad)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
         n = self.ctx.conductor
-        if not self.rat and not self.rad:
+        if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
-        if not self.rad:
-            return Scalar(self.ctx, _pinv_mod(self.rat, n), ())
+        d = self.den
+        if not self.rad_num:
+            inv, den = _pinv_mod(self.rat_num, n)
+            return _canonical(self.ctx, tuple(d * c for c in inv), (), den)
         # (a + b r)^-1 = (a - b r) / (a^2 - 2N b^2); the denominator is a
         # nonzero cyclotomic number because r = sqrt(2N) is not in Q(zeta_n)
-        # whenever the radical component survives canonicalization.
-        two_n = Fraction(2 * self.ctx.N)
-        denom = _padd(
-            _pmulmod(self.rat, self.rat, n),
-            _pscale(_pmulmod(self.rad, self.rad, n), -two_n),
+        # whenever the radical component survives canonicalization.  Over
+        # the shared den, (a + b r) / d inverts to d (a - b r) / (a^2 - 2N b^2).
+        norm = _combine(
+            _pmulmod(self.rat_num, self.rat_num, n),
+            1,
+            _pmulmod(self.rad_num, self.rad_num, n),
+            -2 * self.ctx.N,
         )
-        di = _pinv_mod(denom, n)
-        return Scalar(self.ctx, _pmulmod(self.rat, di, n), _pneg(_pmulmod(self.rad, di, n)))
+        inv, den = _pinv_mod(norm, n)
+        return _canonical(
+            self.ctx,
+            tuple(d * c for c in _pmulmod(self.rat_num, inv, n)),
+            tuple(-d * c for c in _pmulmod(self.rad_num, inv, n)),
+            den,
+        )
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -421,18 +534,23 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         n = self.ctx.conductor
-        return Scalar(self.ctx, _conj_poly(self.rat, n), _conj_poly(self.rad, n))
+        return _canonical(
+            self.ctx, _conj_poly(self.rat_num, n), _conj_poly(self.rad_num, n), self.den
+        )
 
     def is_zero(self) -> bool:
-        return not self.rat and not self.rad
+        return not self.rat_num and not self.rad_num
+
+    def is_one(self) -> bool:
+        return self.den == 1 and self.rat_num == (1,) and not self.rad_num
 
     def is_rational(self) -> bool:
-        return not self.rad and len(self.rat) <= 1
+        return not self.rad_num and len(self.rat_num) <= 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"scalar {self} is not rational")
-        return self.rat[0] if self.rat else _ZERO
+        return Fraction(self.rat_num[0], self.den) if self.rat_num else _ZERO
 
     def to_json(self) -> dict:
         return {
@@ -458,11 +576,12 @@ class Scalar:
                     parts.append(f"{c}*z^{k}" if c != 1 else f"z^{k}")
             return " + ".join(parts)
 
-        if not self.rad:
-            return side(self.rat)
-        if not self.rat:
-            return f"({side(self.rad)})*r"
-        return f"{side(self.rat)} + ({side(self.rad)})*r"
+        rat, rad = self.rat, self.rad
+        if not rad:
+            return side(rat)
+        if not rat:
+            return f"({side(rad)})*r"
+        return f"{side(rat)} + ({side(rad)})*r"
 
     __repr__ = __str__
 

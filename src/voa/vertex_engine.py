@@ -46,7 +46,6 @@ from .state_space import (
     z_lambda,
 )
 
-_RAT_ONE = (Fraction(1),)
 _F1 = Fraction(1)
 
 
@@ -147,11 +146,14 @@ def _eminus_pairs(k: int, q: int) -> tuple:
 
 
 def _root_power(ctx: Context, f: Fraction, d: int) -> Scalar:
-    """f * sqrt(2N)^d; built through ctx.scalar so the radical folds where it can."""
+    """f * sqrt(2N)^d; built through ctx.from_ints so the radical folds where it can."""
     half = d // 2
-    if half:
-        f = f * Fraction(2 * ctx.N) ** half
-    return ctx.scalar(0, f) if d & 1 else ctx.from_fraction(f)
+    num, den = f.numerator, f.denominator
+    if half > 0:
+        num *= (2 * ctx.N) ** half
+    elif half < 0:
+        den *= (2 * ctx.N) ** -half
+    return ctx.from_ints((), (num,), den) if d & 1 else ctx.from_ints((num,), (), den)
 
 
 def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
@@ -330,7 +332,7 @@ def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
     for am, cav in a.terms.items():
         for bm, cbv in b.terms.items():
             f = cav * cbv
-            unit = not f.rad and f.rat == _RAT_ONE
+            unit = f.is_one()
             for n, block in _mono_products(ctx, am, bm, wmax).items():
                 dst = acc.setdefault(n, {})
                 for mono, c in block.items():
@@ -420,8 +422,8 @@ def mode_request(data: dict, ctx: Context | None = None) -> dict:
     homogeneous components.
     """
     n = json_int(data.get("n"), "mode n")
-    a = vector_from_json(data["a"], ctx)
-    b = vector_from_json(data["b"], a.ctx if a.terms else ctx)
+    a = vector_from_json(data.get("a"), ctx)
+    b = vector_from_json(data.get("b"), a.ctx if a.terms else ctx)
     if a.ctx != b.ctx:
         if not a.terms:
             a = Vector.zero(b.ctx)

@@ -559,3 +559,17 @@ def test_mode_request_rejects_non_integer_mode():
     for n in (1.5, "2", None, True):
         with pytest.raises(ValueError):
             mode_request({**req, "n": n})
+
+
+@pytest.mark.parametrize("missing", ["a", "b"])
+def test_mode_request_rejects_missing_operand(missing):
+    ctx = Context(N=2)
+    req = {
+        "N": 2,
+        "n": 1,
+        "a": vector_to_json(charged_vacuum(ctx, 1)),
+        "b": vector_to_json(charged_vacuum(ctx, -1)),
+    }
+    del req[missing]
+    with pytest.raises(ValueError, match="vector JSON"):
+        mode_request(req)
