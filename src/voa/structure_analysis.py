@@ -107,9 +107,20 @@ class CertificateRefused(Exception):
 
 
 def _identity_row(relation: str, cases) -> dict:
-    """Report row for an identity checked on each (lhs, rhs) pair of cases."""
-    results = [lhs == rhs for lhs, rhs in cases]
-    return {"relation": relation, "checked": len(results), "ok": all(results)}
+    """Report row for an identity checked on each (lhs, rhs) pair of cases.
+
+    A failing row also names its witness: the defect lhs - rhs of the first
+    case that fails.  A passing row has no defect key.
+    """
+    checked, defect = 0, None
+    for lhs, rhs in cases:
+        checked += 1
+        if defect is None and lhs != rhs:
+            defect = lhs - rhs
+    row = {"relation": relation, "checked": checked, "ok": defect is None}
+    if defect is not None:
+        row["defect"] = vector_to_json(defect)
+    return row
 
 
 def _bracket_cases(x, y, pool, pairs):

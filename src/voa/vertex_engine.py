@@ -18,12 +18,15 @@ charge of the right input (before the e_alpha shift).
 
 Mode products of basis monomials run in the unnormalized alpha-basis
 alpha_{n_1}...alpha_{n_s} e^{k alpha}, where every structure constant of
-the lattice vertex operator is rational (Frenkel-Lepowsky-Meurman 1988),
-so each term carries a single Fraction.  As J = alpha / sqrt(2N), the
-J-basis coefficient of an output monomial is that Fraction times
-sqrt(2N)^{len(out) - len(a) - len(b)}; the conversion happens once per
-final entry.  E_+ and E_- exist only as the kernel's alpha-basis tables
-_eplus_pairs and _eminus_pairs.
+the lattice vertex operator is rational (Frenkel-Lepowsky-Meurman 1988).
+The only denominators are the z_lambda of the E_+- tables, and F!/z_lambda
+is an integer for every partition lambda of size at most F, so with both
+tables scaled by F! each term is a Python int over the common denominator
+(F!)^2.  As J = alpha / sqrt(2N), the J-basis coefficient of an output
+monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}; the
+division and the conversion happen once per final entry.  E_+ and E_-
+exist only as the kernel's alpha-basis tables _eplus_pairs and
+_eminus_pairs.
 
 Everything is computed exactly; mode products of basis monomial pairs
 are cached per requested weight window.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .scalars import Context, ContextMismatchError, Scalar, json_int
 from .state_space import (
@@ -45,8 +48,6 @@ from .state_space import (
     vector_to_json,
     z_lambda,
 )
-
-_F1 = Fraction(1)
 
 
 def _mk_mono(partition: tuple, charge: int) -> BasisMonomial:
@@ -145,10 +146,10 @@ def _eminus_pairs(k: int, q: int) -> tuple:
     )
 
 
-def _root_power(ctx: Context, f: Fraction, d: int) -> Scalar:
-    """f * sqrt(2N)^d; built through ctx.from_ints so the radical folds where it can."""
+def _root_power(ctx: Context, num: int, den: int, d: int) -> Scalar:
+    """(num / den) * sqrt(2N)^d; built through ctx.from_ints, which folds the
+    radical where it can and divides out the gcd."""
     half = d // 2
-    num, den = f.numerator, f.denominator
     if half > 0:
         num *= (2 * ctx.N) ** half
     elif half < 0:
@@ -201,10 +202,20 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
     z^{(a|b)} shift from z^{alpha_0} at b's original charge, the charge
     shift, and the E_+ and pending creation halves.
 
-    Works in the alpha-basis, one Fraction per term: [alpha_m, alpha_n] =
+    Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
-    coefficients (+-k)^{len lambda}/z_lambda.  An output monomial's J-basis
-    coefficient is its Fraction times sqrt(2N)^{len(out) - len(a) - len(b)}.
+    coefficients (+-k)^{len lambda}/z_lambda.  Both tables are read scaled
+    by F!, F = max(fmax, Fock weight of b), which makes every weight of an
+    order at most F an integer: z_lambda divides |lambda|!, since
+    |lambda|!/z_lambda is the size of the conjugacy class of cycle type
+    lambda in S_|lambda| (Macdonald, Symmetric Functions and Hall
+    Polynomials, I.2), and |lambda|! divides F!.  An E_- order q is at
+    most the Fock weight of a stage-1 state, which is at most that of b.
+    An E_+ order p is at most fmax: by the grading contract an output
+    monomial has weight base + its Fock weight <= wmax, and p is part of
+    that Fock weight.  So a final entry is its rational times (F!)^2, and
+    its J-basis coefficient is entry / (F!)^2 times
+    sqrt(2N)^{len(out) - len(a) - len(b)}.
     """
     n_lat = ctx.N
     two_n = 2 * n_lat
@@ -217,7 +228,7 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
     wa, wb = amono.weight(n_lat), bmono.weight(n_lat)
 
     # stage 1: one mode choice per alpha-factor of a
-    entries: dict = {(0, ()): {bmono: _F1}}
+    entries: dict = {(0, ()): {bmono: 1}}
     for part in amono.partition:
         k = -part - 1
         new: dict = {}
@@ -259,8 +270,9 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
         if not entries:
             return {}
 
-    # stage 2: E_-, charge shift, E_+, pending creations
+    # stage 2: E_-, charge shift, E_+, pending creations, weights scaled by F!
     zshift = 2 * n_lat * ca * cb
+    scale = factorial(max(fmax, -sum(bmono.partition)))
     result: dict = {}
     for (zexp, pend), vec in entries.items():
         vfock = max((-sum(m.partition) for m in vec), default=0)
@@ -268,8 +280,9 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
             acc: dict = {}
             for modes, f in _eminus_pairs(ca, q):
                 piece = _apply_annihilators(modes, vec, two_n)
+                w = f.numerator * (scale // f.denominator)
                 for mono, c in piece.items():
-                    add = c * f if f != 1 else c
+                    add = c * w
                     prev = acc.get(mono)
                     acc[mono] = add if prev is None else prev + add
             acc = {m: c for m, c in acc.items() if c}
@@ -284,18 +297,20 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
                     ext = cparts + pend
                     n = -(e1 + p) - 1
                     block = result.setdefault(n, {})
+                    w = f.numerator * (scale // f.denominator)
                     for mono, c in acc.items():
                         new_mono = _mk_mono(tuple(sorted(mono.partition + ext)), ctot)
-                        add = c * f if f != 1 else c
+                        add = c * w
                         prev = block.get(new_mono)
                         block[new_mono] = add if prev is None else prev + add
 
-    # back to the J-basis, one Scalar per final block entry
+    # back to the J-basis, one division by (F!)^2 and one Scalar per final block entry
     lab = len(amono.partition) + len(bmono.partition)
+    den = scale * scale
     out: dict = {}
     for n, block in result.items():
         clean = {
-            m: _root_power(ctx, c, len(m.partition) - lab) for m, c in block.items() if c
+            m: _root_power(ctx, c, den, len(m.partition) - lab) for m, c in block.items() if c
         }
         if clean:
             out[n] = clean

@@ -470,8 +470,25 @@ def test_bracket_row_with_false_right_side_fails_on_full_count():
         "checked": full,
         "ok": True,
     }
+    # the first failure is [J_{-2}, J_2] vacuum = -2 vacuum, on the first pool vector
     assert row(lambda v, m, n: Vector.zero(ctx)) == {
         "relation": "[J_m, J_n]",
         "checked": full,
         "ok": False,
+        "defect": vector_to_json(vacuum(ctx).scale(-2)),
     }
+
+
+def test_identity_row_names_the_defect_of_its_first_failure():
+    ctx = Context(N=2)
+    vac = vacuum(ctx)
+    j = heis_apply(-1, vac)
+    jj = heis_apply(-1, j)
+    # J_{-1} J is J_{-1}^2 vacuum, not J; J_1 J = vacuum, not 2 vacuum
+    cases = [(j, Vector.monomial(ctx, (-1,), 0)), (jj, j), (heis_apply(1, j), vac.scale(2))]
+    row = _identity_row("J modes", cases)
+    assert row["ok"] is False and row["checked"] == 3
+    assert row["defect"] == vector_to_json(jj - j)
+    passing = _identity_row("J modes", cases[:1])
+    assert passing == {"relation": "J modes", "checked": 1, "ok": True}
+    assert "defect" not in passing

@@ -486,6 +486,25 @@ def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conducto
     assert seen[0] and seen[1]
 
 
+@pytest.mark.parametrize("n_lat, conductor", [(1, 8), (3, 4)])
+def test_kernel_window_bound_only_truncates(n_lat, conductor):
+    # a bound w keeps exactly the modes of a wider window whose output weight
+    # is <= w, also below the Fock weight of b, where that Fock weight and not
+    # w sets the common denominator of the kernel's integer terms
+    ctx = Context(n_lat, conductor)
+    below_fock = 0
+    for a, b in _unit_pairs(ctx, max_weight=2):
+        (am,), (bm,) = a.terms, b.terms
+        wa, wb = a.weight(), b.weight()
+        base = n_lat * (am.charge + bm.charge) ** 2
+        full = _mono_products(ctx, am, bm, wa + wb + 4)
+        for w in range(max(0, wa + wb - 3), wa + wb + 4):
+            expect = {n: block for n, block in full.items() if wa + wb - n - 1 <= w}
+            assert _mono_products(ctx, am, bm, w) == expect, (am, bm, w)
+            below_fock += w - base < -sum(bm.partition)
+    assert below_fock
+
+
 def test_locality_orders():
     ctx = Context(N=2)
     j = mono(ctx, (-1,), 0)
