@@ -13,11 +13,11 @@ increasing power, degree below phi(n), trailing zeros dropped; den is a
 positive int with gcd(den, every numerator) = 1, and zero is stored with
 den = 1.  Equality is structural equality of canonical forms.  Phi_n is
 monic with integer coefficients (Cohen, A Course in Computational
-Algebraic Number Theory, 1993, 4.2), so sums, products, reduction and
-conjugation run in int arithmetic with one gcd pass per result.
-Fraction appears only at the boundaries (constructor inputs and the
-read-only rat/rad/as_fraction views) and inside the extended Euclid of
-inverse.
+Algebraic Number Theory, 1993, 4.2), so sums, products, reduction,
+conjugation and inversion run in int arithmetic with one gcd pass per
+result: an inverse is the product of the other Galois conjugates over
+the integer norm.  Fraction appears only at the boundaries (constructor
+inputs and the read-only rat/rad/as_fraction views).
 
 When sqrt(2N) already lies in Q(zeta_n) the two-component form would not
 be canonical (nor a field), so construction eagerly folds the radical
@@ -47,7 +47,6 @@ class ConductorError(ValueError):
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _trim(coeffs) -> tuple:
@@ -138,72 +137,34 @@ def _pmulmod(a, b, n: int) -> tuple:
     return _reduce(out, n)
 
 
-def _conj_poly(a, n: int) -> tuple:
-    # zeta^k -> zeta^{-k} on the power basis, then reduce
+def _galois(a, k: int, n: int) -> tuple:
+    # zeta^j -> zeta^{jk} on the power basis, then reduce; k is a unit mod n
     if not a:
         return a
     out = [0] * n
-    for k, c in enumerate(a):
-        out[(n - k) % n] += c
+    for j, c in enumerate(a):
+        out[(j * k) % n] += c
     return _reduce(out, n)
 
 
 def _pinv_mod(a, n: int) -> tuple:
     """Inverse of the integer polynomial a mod Phi_n, as (numerators, den).
 
-    The extended Euclidean algorithm runs over Q[x] in Fractions.
+    Q(zeta_n) is Galois over Q with group (Z/n)^x acting by zeta -> zeta^k,
+    so adj = prod over units k != 1 of sigma_k(a) gives a * adj = norm(a),
+    a nonzero integer.  It is positive, so it serves as the denominator as
+    it is: for n >= 3 Q(zeta_n) is a CM field, and norm(a) is the norm from
+    the real subfield of the totally positive a * conj(a) (Washington,
+    Introduction to Cyclotomic Fields, 4).
     """
     if not a:
         raise ZeroDivisionError("scalar inverse of zero")
-    r0, r1 = [Fraction(c) for c in _cyclotomic(n)], [Fraction(c) for c in a]
-    s0, s1 = [], [_ONE]
-    while True:
-        while r1 and not r1[-1]:
-            r1.pop()
-        if len(r1) == 1:
-            inv = 1 / r1[0]
-            nums, den = _common_den([c * inv for c in s1])
-            return _reduce(nums, n), den
-        q = _q_polydivmod(r0, r1)
-        r0, r1 = r1, r0
-        s0, s1 = s1, _psub_list(s0, _plmul(q, s1))
-
-
-def _q_polydivmod(num: list, den: list) -> list:
-    # divides num by den in place (num becomes the remainder), returns quotient
-    dd = len(den) - 1
-    lead = den[-1]
-    if len(num) <= dd:
-        return []
-    out = [_ZERO] * (len(num) - dd)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            q = c / lead
-            out[k - dd] = q
-            for i in range(dd + 1):
-                num[k - dd + i] -= q * den[i]
-    while num and not num[-1]:
-        num.pop()
-    return out
-
-
-def _plmul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _psub_list(a: list, b: list) -> list:
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for k, c in enumerate(b):
-        out[k] -= c
-    return out
+    adj = (1,)
+    for k in range(2, n):
+        if gcd(k, n) == 1:
+            adj = _pmulmod(adj, _galois(a, k, n), n)
+    (norm,) = _pmulmod(a, adj, n)
+    return adj, norm
 
 
 def _squarefree_split(m: int) -> tuple:
@@ -535,7 +496,7 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         n = self.ctx.conductor
         return _canonical(
-            self.ctx, _conj_poly(self.rat_num, n), _conj_poly(self.rad_num, n), self.den
+            self.ctx, _galois(self.rat_num, -1, n), _galois(self.rad_num, -1, n), self.den
         )
 
     def is_zero(self) -> bool:

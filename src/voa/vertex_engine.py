@@ -436,7 +436,10 @@ def mode_request(data: dict, ctx: Context | None = None) -> dict:
     check confirms wt(a_(n) b) = wt(a) + wt(b) - n - 1 on every pair of
     homogeneous components.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"mode request must be a JSON object, got {data!r}")
     n = json_int(data.get("n"), "mode n")
+    n_lat = json_int(data.get("N"), "mode N")
     a = vector_from_json(data.get("a"), ctx)
     b = vector_from_json(data.get("b"), a.ctx if a.terms else ctx)
     if a.ctx != b.ctx:
@@ -446,7 +449,7 @@ def mode_request(data: dict, ctx: Context | None = None) -> dict:
             b = Vector.zero(a.ctx)
         else:
             raise ContextMismatchError("operands live in different scalar contexts")
-    if data.get("N") != a.ctx.N:
+    if n_lat != a.ctx.N:
         raise ContextMismatchError("request N does not match operand contexts")
     ok = True
     result = Vector.zero(a.ctx)

@@ -133,7 +133,7 @@ def _random_scalar(ctx, rng, allow_zero=True):
     return s
 
 
-@pytest.mark.parametrize("conductor,n_lat", [(4, 1), (4, 2), (8, 2), (12, 3)])
+@pytest.mark.parametrize("conductor,n_lat", [(4, 1), (4, 2), (8, 2), (12, 3), (24, 3)])
 def test_field_axioms_on_random_samples(conductor, n_lat):
     ctx = Context(N=n_lat, conductor=conductor)
     rng = random.Random(20260821 + conductor + n_lat)

@@ -4,7 +4,8 @@ The oracle computes in Q[x, r] modulo Phi_n(x) and r^2 - 2N, which form a
 Groebner basis (their leading monomials are coprime), so the remainder of
 sympy's multivariate division is a normal form.  Where sqrt(2N) lies in
 Q(zeta_n) the oracle substitutes an explicit root for r first: the
-integer root of a perfect square, or zeta_8 + zeta_8^{-1} = sqrt(2).
+integer root of a perfect square, or zeta_8 + zeta_8^{-1} = sqrt(2) (written
+in zeta_24 at conductor 24).
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ CASES = [
     (8, 3, None),
     (12, 3, None),
     (8, 1, x + x**7),
+    # unit groups of order 8, none cyclic: inverses multiply seven conjugates
+    (16, 3, None),
+    (20, 1, None),
+    (24, 1, x**3 + x**21),
 ]
 
 

@@ -295,6 +295,23 @@ def test_fixed_points_conjugated_dihedral_properties():
             assert conj_flip == v
 
 
+def test_fixed_points_golden_digest():
+    # the kernels of A - id at conductors 8, 12, 20 and 24 invert scalars
+    # of Q(zeta_n) with phi(n) = 4 and 8; reduced echelon bases are canonical
+    cases = [
+        ("N1-n12-D3", Context(N=1, conductor=12), "D3", (1, 3)),
+        ("N1-n20-Z5", Context(N=1, conductor=20), "Z5", None),
+        ("N1-n24-D6", Context(N=1, conductor=24), "D6", (1, 12)),
+        ("N2-n8-D4", Context(N=2, conductor=8), "D4", (1, 8)),
+    ]
+    data = {}
+    for key, ctx, group, t in cases:
+        fixed = fixed_point_subspace(ctx, group, 5, t)
+        data[key] = {str(w): [vector_to_json(v) for v in fixed.weight_basis(w)] for w in range(6)}
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+    assert digest == "b9b371e9b401501b06d9d7c7564f8c53ccd36e190e8b7192bcf54af8ea877dd3"
+
+
 def test_fixed_points_group_name_and_conductor_errors():
     with pytest.raises(ValueError):
         fixed_point_subspace(Context(N=1), "Q8", 4)

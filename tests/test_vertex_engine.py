@@ -580,6 +580,26 @@ def test_mode_request_rejects_non_integer_mode():
             mode_request({**req, "n": n})
 
 
+@pytest.mark.parametrize(
+    "request_",
+    [[], "x", None, {"N": "2"}, {"N": None}, {"N": True}],
+    ids=["list", "string", "null", "string-N", "null-N", "boolean-N"],
+)
+def test_mode_request_rejects_malformed_request(request_):
+    # malformed input is a plain ValueError, not the context-error subclass
+    ctx = Context(N=2)
+    if isinstance(request_, dict):
+        request_ = {
+            "n": 1,
+            "a": vector_to_json(charged_vacuum(ctx, 1)),
+            "b": vector_to_json(charged_vacuum(ctx, -1)),
+            **request_,
+        }
+    with pytest.raises(ValueError) as exc:
+        mode_request(request_)
+    assert not isinstance(exc.value, ContextMismatchError)
+
+
 @pytest.mark.parametrize("missing", ["a", "b"])
 def test_mode_request_rejects_missing_operand(missing):
     ctx = Context(N=2)
