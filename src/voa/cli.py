@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .scalars import ConductorError, Context, ContextMismatchError
+from .scalars import MAX_CONDUCTOR, ConductorError, Context, ContextMismatchError
 from .state_space import (
     Vector,
     charged_vacuum,
@@ -51,7 +51,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_CONTEXT = 3
 
-MAX_CUTOFF = 16
+MAX_CUTOFF = 16  # weight bound; the conductor bound is scalars.MAX_CONDUCTOR
 
 SUITES = (
     "axioms",
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--conductor",
         type=int,
         default=None,
-        help="cyclotomic conductor, a multiple of 4 (default: VOA_CONDUCTOR or 4)",
+        help=f"cyclotomic conductor, a multiple of 4 up to {MAX_CONDUCTOR} "
+        "(default: VOA_CONDUCTOR or 4)",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument(

@@ -107,19 +107,25 @@ class CertificateRefused(Exception):
 
 
 def _identity_row(relation: str, cases) -> dict:
-    """Report row for an identity checked on each (lhs, rhs) pair of cases.
+    """Report row for an identity checked on each case (lhs, rhs) or
+    (lhs, rhs, (v, m, n)).
 
-    A failing row also names its witness: the defect lhs - rhs of the first
-    case that fails.  A passing row has no defect key.
+    A failing row also names its first failing case: the defect lhs - rhs,
+    and, when the case carries one, a witness with the basis vector v and
+    the modes m, n.  A passing row has no defect or witness key.
     """
-    checked, defect = 0, None
-    for lhs, rhs in cases:
+    checked, defect, witness = 0, None, None
+    for lhs, rhs, *case in cases:
         checked += 1
         if defect is None and lhs != rhs:
             defect = lhs - rhs
+            witness = case[0] if case else None
     row = {"relation": relation, "checked": checked, "ok": defect is None}
     if defect is not None:
         row["defect"] = vector_to_json(defect)
+    if witness is not None:
+        v, m, n = witness
+        row["witness"] = {"vector": vector_to_json(v), "m": m, "n": n}
     return row
 
 
@@ -507,7 +513,7 @@ def verify_w_tensor_split(ctx: Context, cutoff: int = 6, mode_range: int = 2) ->
         {"relation": "omega_0 + omega_pi = nu", "ok": sum_ok},
         _identity_row(
             f"[L^0_m, L^pi_n] = 0 for |m|, |n| <= {mode_range}",
-            ((lhs, zero) for _, _, _, lhs, _ in cases),
+            ((lhs, zero, (v, m, n)) for v, m, n, lhs, _ in cases),
         ),
     ]
     params = {"N": ctx.N, "cutoff": cutoff, "mode_range": mode_range}
@@ -558,8 +564,8 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     def operator_cases():
         for (a, x), (b, y) in product(triple, repeat=2):
             ab = bracket(a, b)
-            for v, _, _, lhs, _ in _bracket_cases(x, y, pool, [(0, 0)]):
-                yield lhs, bracket(ab, v)
+            for v, m, n, lhs, _ in _bracket_cases(x, y, pool, [(0, 0)]):
+                yield lhs, bracket(ab, v), (v, m, n)
 
     rows.append(_identity_row("[a_(0), b_(0)] = (a_(0) b)_(0)", operator_cases()))
     return CheckReport("sl2-zero-modes", {"N": ctx.N, "cutoff": cutoff}, rows)
@@ -659,7 +665,7 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
 
     def heisenberg():
         for v, m, n, lhs, _ in _bracket_cases(heis, heis, pool, product(modes, modes)):
-            yield lhs, v.scale(m) if m + n == 0 else zero
+            yield lhs, v.scale(m) if m + n == 0 else zero, (v, m, n)
 
     def virasoro():
         ordered = [(m, n) for m in modes for n in range(-mode_range, m + 1)]
@@ -667,11 +673,11 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
             rhs = virasoro_apply(m + n, v).scale(m - n)
             if m + n == 0:
                 rhs = rhs + v.scale(Fraction(m**3 - m, 12))
-            yield lhs, rhs
+            yield lhs, rhs, (v, m, n)
 
     def mixed():
         for v, m, n, lhs, _ in _bracket_cases(vir, heis, pool, product(modes, modes)):
-            yield lhs, heis_apply(m + n, v).scale(-n)
+            yield lhs, heis_apply(m + n, v).scale(-n), (v, m, n)
 
     rows = [
         _identity_row("a_(n) vacuum = 0 for n >= 0 and a_(-1) vacuum = a", creation()),

@@ -28,6 +28,21 @@ division and the conversion happen once per final entry.  E_+ and E_-
 exist only as the kernel's alpha-basis tables _eplus_pairs and
 _eminus_pairs.
 
+The charge flip phi: alpha_n -> -alpha_n, e^{k alpha} -> e^{-k alpha}
+(state_space.apply_flip) is an automorphism, phi(a_(n) b) = (phi a)_(n)
+(phi b).  It preserves [alpha_m, alpha_n] = 2N m delta_{m,-n}, and it
+conjugates alpha_0 to -alpha_0, so it carries every field above to the
+field of the flipped state: d^{(k)} alpha(z) to -d^{(k)} alpha(z),
+z^{c alpha_0} to z^{-c alpha_0}, E_+-(c alpha, z) to E_+-(-c alpha, z),
+and e_{c alpha} to e_{-c alpha}, as the rank-one cocycle is trivial
+(Frenkel-Lepowsky-Meurman 1988).  On a monomial x with s J-factors
+phi x = (-1)^s xbar, xbar being x with its charge negated, so if
+a_(n) b = sum c_x x then abar_(n) bbar = sum (-1)^{len x - len a - len b}
+c_x xbar.  The kernel computes only charge-canonical pairs (a's charge
+positive, or zero with b's charge nonnegative) and reads every other pair
+as the image of its canonical partner; _virasoro_mono does the same for
+negative charge, since nu is phi-fixed and L_m commutes with phi.
+
 Everything is computed exactly; mode products of basis monomial pairs
 are cached per requested weight window.
 """
@@ -70,6 +85,16 @@ def _clean(ctx: Context, terms: dict) -> Vector:
     return _raw(ctx, {m: c for m, c in terms.items() if not c.is_zero()})
 
 
+def _flip_terms(terms: dict, lab: int) -> dict:
+    """phi-image of the {monomial: Scalar} terms of a product of factors
+    with lab J-factors: each monomial's charge negated, its coefficient
+    times (-1)^(len(partition) - lab)."""
+    return {
+        _mk_mono(m.partition, -m.charge): -c if (len(m.partition) - lab) & 1 else c
+        for m, c in terms.items()
+    }
+
+
 def heis_apply(m: int, v: Vector) -> Vector:
     """Heisenberg mode J_m; [J_m, J_n] = m delta_{m,-n} and J_0 = charge * sqrt(2N)."""
     ctx = v.ctx
@@ -92,6 +117,10 @@ def heis_apply(m: int, v: Vector) -> Vector:
 
 @lru_cache(maxsize=50_000)
 def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
+    if mono.charge < 0:
+        # L_m commutes with phi, since nu = (1/2) J_{-1}^2 vacuum is phi-fixed
+        img = _virasoro_mono(ctx, m, _mk_mono(mono.partition, -mono.charge))
+        return _raw(ctx, _flip_terms(img.terms, len(mono.partition)))
     one = _raw(ctx, {mono: ctx.one()})
     if m == 0:
         return one.scale(mono.weight(ctx.N))
@@ -195,6 +224,31 @@ def _field_coeff(k: int, m: int) -> int:
 @lru_cache(maxsize=200_000)
 def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int) -> dict:
     """All modes a_(n) b for two basis monomials, output weight <= wmax.
+
+    Returns {n: {monomial: Scalar}}.  Only charge-canonical keys (ca > 0,
+    or ca == 0 and cb >= 0) are computed, by _mono_products_direct; any
+    other key is the phi-image of the cached canonical entry of
+    (phi a, phi b): every output monomial's charge negated and its
+    coefficient times (-1)^(len out - len a - len b), which is exact by
+    the phi-equivariance in the module docstring.  In the kernel's own
+    terms, every E_+- weight (+-k)^{len lambda}/z_lambda and the alpha_0
+    factor 2N cb change sign once per alpha-factor, while zshift =
+    2N ca cb, base = N (ca + cb)^2 and the sqrt(2N) power do not change.
+    """
+    ca, cb = amono.charge, bmono.charge
+    if ca > 0 or (ca == 0 and cb >= 0):
+        return _mono_products_direct(ctx, amono, bmono, wmax)
+    canon = _mono_products(
+        ctx, _mk_mono(amono.partition, -ca), _mk_mono(bmono.partition, -cb), wmax
+    )
+    lab = len(amono.partition) + len(bmono.partition)
+    return {n: _flip_terms(block, lab) for n, block in canon.items()}
+
+
+def _mono_products_direct(
+    ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int
+) -> dict:
+    """All modes a_(n) b for two basis monomials, output weight <= wmax, uncached.
 
     Returns {n: {monomial: Scalar}}.  Enumerates, per J-factor of a, the
     annihilation-mode and creation-mode choices (merged on equal

@@ -175,6 +175,15 @@ def test_invalid_conductor_is_context_error(capsys):
     assert code == 3
 
 
+def test_huge_conductor_exits_three_with_one_line(capsys):
+    code = main(
+        ["--conductor", "100000000", "mode", "--N", "1", "--n", "-1", "--a", "e_plus", "--b", "e_plus"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "at most" in captured.err
+
+
 def test_conductor_environment_override(capsys, monkeypatch):
     monkeypatch.setenv("VOA_CONDUCTOR", "8")
     code, data = run_json(capsys, "verify", "omega")

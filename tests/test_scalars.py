@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from voa.scalars import (
+    MAX_CONDUCTOR,
     ConductorError,
     Context,
     ContextMismatchError,
     Scalar,
+    _cyclotomic,
     scalar_from_json,
 )
 
@@ -212,3 +214,14 @@ def test_division_and_powers():
     assert x * (1 - z) == z + r
     assert (r ** 3) == r * 6
     assert (z ** -1) == z.conjugate()
+
+
+def test_conductor_cap_refuses_before_building_the_field():
+    # every conductor a test or a documented command uses lies below the cap
+    assert 24 < MAX_CONDUCTOR and MAX_CONDUCTOR % 4 == 0
+    assert (Context(N=1, conductor=MAX_CONDUCTOR).zeta() ** MAX_CONDUCTOR).is_one()
+    before = _cyclotomic.cache_info().misses
+    for conductor in (MAX_CONDUCTOR + 4, 10**8):
+        with pytest.raises(ConductorError, match="at most"):
+            Context(N=1, conductor=conductor)
+    assert _cyclotomic.cache_info().misses == before

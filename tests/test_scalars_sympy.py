@@ -17,7 +17,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from voa.scalars import Context  # noqa: E402
+from voa.scalars import Context, _cyclotomic  # noqa: E402
 
 x, r = sympy.symbols("x r")
 
@@ -97,3 +97,9 @@ def test_scalar_ops_match_sympy_oracle(conductor, n_lat, root):
         assert _same(a.conjugate(), conj, root)
         if not a.is_zero():
             assert _same(a.inverse(), _oracle_inverse(ea, conductor, n_lat, root), root)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for n in range(1, 201):
+        expect = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert list(_cyclotomic(n)) == [int(c) for c in expect], n

@@ -478,10 +478,13 @@ def test_bracket_row_with_false_right_side_fails_on_full_count():
 
     def row(rhs):
         cases = _bracket_cases(heis, heis, pool, product(modes, modes))
-        return _identity_row("[J_m, J_n]", ((lhs, rhs(v, m, n)) for v, m, n, lhs, _ in cases))
+        return _identity_row(
+            "[J_m, J_n]", ((lhs, rhs(v, m, n), (v, m, n)) for v, m, n, lhs, _ in cases)
+        )
 
     full = len(pool) * len(modes) ** 2
-    # the true commutator holds; dropping its central term must fail
+    # the true commutator holds, and its row keeps exactly these three keys;
+    # dropping its central term must fail and name the failing case
     assert row(lambda v, m, n: v.scale(m) if m + n == 0 else Vector.zero(ctx)) == {
         "relation": "[J_m, J_n]",
         "checked": full,
@@ -493,6 +496,7 @@ def test_bracket_row_with_false_right_side_fails_on_full_count():
         "checked": full,
         "ok": False,
         "defect": vector_to_json(vacuum(ctx).scale(-2)),
+        "witness": {"vector": vector_to_json(vacuum(ctx)), "m": -2, "n": 2},
     }
 
 

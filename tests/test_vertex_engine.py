@@ -11,10 +11,12 @@ from math import comb, factorial
 
 import pytest
 
+from voa import vertex_engine
 from voa.scalars import Context, ContextMismatchError
 from voa.state_space import (
     BasisMonomial,
     Vector,
+    apply_flip,
     charge_pair_vector,
     charged_vacuum,
     conformal_vector,
@@ -28,6 +30,7 @@ from voa.vertex_engine import (
     _eminus_pairs,
     _eplus_pairs,
     _mono_products,
+    _mono_products_direct,
     find_locality_order,
     heis_apply,
     mode_request,
@@ -484,6 +487,76 @@ def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conducto
                 assert len(rat) == 1 and not rad, (am, bm, out, c)
                 seen[odd] += 1
     assert seen[0] and seen[1]
+
+
+def _canonical(am, bm):
+    return am.charge > 0 or (am.charge == 0 and bm.charge >= 0)
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+@pytest.mark.parametrize("conductor", [4, 8])
+def test_flipped_kernel_entries_match_direct_computation(n_lat, conductor):
+    # a non-canonical key is read as the flip of its canonical partner's
+    # entry; it must equal the kernel body run on that key itself
+    ctx = Context(n_lat, conductor)
+    flipped = 0
+    for a, b in _unit_pairs(ctx):
+        (am,), (bm,) = a.terms, b.terms
+        if _canonical(am, bm):
+            continue
+        wa, wb = a.weight(), b.weight()
+        for wmax in range(wa + wb - 1, wa + wb + 3):
+            assert _mono_products(ctx, am, bm, wmax) == _mono_products_direct(
+                ctx, am, bm, wmax
+            ), (am, bm, wmax)
+            flipped += 1
+    assert flipped
+
+
+def _virasoro_sum(m, v):
+    # L_m = (1/2) sum_j :J_j J_{m-j}:, annihilator applied first; the range
+    # is wider than the terms that can be nonzero
+    fock = max(-sum(t.partition) for t in v.terms)
+    acc = Vector.zero(v.ctx)
+    for j in range(m - fock - 2, fock + 3):
+        p, q = sorted((j, m - j))
+        acc = acc + heis_apply(p, heis_apply(q, v))
+    return acc.scale(Fraction(1, 2))
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+@pytest.mark.parametrize("conductor", [4, 8])
+def test_flipped_virasoro_images_match_direct_sum(n_lat, conductor):
+    ctx = Context(n_lat, conductor)
+    negative = 0
+    for w in range(4):
+        for m in enumerate_basis(ctx, w):
+            v = mono(ctx, m.partition, m.charge)
+            negative += m.charge < 0
+            for k in range(-3, 4):
+                assert virasoro_apply(k, v) == _virasoro_sum(k, v), (m, k)
+    assert negative
+
+
+def test_vertex_window_computes_only_canonical_keys(monkeypatch):
+    ctx = Context(3)
+    computed = []
+
+    def counting(ctx_, am, bm, wmax):
+        computed.append((am, bm, wmax))
+        return _mono_products_direct(ctx_, am, bm, wmax)
+
+    monkeypatch.setattr(vertex_engine, "_mono_products_direct", counting)
+    _mono_products.cache_clear()
+    a = charged_vacuum(ctx, -1) + mono(ctx, (-1,), -1, 2)
+    b = charged_vacuum(ctx, -1) + mono(ctx, (-2,), 1) + mono(ctx, (-1,), 0)
+    got = vertex_window(a, b, 6)
+    assert computed and all(_canonical(am, bm) for am, bm, _ in computed)
+    # each of the six monomial pairs maps to its own canonical key, computed once
+    assert len(computed) == len(set(computed)) == 6
+    flipped = vertex_window(apply_flip(a), apply_flip(b), 6)
+    assert got == {n: apply_flip(v) for n, v in flipped.items()}
+    assert len(computed) == 6
 
 
 @pytest.mark.parametrize("n_lat, conductor", [(1, 8), (3, 4)])
