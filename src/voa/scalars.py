@@ -256,6 +256,11 @@ class Context:
             )
 
     @property
+    def degree(self) -> int:
+        """phi(conductor), the degree of Q(zeta_n) over Q."""
+        return len(_cyclotomic(self.conductor)) - 1
+
+    @property
     def fold(self):
         return _sqrt_fold(self.conductor, 2 * self.N)
 
@@ -273,8 +278,10 @@ class Context:
         and divides out the gcd.
         """
         n = self.conductor
-        rat = _reduce(list(rat), n)
-        rad = _reduce(list(rad), n)
+        deg = self.degree
+        # only inputs longer than phi(n) need reducing, which overwrites a copy
+        rat = _reduce(list(rat), n) if len(rat) > deg else _trim(rat)
+        rad = _reduce(list(rad), n) if len(rad) > deg else _trim(rad)
         if rad and self.fold is not None:
             rat = _combine(rat, 1, _pmulmod(rad, self.fold, n), 1)
             rad = ()

@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt
+from time import monotonic
 
 from .linalg import EchelonSpan, operator_kernel, solve, span_basis
 from .scalars import Context, Scalar
@@ -40,6 +41,7 @@ from .vertex_engine import heis_apply, vertex_mode, vertex_window, virasoro_appl
 __all__ = [
     "CertificateRefused",
     "CheckReport",
+    "ClosureBudgetError",
     "DecompositionReport",
     "axiom_report",
     "certify_virasoro_vector",
@@ -62,7 +64,18 @@ __all__ = [
     "virasoro_report",
 ]
 
+# closure budgets: members admitted, and wall seconds checked once per
+# worklist member; 300 s is about twenty times the c = 1/2 character's
+# closure at cutoff 8 (13.8 s on a 2-core host with Python 3.11)
 MAX_CLOSURE_MEMBERS = 4000
+MAX_CLOSURE_SECONDS = 300.0
+
+
+class ClosureBudgetError(ValueError, RuntimeError):
+    """Raised when a subalgebra closure exceeds its member or time budget.
+
+    A ValueError, so the CLI reports it as a usage error (exit 2); still a
+    RuntimeError, as the member budget's error was before."""
 
 
 @dataclass
@@ -269,7 +282,9 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     lands at weight <= cutoff, until the per-weight ranks stop growing.
     Products of pool vectors of any two weights are considered, so
     generator components above the cutoff still contribute.  A closure
-    that grows past MAX_CLOSURE_MEMBERS members raises RuntimeError.
+    that grows past MAX_CLOSURE_MEMBERS members, or that is still running
+    after MAX_CLOSURE_SECONDS when it takes up its next worklist member,
+    raises ClosureBudgetError.
 
     Each unordered pair of members is multiplied once, the later member a
     on the left.  By skew symmetry b_(n) a = sum_j (-1)^(n+j+1)
@@ -297,13 +312,20 @@ def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> GradedSubspac
             if row is not None:
                 members.append(row)
                 if len(members) > MAX_CLOSURE_MEMBERS:
-                    raise RuntimeError("subalgebra closure exceeded its member budget")
+                    raise ClosureBudgetError(
+                        f"subalgebra closure exceeded its member budget of {MAX_CLOSURE_MEMBERS}"
+                    )
 
+    start = monotonic()
     admit(vacuum(ctx))
     for g in generators:
         admit(g)
     i = 0
     while i < len(members):
+        if monotonic() - start > MAX_CLOSURE_SECONDS:
+            raise ClosureBudgetError(
+                f"subalgebra closure exceeded its time budget of {MAX_CLOSURE_SECONDS:g} s"
+            )
         x = members[i]
         admit(pct(x))
         admit(virasoro_apply(1, x))

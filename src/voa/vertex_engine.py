@@ -44,14 +44,17 @@ as the image of its canonical partner; _virasoro_mono does the same for
 negative charge, since nu is phi-fixed and L_m commutes with phi.
 
 Everything is computed exactly; mode products of basis monomial pairs
-are cached per requested weight window.
+are cached per requested weight window.  vertex_window assembles those
+cached blocks into vectors with one canonical pass per output entry: it
+sums the entry's terms as integer numerators over one common denominator
+and builds its Scalar once, through Context.from_ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .scalars import Context, ContextMismatchError, Scalar, json_int
 from .state_space import (
@@ -388,31 +391,79 @@ def vertex_mode(a: Vector, n: int, b: Vector) -> Vector:
     return acc
 
 
+def _nonzero_slots(rat, rad, deg: int) -> list:
+    """(slot, coefficient) pairs of the nonzero entries of numerator tuples
+    laid out as in vertex_window: rat at slots 0..deg-1, rad from deg on."""
+    return [(i, x) for i, x in enumerate(rat) if x] + [
+        (deg + i, x) for i, x in enumerate(rad) if x
+    ]
+
+
 def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
     """All modes a_(n) b with output weight <= wmax, as {n: Vector}.
 
     Shares one cache entry per monomial pair, so it is the right call in
     loops that sweep many modes of the same vectors.
+
+    Each output entry is summed in integers and canonicalized once.  Let
+    f = (r + s sqrt(2N)) / f.den be the factor of a monomial pair and c a
+    kernel entry of its block.  An entry is a list of 2 phi(n) integer
+    numerators, rat then rad, over den, the lcm of every f.den * c.den in
+    the window.  A kernel entry c = p/q adds p den/(f.den q) times (r, s);
+    c = (p/q) sqrt(2N) adds the same multiple of (2N s, r).  Only an entry
+    of another shape, where sqrt(2N) folds into Q(zeta_n) as a
+    non-rational, is multiplied as a Scalar first; the canonical den of
+    f * c divides f.den * c.den.  ctx.from_ints then builds each entry's
+    Scalar; entries that cancel are dropped, and so are modes left empty.
+    A single monomial pair with f = 1 returns copies of its cached blocks.
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
+    pairs = [
+        (cav * cbv, _mono_products(ctx, am, bm, wmax))
+        for am, cav in a.terms.items()
+        for bm, cbv in b.terms.items()
+    ]
+    if len(pairs) == 1 and pairs[0][0].is_one():
+        return {n: _raw(ctx, dict(block)) for n, block in pairs[0][1].items()}
+    two_n, deg = 2 * ctx.N, ctx.degree
+    den = lcm(
+        *{f.den * c.den for f, prod in pairs for block in prod.values() for c in block.values()}
+    )
     acc: dict = {}
-    for am, cav in a.terms.items():
-        for bm, cbv in b.terms.items():
-            f = cav * cbv
-            unit = f.is_one()
-            for n, block in _mono_products(ctx, am, bm, wmax).items():
-                dst = acc.setdefault(n, {})
-                for mono, c in block.items():
-                    add = c if unit else f * c
-                    prev = dst.get(mono)
-                    dst[mono] = add if prev is None else prev + add
+    for f, prod in pairs:
+        fr, fs = f.rat_num, f.rad_num
+        scale = den // f.den
+        by_rat = _nonzero_slots(fr, fs, deg)
+        by_rad = _nonzero_slots([two_n * x for x in fs], fr, deg)
+        for n, block in prod.items():
+            dst = acc.get(n)
+            if dst is None:
+                dst = acc[n] = {}
+            for mono, c in block.items():
+                crat, crad = c.rat_num, c.rad_num
+                if not crad and len(crat) == 1:
+                    k, slots = crat[0] * (scale // c.den), by_rat
+                elif not crat and len(crad) == 1:
+                    k, slots = crad[0] * (scale // c.den), by_rad
+                else:
+                    fc = f * c
+                    k, slots = den // fc.den, _nonzero_slots(fc.rat_num, fc.rad_num, deg)
+                nums = dst.get(mono)
+                if nums is None:
+                    nums = dst[mono] = [0] * (2 * deg)
+                for i, x in slots:
+                    nums[i] += k * x
     out = {}
-    for n, terms in acc.items():
-        vec = _clean(ctx, terms)
-        if not vec.is_zero():
-            out[n] = vec
+    for n, entries in acc.items():
+        terms = {}
+        for mono, nums in entries.items():
+            c = ctx.from_ints(nums[:deg], nums[deg:], den)
+            if not c.is_zero():
+                terms[mono] = c
+        if terms:
+            out[n] = _raw(ctx, terms)
     return out
 
 

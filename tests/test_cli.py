@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from voa import structure_analysis
 from voa.cli import main
 from voa.scalars import Context
 from voa.state_space import (
@@ -182,6 +183,20 @@ def test_huge_conductor_exits_three_with_one_line(capsys):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.count("\n") == 1 and "at most" in captured.err
+
+
+@pytest.mark.parametrize(
+    "budget, value, says",
+    [("MAX_CLOSURE_MEMBERS", 3, "member budget of 3"), ("MAX_CLOSURE_SECONDS", 0.0, "time budget")],
+)
+def test_close_over_budget_exits_two_with_one_line(capsys, monkeypatch, budget, value, says):
+    # a real closure under a tiny budget; N = 7 is not closed by any other test,
+    # so the closure cache cannot answer first
+    monkeypatch.setattr(structure_analysis, budget, value)
+    code = main(["close", "--N", "7", "--cutoff", "4"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and says in captured.err
 
 
 def test_conductor_environment_override(capsys, monkeypatch):

@@ -224,6 +224,22 @@ def test_close_subalgebra_member_budget(monkeypatch):
         close_subalgebra(ctx, [conformal_vector(ctx)], 5)
 
 
+def test_close_subalgebra_time_budget(monkeypatch):
+    # checked once per worklist member: a zero budget stops the closure as it
+    # takes up its first member, before any product is formed
+    monkeypatch.setattr(structure_analysis, "MAX_CLOSURE_SECONDS", 0.0)
+    ctx = Context(N=6)
+    with pytest.raises(structure_analysis.ClosureBudgetError, match="time budget"):
+        close_subalgebra(ctx, [conformal_vector(ctx)], 5)
+
+
+def test_closure_budget_error_is_a_value_error(monkeypatch):
+    monkeypatch.setattr(structure_analysis, "MAX_CLOSURE_MEMBERS", 3)
+    ctx = Context(N=6)
+    with pytest.raises(ValueError, match="member budget of 3"):
+        close_subalgebra(ctx, [conformal_vector(ctx)], 5)
+
+
 def test_project_conformal_recovers_generators():
     ctx = Context(N=2)
     w_nu = close_subalgebra(ctx, [conformal_vector(ctx)], 4)

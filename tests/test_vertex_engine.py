@@ -470,6 +470,94 @@ def test_vertex_mode_is_bilinear_across_components():
         assert vertex_mode(a, n, b) == expect, n
 
 
+def _window_by_pairs(a, b, wmax):
+    # the per-pair Scalar sum: sum over monomial pairs of f * Vector(block)
+    ctx = a.ctx
+    acc = {}
+    for (am, ca), (bm, cb) in product(a.terms.items(), b.terms.items()):
+        for n, block in _mono_products(ctx, am, bm, wmax).items():
+            acc[n] = acc.get(n, Vector.zero(ctx)) + Vector(ctx, block).scale(ca * cb)
+    return {n: v for n, v in acc.items() if not v.is_zero()}
+
+
+# (2, 8): sqrt 4 folds to 2, so every kernel entry is rational; (1, 8): sqrt 2
+# folds into zeta_8, so odd-power entries are general cyclotomic numbers;
+# (3, 4) and (3, 8): sqrt 6 stays a radical
+ACCUMULATOR_CONTEXTS = [(2, 8), (1, 8), (3, 4), (3, 8)]
+
+
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
+def test_vertex_window_matches_per_pair_scalar_sum(n_lat, conductor):
+    ctx = Context(n_lat, conductor)
+    z, root = ctx.zeta(), ctx.sqrt_2n()
+    third = ctx.from_fraction(Fraction(1, 3))
+    a = (
+        mono(ctx, (-1,), 0).scale(z)
+        + charged_vacuum(ctx, 1).scale(root + third)
+        + mono(ctx, (-2, -1), -1).scale(z * z - third)
+        + mono(ctx, (-1,), 1).scale(Fraction(-5, 2))
+    )
+    b = (
+        vacuum(ctx).scale(ctx.from_fraction(2) - z**3)
+        + mono(ctx, (-1, -1), 0).scale(root * z)
+        + charged_vacuum(ctx, -1).scale(Fraction(-1, 2))
+        + mono(ctx, (-2,), 1).scale(root * third)
+    )
+    for wmax in (2, 4, 6):
+        got = vertex_window(a, b, wmax)
+        expect = _window_by_pairs(a, b, wmax)
+        assert got == expect, wmax
+        for n, v in got.items():
+            assert vector_to_json(v) == vector_to_json(expect[n]), (wmax, n)
+            assert not any(c.is_zero() for c in v.terms.values()), (wmax, n)
+
+
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
+def test_vertex_window_drops_cancelled_entries(n_lat, conductor):
+    # J_(-1) e^a = J_{-1} e^a and e^a_(-1) J_{-1} vacuum = (1 - 2N) J_{-1} e^a,
+    # so with b = e^a + J / (2N - 1) the n = -1 entry at J_{-1} e^a cancels;
+    # at N = 1 the two n = 0 products, +-sqrt 2 e^a, cancel as well, and with
+    # them the whole mode
+    ctx = Context(n_lat, conductor)
+    j, ep = mono(ctx, (-1,), 0), charged_vacuum(ctx, 1)
+    a = j + ep
+    b = ep + j.scale(Fraction(1, 2 * n_lat - 1))
+    got = vertex_window(a, b, 4)
+    assert got == _window_by_pairs(a, b, 4)
+    cancelled = BasisMonomial((-1,), 1)
+    (jm,), (em,) = j.terms, ep.terms
+    assert cancelled in _mono_products(ctx, jm, em, 4)[-1]
+    assert cancelled not in got[-1].terms
+    assert (0 in got) == (n_lat != 1)
+
+
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
+def test_vertex_window_single_pair_with_non_unit_factor(n_lat, conductor):
+    ctx = Context(n_lat, conductor)
+    f = ctx.zeta() + ctx.sqrt_2n() * ctx.from_fraction(Fraction(2, 3))
+    a, b = mono(ctx, (-2,), 1).scale(f), mono(ctx, (-1,), -1).scale(Fraction(3, 7))
+    got = vertex_window(a, b, 5)
+    assert got and got == _window_by_pairs(a, b, 5)
+
+
+def test_single_unit_pair_window_does_not_share_the_cache():
+    ctx = Context(3)
+    a, b = charged_vacuum(ctx, 1), mono(ctx, (-1,), -1)
+    (am,), (bm,) = a.terms, b.terms
+    cached = _mono_products(ctx, am, bm, 5)
+    before = {n: dict(block) for n, block in cached.items()}
+    win = vertex_window(a, b, 5)
+    original = {n: Vector(ctx, v.terms) for n, v in win.items()}
+    assert original == {n: Vector(ctx, block) for n, block in before.items()}
+    for v in win.values():
+        first = next(iter(v.terms))
+        v.terms[first] = ctx.from_fraction(7)
+        v.terms[BasisMonomial((-9,), 4)] = ctx.one()
+    assert vertex_window(a, b, 5) == original
+    assert _mono_products(ctx, am, bm, 5) is cached
+    assert cached == before
+
+
 @pytest.mark.parametrize("n_lat, conductor", [(1, 4), (3, 4), (3, 8)])
 def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conductor):
     # in the alpha-basis every structure constant is rational, so a J-basis
@@ -621,7 +709,9 @@ def test_locality_order_matches_commutator_formula(n_lat, left, right):
     a, b = ops[left], ops[right]
     products = vertex_window(a, b, a.weight() + b.weight() - 1)
     top = max((j for j in products if j >= 0), default=-1)
-    assert find_locality_order(a, b, test_weight=2) == top + 1
+    # the search returns the first order that works, so max_order = top + 1
+    # gives the same verdict as a wider search, and a wrong kernel fails fast
+    assert find_locality_order(a, b, test_weight=2, max_order=top + 1) == top + 1
 
 
 def test_mode_request_round_trip():
