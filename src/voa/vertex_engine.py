@@ -43,6 +43,15 @@ positive, or zero with b's charge nonnegative) and reads every other pair
 as the image of its canonical partner; _virasoro_mono does the same for
 negative charge, since nu is phi-fixed and L_m commutes with phi.
 
+Inside the kernel every state of a stage has one charge (b's in stage 1,
+a's plus b's in the output blocks), so its dicts are keyed on bare
+partition tuples and compare in C.  A BasisMonomial is built only for a
+final block entry, by _mk_mono, the engine's interning constructor: one
+object per (partition, charge) for as long as its bounded cache keeps it,
+shared by the kernel, _flip_terms, _virasoro_mono and heis_apply, so the
+dict lookups of vertex_window and Vector.__add__ on engine outputs hit on
+identity.  Equality stays by value; an evicted entry costs only speed.
+
 Everything is computed exactly; mode products of basis monomial pairs
 are cached per requested weight window.  vertex_window assembles those
 cached blocks into vectors with one canonical pass per output entry: it
@@ -68,8 +77,16 @@ from .state_space import (
 )
 
 
+@lru_cache(maxsize=100_000)
 def _mk_mono(partition: tuple, charge: int) -> BasisMonomial:
-    # trusted fast path: partition already ascending and negative
+    """The engine's interning constructor: one BasisMonomial per (partition,
+    charge) while its entry stays in the cache, so dict lookups on engine
+    outputs hit on identity.  The bound of 100000 entries is far above the
+    1932 distinct monomials the whole test suite builds in one process (866
+    on the largest benchmark workload).  Equality stays by value, so an
+    evicted entry costs only speed.  Trusted fast path: the partition must
+    already be an ascending tuple of negative modes, since __post_init__'s
+    checks are skipped."""
     m = object.__new__(BasisMonomial)
     object.__setattr__(m, "partition", partition)
     object.__setattr__(m, "charge", charge)
@@ -109,10 +126,16 @@ def heis_apply(m: int, v: Vector) -> Vector:
                 out[mono] = c * (root * mono.charge)
         return _clean(ctx, out)
     if m > 0:
-        return _clean(ctx, _apply_annihilators((m,), v.terms, 1))
+        # removing a part is injective per charge, so no two terms meet
+        out = {
+            _mk_mono(lam, mono.charge): d
+            for mono, c in v.terms.items()
+            for lam, d in _apply_annihilators((m,), {mono.partition: c}, 1).items()
+        }
+        return _clean(ctx, out)
     out: dict = {}
     for mono, c in v.terms.items():
-        new = BasisMonomial(tuple(sorted(mono.partition + (m,))), mono.charge)
+        new = _mk_mono(tuple(sorted(mono.partition + (m,))), mono.charge)
         prev = out.get(new)
         out[new] = c if prev is None else prev + c
     return _clean(ctx, out)
@@ -190,7 +213,10 @@ def _root_power(ctx: Context, num: int, den: int, d: int) -> Scalar:
 
 
 def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
-    """Apply a product of positive-mode factors to a monomial dict.
+    """Apply a product of positive-mode factors to a {partition: coefficient}
+    dict at one fixed charge; the result is keyed on partitions too, and a
+    caller that needs monomials re-attaches the charge with _mk_mono.  This
+    is the only code in the package that removes a part from a partition.
 
     norm is the squared norm of the Heisenberg generator: 1 for J, whose
     modes satisfy [J_m, J_{-m}] = m, and 2N for alpha.
@@ -198,13 +224,13 @@ def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
     cur = vec
     for m in modes:
         nxt: dict = {}
-        for mono, c in cur.items():
-            cnt = mono.partition.count(-m)
+        for lam, c in cur.items():
+            cnt = lam.count(-m)
             if not cnt:
                 continue
-            parts = list(mono.partition)
+            parts = list(lam)
             parts.remove(-m)
-            new = _mk_mono(tuple(parts), mono.charge)
+            new = tuple(parts)
             add = c * (cnt * m * norm)
             prev = nxt.get(new)
             nxt[new] = add if prev is None else prev + add
@@ -284,8 +310,9 @@ def _mono_products_direct(
         return {}
     wa, wb = amono.weight(n_lat), bmono.weight(n_lat)
 
-    # stage 1: one mode choice per alpha-factor of a
-    entries: dict = {(0, ()): {bmono: 1}}
+    # stage 1: one mode choice per alpha-factor of a; every state has charge
+    # cb, so the dicts are keyed on bare partitions
+    entries: dict = {(0, ()): {bmono.partition: 1}}
     for part in amono.partition:
         k = -part - 1
         new: dict = {}
@@ -311,7 +338,7 @@ def _mono_products_direct(
             # annihilation choices: alpha_0 (nonzero charge) and every part size
             if cb:
                 put((zexp - k - 1, pend), vec, _field_coeff(k, 0) * two_n * cb)
-            sizes = sorted({-p for m in vec for p in m.partition})
+            sizes = sorted({-p for lam in vec for p in lam})
             for s in sizes:
                 img = _apply_annihilators((s,), vec, two_n)
                 put((zexp - s - k - 1, pend), img, _field_coeff(k, s))
@@ -327,21 +354,22 @@ def _mono_products_direct(
         if not entries:
             return {}
 
-    # stage 2: E_-, charge shift, E_+, pending creations, weights scaled by F!
+    # stage 2: E_-, charge shift, E_+, pending creations, weights scaled by F!;
+    # every output has charge ctot, so the blocks are keyed on partitions too
     zshift = 2 * n_lat * ca * cb
     scale = factorial(max(fmax, -sum(bmono.partition)))
     result: dict = {}
     for (zexp, pend), vec in entries.items():
-        vfock = max((-sum(m.partition) for m in vec), default=0)
+        vfock = max((-sum(lam) for lam in vec), default=0)
         for q in range(0, vfock + 1):
             acc: dict = {}
             for modes, f in _eminus_pairs(ca, q):
                 piece = _apply_annihilators(modes, vec, two_n)
                 w = f.numerator * (scale // f.denominator)
-                for mono, c in piece.items():
+                for lam, c in piece.items():
                     add = c * w
-                    prev = acc.get(mono)
-                    acc[mono] = add if prev is None else prev + add
+                    prev = acc.get(lam)
+                    acc[lam] = add if prev is None else prev + add
             acc = {m: c for m, c in acc.items() if c}
             if not acc:
                 continue
@@ -355,19 +383,22 @@ def _mono_products_direct(
                     n = -(e1 + p) - 1
                     block = result.setdefault(n, {})
                     w = f.numerator * (scale // f.denominator)
-                    for mono, c in acc.items():
-                        new_mono = _mk_mono(tuple(sorted(mono.partition + ext)), ctot)
+                    for lam, c in acc.items():
+                        out_lam = tuple(sorted(lam + ext))
                         add = c * w
-                        prev = block.get(new_mono)
-                        block[new_mono] = add if prev is None else prev + add
+                        prev = block.get(out_lam)
+                        block[out_lam] = add if prev is None else prev + add
 
-    # back to the J-basis, one division by (F!)^2 and one Scalar per final block entry
+    # back to the J-basis, one division by (F!)^2 and one Scalar per final
+    # block entry, keyed on its interned monomial
     lab = len(amono.partition) + len(bmono.partition)
     den = scale * scale
     out: dict = {}
     for n, block in result.items():
         clean = {
-            m: _root_power(ctx, c, den, len(m.partition) - lab) for m, c in block.items() if c
+            _mk_mono(lam, ctot): _root_power(ctx, c, den, len(lam) - lab)
+            for lam, c in block.items()
+            if c
         }
         if clean:
             out[n] = clean

@@ -45,6 +45,7 @@ from voa.structure_analysis import (
     virasoro_character,
 )
 from voa.vertex_engine import (
+    _mk_mono,
     _mono_products,
     _virasoro_mono,
     heis_apply,
@@ -198,7 +199,10 @@ def test_close_subalgebra_is_mode_closed(n_lat, gens, cutoff):
                 assert spans[prod.weight()].contains(prod), (x, y, n)
 
 
-def test_closure_golden_digest():
+CLOSURE_DIGEST = "81c9dcd169b87827240ff9f6509e0d73c8f680d38ea2c99ca21b1ff951eef09c"
+
+
+def _closure_digest():
     # reduced echelon bases are canonical, so equal spans give equal bytes
     data = {}
     for key, ctx, gens, cutoff in _closure_family():
@@ -206,8 +210,25 @@ def test_closure_golden_digest():
         data[key] = {
             str(w): [vector_to_json(v) for v in sub.weight_basis(w)] for w in range(cutoff + 1)
         }
-    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
-    assert digest == "81c9dcd169b87827240ff9f6509e0d73c8f680d38ea2c99ca21b1ff951eef09c"
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_closure_golden_digest():
+    assert _closure_digest() == CLOSURE_DIGEST
+
+
+def test_closure_golden_digest_after_intern_eviction():
+    # fill the kernel cache with the closure of each case's first generator,
+    # then drop every interned monomial: the closure of nu and e+ + e- then
+    # sums cached charge-zero blocks with charged blocks built anew, whose
+    # keys are equal to, but not the same objects as, the cached ones
+    _mono_products.cache_clear()
+    _close_cached.cache_clear()
+    for _, ctx, gens, cutoff in _closure_family():
+        close_subalgebra(ctx, gens[:1], cutoff)
+    _close_cached.cache_clear()
+    _mk_mono.cache_clear()
+    assert _closure_digest() == CLOSURE_DIGEST
 
 
 def test_close_subalgebra_generator_corollary_matches_flip_fixed_points():
@@ -269,6 +290,7 @@ def test_cached_fixed_points_cannot_be_mutated():
 
 def test_input_keyed_caches_are_bounded():
     caches = (
+        _mk_mono,
         _mono_products,
         _virasoro_mono,
         enumerate_basis,

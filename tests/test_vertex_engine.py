@@ -29,6 +29,7 @@ from voa.vertex_engine import (
     _apply_annihilators,
     _eminus_pairs,
     _eplus_pairs,
+    _mk_mono,
     _mono_products,
     _mono_products_direct,
     find_locality_order,
@@ -200,17 +201,18 @@ def test_eminus_action_on_conformal_vector():
 
     # E_-(alpha, z)(nu (x) e^alpha) = nu e - 2 J_{-1} e z^{-1} + 2 e z^{-2} in V_{L_4},
     # with nu = J_{-1}^2 / 2 = alpha_{-1}^2 / 8, J_{-1} = alpha_{-1} / 2 and
-    # [alpha_m, alpha_{-m}] = 4m
-    carrier = {BasisMonomial((-1, -1), 1): Fraction(1, 8)}
+    # [alpha_m, alpha_{-m}] = 4m; the carrier is keyed on partitions at charge 1
+    carrier = {(-1, -1): Fraction(1, 8)}
 
     def coefficient(k, q):
         acc: dict = {}
         for modes, f in _eminus_pairs(k, q):
-            for m, c in _apply_annihilators(modes, carrier, 4).items():
+            for part, c in _apply_annihilators(modes, carrier, 4).items():
+                m = BasisMonomial(part, 1)
                 acc[m] = acc.get(m, 0) + f * c
         return {m: c for m, c in acc.items() if c}
 
-    assert coefficient(1, 0) == carrier
+    assert coefficient(1, 0) == {BasisMonomial((-1, -1), 1): Fraction(1, 8)}
     assert coefficient(1, 1) == {BasisMonomial((-1,), 1): -1}
     assert coefficient(1, 2) == {BasisMonomial((), 1): 2}
     assert coefficient(1, 3) == {}
@@ -575,6 +577,71 @@ def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conducto
                 assert len(rat) == 1 and not rad, (am, bm, out, c)
                 seen[odd] += 1
     assert seen[0] and seen[1]
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+@pytest.mark.parametrize("conductor", [4, 8])
+def test_kernel_outputs_are_interned_and_valid(n_lat, conductor):
+    # _mk_mono skips BasisMonomial's checks, so every output monomial must
+    # pass them; and it interns, so windows that share an output monomial
+    # share the key object
+    _mono_products.cache_clear()
+    _mk_mono.cache_clear()
+    ctx = Context(n_lat, conductor)
+    seen: dict = {}
+    shared = 0
+    for a, b in _unit_pairs(ctx):
+        (am,), (bm,) = a.terms, b.terms
+        for block in _mono_products(ctx, am, bm, a.weight() + b.weight() + 2).values():
+            for m in block:
+                assert BasisMonomial(m.partition, m.charge) == m
+                assert m is _mk_mono(m.partition, m.charge)
+                key = (m.partition, m.charge)
+                shared += key in seen
+                assert seen.setdefault(key, m) is m
+    assert shared
+
+
+def _window_json(a, b, wmax):
+    win = vertex_window(a, b, wmax)
+    return json.dumps({str(n): vector_to_json(v) for n, v in win.items()}, sort_keys=True)
+
+
+def _window_keys(ctx, a, b, wmax):
+    return {
+        (n, m.partition, m.charge): m
+        for am in a.terms
+        for bm in b.terms
+        for n, block in _mono_products(ctx, am, bm, wmax).items()
+        for m in block
+    }
+
+
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
+def test_evicted_intern_entries_do_not_change_a_window(n_lat, conductor):
+    # after _mk_mono.cache_clear() the cached kernel blocks of J against b
+    # hold keys equal to, but not the same objects as, those of the blocks
+    # of the other terms of a, computed afterwards; J_(-1) e^a and
+    # e^a_(-1) J_{-1} vacuum share J_{-1} e^a, so the window must merge
+    # equal keys by value
+    ctx = Context(n_lat, conductor)
+    z = ctx.zeta()
+    j = mono(ctx, (-1,), 0)
+    rest = charged_vacuum(ctx, 1).scale(z) + mono(ctx, (-2, -1), -1).scale(Fraction(-5, 2))
+    a = j + rest
+    b = charged_vacuum(ctx, 1) + j.scale(Fraction(1, 3)) + vacuum(ctx).scale(z)
+    _mono_products.cache_clear()
+    _mk_mono.cache_clear()
+    fresh = _window_json(a, b, 6)
+
+    _mono_products.cache_clear()
+    _mk_mono.cache_clear()
+    old = _window_keys(ctx, j, b, 6)
+    _mk_mono.cache_clear()
+    new = _window_keys(ctx, rest, b, 6)
+    shared = old.keys() & new.keys()
+    assert shared and all(old[k] is not new[k] for k in shared)
+    assert _window_json(a, b, 6) == fresh
 
 
 def _canonical(am, bm):
