@@ -145,31 +145,50 @@ def _identity_row(relation: str, cases) -> dict:
 def _bracket_cases(x, y, pool, pairs):
     """Commutators of two mode families on every pool vector.
 
-    x and y map a vector to its mode table {mode: image}.  Yields
+    x and y map a vector v and a mode lo to a mode table {mode: image}
+    that holds every nonzero image at a mode >= lo; modes below lo may be
+    missing.  They are only called on homogeneous nonzero vectors: the
+    pool's unit vectors and the nonempty modes of their tables.  Yields
     (v, m, n, x_m y_n v - y_n x_m v, x-table of v) for each v in pool
-    and each (m, n) in pairs.  Second-level tables are built only for
-    the modes that pairs reads, once over their union when x is y, and
-    one vector's tables are released before the next vector's are built.
+    and each (m, n) in pairs.  The x-table of v holds every mode from the
+    lowest x-mode and every m + n up, so a caller may read x_{m+n} v from
+    it; the other tables hold every mode from the lowest one pairs reads
+    of them.  Second-level tables are built only for the modes that
+    pairs reads, once over their union when x is y, and one vector's
+    tables are released before the next vector's are built.
     """
     pairs = tuple(pairs)
+    if not pairs:
+        return
     x_modes = {m for m, _ in pairs}
     y_modes = {n for _, n in pairs}
     if x is y:
         x_modes = y_modes = x_modes | y_modes
+    x_lo, y_lo = min(x_modes), min(y_modes)
+    base_lo = min(x_lo, *(m + n for m, n in pairs))
     for v in pool:
         zero = Vector.zero(v.ctx)
-        xv = x(v)
-        y_after_x = {m: y(u) for m, u in xv.items() if m in x_modes}
-        x_after_y = y_after_x if x is y else {n: x(u) for n, u in y(v).items() if n in y_modes}
+        xv = x(v, base_lo)
+        y_after_x = {m: y(u, y_lo) for m, u in xv.items() if m in x_modes}
+        x_after_y = (
+            y_after_x
+            if x is y
+            else {n: x(u, x_lo) for n, u in y(v, y_lo).items() if n in y_modes}
+        )
         for m, n in pairs:
             lhs = x_after_y.get(n, {}).get(m, zero) - y_after_x.get(m, {}).get(n, zero)
             yield v, m, n, lhs, xv
         del xv, y_after_x, x_after_y
 
 
-def _virasoro_table(omega: Vector, wmax: int):
-    """Mode table of omega's field, keyed by Virasoro index: omega_(n) acts as L_{n-1}."""
-    return lambda v: {n - 1: u for n, u in vertex_window(omega, v, wmax).items()}
+def _virasoro_table(omega: Vector):
+    """Mode table of omega's field, keyed by Virasoro index: omega_(n) acts
+    as L_{n-1}.  Called as table(v, lo) on a homogeneous v, it holds every
+    nonzero L_k v with k >= lo.  L_k v has weight wt v - k, so the window
+    at wt v - lo holds each of them, and for homogeneous operands a mode's
+    block does not depend on the window once its weight is within it: the
+    table agrees with any wider one on every mode >= lo."""
+    return lambda v, lo: {n - 1: u for n, u in vertex_window(omega, v, v.weight() - lo).items()}
 
 
 def _unit_vectors(ctx: Context, weight: int) -> list:
@@ -371,13 +390,14 @@ def certify_virasoro_vector(
     -mode_range <= n < m <= mode_range.  Every comparison is exact; the
     first failure raises CertificateRefused carrying the defect vector.
     A certificate is a report with one row: the number of basis vectors
-    and of relations checked.
+    and of relations checked.  No window is bounded globally: each mode
+    table is bounded per vector at the lowest mode read from it (L_0 for
+    omega's own table; see _bracket_cases for the others).
     """
     ctx = omega.ctx
     c = Fraction(central_charge)
     if omega.is_zero() or not omega.is_homogeneous() or omega.weight() != 2:
         raise ValueError("certificate candidates must be homogeneous of weight 2")
-    wmax = cutoff + 2 * mode_range
     zero = Vector.zero(ctx)
     counter = [0]
 
@@ -386,8 +406,8 @@ def certify_virasoro_vector(
         if lhs != rhs:
             raise CertificateRefused(relation, lhs - rhs)
 
-    table = _virasoro_table(omega, wmax)
-    own = table(omega)
+    table = _virasoro_table(omega)
+    own = table(omega, 0)
     demand(own.get(0, zero), omega.scale(2), "L_0 omega = 2 omega")
     for m in (1, 3, 4):
         demand(own.get(m, zero), zero, f"L_{m} omega = 0")
@@ -520,16 +540,16 @@ def solve_omega_constraint(ctx: Context) -> CheckReport:
 def verify_w_tensor_split(ctx: Context, cutoff: int = 6, mode_range: int = 2) -> CheckReport:
     """The split conformal vectors at angles 0 and pi sum to the full
     conformal vector, and their Virasoro actions commute on every basis
-    vector up to the cutoff."""
+    vector up to the cutoff.  Each mode table is bounded per vector at
+    the lowest mode _bracket_cases asks of it, not at one global window."""
     if ctx.N != 2:
         raise ValueError("the split pair lives in V_{L_4} (N = 2)")
     w0 = split_virasoro_vector(ctx, 0, 1)
     wpi = split_virasoro_vector(ctx, 1, 2)
     sum_ok = (w0 + wpi) == conformal_vector(ctx)
-    wmax = cutoff + 2 * mode_range
     zero = Vector.zero(ctx)
     span = range(-mode_range, mode_range + 1)
-    x, y = _virasoro_table(w0, wmax), _virasoro_table(wpi, wmax)
+    x, y = _virasoro_table(w0), _virasoro_table(wpi)
     cases = _bracket_cases(x, y, _unit_pool(ctx, cutoff), product(span, span))
     rows = [
         {"relation": "omega_0 + omega_pi = nu", "ok": sum_ok},
@@ -581,7 +601,7 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     rows.append({"relation": "weight-one basis orthonormal", "ok": ortho})
 
     pool = _unit_pool(ctx, cutoff)
-    triple = [(a, lambda v, a=a: {0: bracket(a, v)}) for a in (e, f, h)]
+    triple = [(a, lambda v, lo, a=a: {0: bracket(a, v)}) for a in (e, f, h)]
 
     def operator_cases():
         for (a, x), (b, y) in product(triple, repeat=2):
@@ -679,10 +699,12 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
             for n in modes:
                 yield shifted.get(n, zero), plain.get(n - 1, zero).scale(-n)
 
-    def heis(v: Vector) -> dict:
+    # both tables build exactly the modes that pairs reads and ignore lo;
+    # no check here reads x_{m+n} v from the x-table
+    def heis(v: Vector, lo: int) -> dict:
         return {k: heis_apply(k, v) for k in modes}
 
-    def vir(v: Vector) -> dict:
+    def vir(v: Vector, lo: int) -> dict:
         return {k: virasoro_apply(k, v) for k in modes}
 
     def heisenberg():

@@ -262,6 +262,16 @@ def test_verify_all_small_cutoff(capsys):
     assert all(r["verdict"] for r in data["reports"])
 
 
+def test_verify_all_default_output_at_cutoff_six(capsys):
+    # the cutoff where per-vector mode-table bounds cut the most windows
+    code, out = run(capsys, "verify", "all", "--cutoff", "6")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "cd776cb786ad7391ca3e684ae56d3a9577204f7fc02babda018d86affd4ece62"
+    )
+
+
 @pytest.mark.parametrize("n_lat", ["1", "2", "3"])
 def test_verify_all_at_each_lattice(capsys, n_lat):
     # sl2, omega and tensor-split keep their own lattice; --N sets the rest

@@ -30,6 +30,8 @@ from voa.structure_analysis import (
     _close_cached,
     _identity_row,
     _omega_system,
+    _unit_pool,
+    _virasoro_table,
     axiom_report,
     certify_virasoro_vector,
     close_subalgebra,
@@ -51,6 +53,7 @@ from voa.vertex_engine import (
     heis_apply,
     vertex_window,
     virasoro_apply,
+    virasoro_field_of,
 )
 
 
@@ -401,6 +404,14 @@ def test_certify_conformal_vector_central_charge_one():
     }
 
 
+def test_certificate_with_no_bracket_pairs_checks_only_omega():
+    # mode_range 0 leaves no (m, n) pair, so no table bound is asked for
+    ctx = Context(N=2)
+    assert list(_bracket_cases(None, None, _unit_pool(ctx, 2), [])) == []
+    cert = certify_virasoro_vector(conformal_vector(ctx), 1, cutoff=2, mode_range=0)
+    assert cert.rows == [{"basis_dimension": 6, "relations_checked": 5, "ok": True}]
+
+
 def test_certify_split_vectors_central_charge_half():
     ctx = Context(N=2)
     for vec in (split_virasoro_vector(ctx, 0, 1), split_virasoro_vector(ctx, 1, 2)):
@@ -511,7 +522,7 @@ def test_bracket_row_with_false_right_side_fails_on_full_count():
     pool = [Vector(ctx, {m: 1}) for w in range(3) for m in enumerate_basis(ctx, w)]
     modes = range(-2, 3)
 
-    def heis(v):
+    def heis(v, lo):
         return {k: heis_apply(k, v) for k in modes}
 
     def row(rhs):
@@ -536,6 +547,51 @@ def test_bracket_row_with_false_right_side_fails_on_full_count():
         "defect": vector_to_json(vacuum(ctx).scale(-2)),
         "witness": {"vector": vector_to_json(vacuum(ctx)), "m": -2, "n": 2},
     }
+
+
+def _json_bytes(table, lo):
+    return {k: json.dumps(vector_to_json(u)) for k, u in table.items() if k >= lo}
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [conformal_vector(Context(2)), split_virasoro_vector(Context(2, 8), 1, 8)],
+    ids=["nu", "split-1/8"],
+)
+def test_virasoro_table_holds_every_mode_from_lo(omega):
+    # table(v, lo) agrees with a window wide enough for every read mode:
+    # same images at every mode >= lo, and none of them missing
+    table = _virasoro_table(omega)
+    for v in _unit_pool(omega.ctx, 4):
+        wide = {n - 1: u for n, u in vertex_window(omega, v, 12).items()}
+        for lo in range(-6, 2):
+            assert _json_bytes(table(v, lo), lo) == _json_bytes(wide, lo), (v, lo)
+
+
+def test_bracket_row_through_bounded_tables_names_its_first_failure():
+    # the split vectors at angles 0 and pi/2 do not commute; the row read
+    # through bounded tables names the first failing case in pool order,
+    # and its defect matches the commutator built without tables
+    ctx = Context(2, 8)
+    w0, wq = split_virasoro_vector(ctx, 0, 1), split_virasoro_vector(ctx, 1, 4)
+    pool = _unit_pool(ctx, 2)
+    span = range(-2, 3)
+    zero = Vector.zero(ctx)
+    cases = _bracket_cases(_virasoro_table(w0), _virasoro_table(wq), pool, product(span, span))
+    row = _identity_row("[L^0_m, L^q_n] = 0", ((lhs, zero, (v, m, n)) for v, m, n, lhs, _ in cases))
+
+    def commutator(v, m, n):
+        return virasoro_field_of(w0, m, virasoro_field_of(wq, n, v)) - virasoro_field_of(
+            wq, n, virasoro_field_of(w0, m, v)
+        )
+
+    v, m, n = next(
+        (v, m, n) for v in pool for m, n in product(span, span) if not commutator(v, m, n).is_zero()
+    )
+    assert row["ok"] is False and row["checked"] == len(pool) * len(span) ** 2 == 150
+    assert row["witness"] == {"vector": vector_to_json(v), "m": m, "n": n}
+    assert (m, n) == (-2, -2)
+    assert row["defect"] == vector_to_json(commutator(v, m, n))
 
 
 def test_identity_row_names_the_defect_of_its_first_failure():
