@@ -23,7 +23,7 @@ J_m^dagger = J_{-m} and [J_m, J_{-m}] = m on unit-norm charged vacua.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,30 +68,22 @@ def z_lambda(parts) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class BasisMonomial:
-    """One basis monomial: mode partition (ascending, negative) and charge."""
+class BasisMonomial(namedtuple("_Monomial", "partition charge")):
+    """One basis monomial: mode partition (ascending, negative) and charge.
 
-    partition: tuple
-    charge: int
+    A tuple (partition, charge), so hashing and equality run in C; it
+    equals the plain tuple of the same fields.  Tuple order is not the
+    canonical order: every ordering of monomials goes through sort_key.
+    """
 
-    def __post_init__(self):
-        if any(m >= 0 for m in self.partition):
-            raise ValueError(f"modes must be strictly negative: {self.partition}")
-        if list(self.partition) != sorted(self.partition):
-            raise ValueError(f"modes must be ascending: {self.partition}")
-        # hot dict key: hash once at construction
-        object.__setattr__(self, "_hash", hash((self.partition, self.charge)))
+    __slots__ = ()
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, BasisMonomial):
-            return NotImplemented
-        return self.charge == other.charge and self.partition == other.partition
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, partition: tuple, charge: int):
+        if any(m >= 0 for m in partition):
+            raise ValueError(f"modes must be strictly negative: {partition}")
+        if list(partition) != sorted(partition):
+            raise ValueError(f"modes must be ascending: {partition}")
+        return tuple.__new__(cls, (partition, charge))
 
     def weight(self, n_lat: int) -> int:
         return n_lat * self.charge * self.charge - sum(self.partition)

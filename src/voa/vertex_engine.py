@@ -26,7 +26,17 @@ tables scaled by F! each term is a Python int over the common denominator
 monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}; the
 division and the conversion happen once per final entry.  E_+ and E_-
 exist only as the kernel's alpha-basis tables _eplus_pairs and
-_eminus_pairs.
+_eminus_pairs; _int_pairs reads them as ints, scaled by the factorial of
+their order.
+
+The kernel's second stage expands E_+ once per z-exponent, not once per
+intermediate state.  A stage-1 state carries pending creation modes of
+a's J-factors, and those commute with E_+, which is a creation operator
+too.  E_+ is linear, so the E_- images of every state that reaches the
+same z-exponent e1 (pending creations merged in) are summed into one
+state, and E_+(c alpha, z) is expanded once over that sum.  The E_+
+orders p it needs depend only on e1, because the output weight is
+wt a + wt b + e1 + p.
 
 The charge flip phi: alpha_n -> -alpha_n, e^{k alpha} -> e^{-k alpha}
 (state_space.apply_flip) is an automorphism, phi(a_(n) b) = (phi a)_(n)
@@ -85,13 +95,9 @@ def _mk_mono(partition: tuple, charge: int) -> BasisMonomial:
     1932 distinct monomials the whole test suite builds in one process (866
     on the largest benchmark workload).  Equality stays by value, so an
     evicted entry costs only speed.  Trusted fast path: the partition must
-    already be an ascending tuple of negative modes, since __post_init__'s
-    checks are skipped."""
-    m = object.__new__(BasisMonomial)
-    object.__setattr__(m, "partition", partition)
-    object.__setattr__(m, "charge", charge)
-    object.__setattr__(m, "_hash", hash((partition, charge)))
-    return m
+    already be an ascending tuple of negative modes, since BasisMonomial's
+    validating __new__ is skipped."""
+    return tuple.__new__(BasisMonomial, (partition, charge))
 
 
 def _raw(ctx: Context, terms: dict) -> Vector:
@@ -201,6 +207,16 @@ def _eminus_pairs(k: int, q: int) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _int_pairs(table, k: int, order: int) -> tuple:
+    """The pairs of table(k, order), _eplus_pairs or _eminus_pairs, with each
+    Fraction weight times order! as an int: order!/z_lambda is an integer
+    for every partition lambda of order (see _mono_products_direct).  Keyed
+    without the kernel's F!, so it holds one int table per Fraction table."""
+    size = factorial(order)
+    return tuple((parts, f.numerator * (size // f.denominator)) for parts, f in table(k, order))
+
+
 def _root_power(ctx: Context, num: int, den: int, d: int) -> Scalar:
     """(num / den) * sqrt(2N)^d; built through ctx.from_ints, which folds the
     radical where it can and divides out the gcd."""
@@ -279,17 +295,25 @@ def _mono_products_direct(
 ) -> dict:
     """All modes a_(n) b for two basis monomials, output weight <= wmax, uncached.
 
-    Returns {n: {monomial: Scalar}}.  Enumerates, per J-factor of a, the
-    annihilation-mode and creation-mode choices (merged on equal
-    z-exponent and pending-creation multiset), then applies E_-, the
-    z^{(a|b)} shift from z^{alpha_0} at b's original charge, the charge
-    shift, and the E_+ and pending creation halves.
+    Returns {n: {monomial: Scalar}}.  Stage 1 enumerates, per J-factor of
+    a, the annihilation-mode and creation-mode choices (merged on equal
+    z-exponent and pending-creation multiset).  Stage 2 applies E_- and
+    the z^{(a|b)} shift from z^{alpha_0} at b's original charge to every
+    stage-1 state, merges the state's pending creations into each
+    partition, and sums the results into one state per z-exponent e1;
+    then it expands E_+ once per e1 over that sum.  This equals applying
+    E_+ and the pending creations to each state apart: both are creation
+    operators, so they commute, and E_+ is linear.  The E_+ orders p run
+    over the same range for every state of one e1, as the output weight
+    wt a + wt b + e1 + p must lie in [base, wmax], which depends on e1
+    alone.
 
     Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
     coefficients (+-k)^{len lambda}/z_lambda.  Both tables are read scaled
-    by F!, F = max(fmax, Fock weight of b), which makes every weight of an
-    order at most F an integer: z_lambda divides |lambda|!, since
+    by F!, F = max(fmax, Fock weight of b): as ints times order! from
+    _int_pairs, then times F!/order! per order.  Every such weight is an
+    integer for an order at most F: z_lambda divides |lambda|!, since
     |lambda|!/z_lambda is the size of the conjugacy class of cycle type
     lambda in S_|lambda| (Macdonald, Symmetric Functions and Hall
     Polynomials, I.2), and |lambda|! divides F!.  An E_- order q is at
@@ -354,40 +378,50 @@ def _mono_products_direct(
         if not entries:
             return {}
 
-    # stage 2: E_-, charge shift, E_+, pending creations, weights scaled by F!;
-    # every output has charge ctot, so the blocks are keyed on partitions too
+    # stage 2: E_- and the pending creations into one state per z-exponent
+    # e1, then one E_+ pass per e1; weights scaled by F!, and every output
+    # has charge ctot, so the states are keyed on partitions too
     zshift = 2 * n_lat * ca * cb
     scale = factorial(max(fmax, -sum(bmono.partition)))
-    result: dict = {}
+    base_e = base - wa - wb
+    top_e = wmax - wa - wb
+    merged: dict = {}
     for (zexp, pend), vec in entries.items():
         vfock = max((-sum(lam) for lam in vec), default=0)
-        for q in range(0, vfock + 1):
+        # orders q with e1 > top_e leave no E_+ order p >= 0 within wmax
+        for q in range(max(0, zexp + zshift - top_e), vfock + 1):
+            e1 = zexp - q + zshift
             acc: dict = {}
-            for modes, f in _eminus_pairs(ca, q):
-                piece = _apply_annihilators(modes, vec, two_n)
-                w = f.numerator * (scale // f.denominator)
-                for lam, c in piece.items():
+            mult = scale // factorial(q)
+            for modes, w in _int_pairs(_eminus_pairs, ca, q):
+                w *= mult
+                for lam, c in _apply_annihilators(modes, vec, two_n).items():
                     add = c * w
                     prev = acc.get(lam)
                     acc[lam] = add if prev is None else prev + add
-            acc = {m: c for m, c in acc.items() if c}
-            if not acc:
-                continue
-            e1 = zexp - q + zshift
-            # output weight wa + wb - n - 1 = wa + wb + e1 + p must lie in [base, wmax]
-            p_lo = max(0, base - wa - wb - e1)
-            p_hi = wmax - wa - wb - e1
-            for p in range(p_lo, p_hi + 1):
-                for cparts, f in _eplus_pairs(ca, p):
-                    ext = cparts + pend
-                    n = -(e1 + p) - 1
-                    block = result.setdefault(n, {})
-                    w = f.numerator * (scale // f.denominator)
-                    for lam, c in acc.items():
-                        out_lam = tuple(sorted(lam + ext))
-                        add = c * w
-                        prev = block.get(out_lam)
-                        block[out_lam] = add if prev is None else prev + add
+            state = merged.setdefault(e1, {})
+            for lam, c in acc.items():
+                if pend:
+                    lam = tuple(sorted(lam + pend))
+                prev = state.get(lam)
+                state[lam] = c if prev is None else prev + c
+    result: dict = {}
+    for e1, state in merged.items():
+        state = [(lam, c) for lam, c in state.items() if c]
+        if not state:
+            continue
+        # output weight wa + wb - n - 1 = wa + wb + e1 + p must lie in [base, wmax]
+        for p in range(max(0, base_e - e1), top_e - e1 + 1):
+            block = result.setdefault(-(e1 + p) - 1, {})
+            mult = scale // factorial(p)
+            for cparts, w in _int_pairs(_eplus_pairs, ca, p):
+                w *= mult
+                for lam, c in state:
+                    if cparts:
+                        lam = tuple(sorted(lam + cparts))
+                    add = c * w
+                    prev = block.get(lam)
+                    block[lam] = add if prev is None else prev + add
 
     # back to the J-basis, one division by (F!)^2 and one Scalar per final
     # block entry, keyed on its interned monomial

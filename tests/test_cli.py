@@ -262,6 +262,16 @@ def test_verify_all_small_cutoff(capsys):
     assert all(r["verdict"] for r in data["reports"])
 
 
+def test_verify_all_output_at_cutoff_four(capsys):
+    # the cutoff of the verify_all benchmark workload
+    code, out = run(capsys, "verify", "all", "--cutoff", "4")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "5407a45f17aea43c2ed62eac0aff599deb2db30f51f07c53aa3fda14f86d8b8f"
+    )
+
+
 def test_verify_all_default_output_at_cutoff_six(capsys):
     # the cutoff where per-vector mode-table bounds cut the most windows
     code, out = run(capsys, "verify", "all", "--cutoff", "6")

@@ -30,6 +30,7 @@ from voa.state_space import (
     vector_to_json,
     weight4_primary,
 )
+from voa.vertex_engine import _mk_mono
 
 
 def _partition_count_oracle(n: int) -> int:
@@ -67,6 +68,38 @@ def test_monomial_validation_and_weight():
     assert m.weight(1) == 8
     assert m.weight(2) == 12
     assert BasisMonomial((), 1).weight(5) == 5
+
+
+def test_monomial_rejects_malformed_partitions():
+    for partition in ((0,), (-1, 0), (2, -1), (-1, -2), (-1, -3, -2)):
+        with pytest.raises(ValueError):
+            BasisMonomial(partition, 0)
+    assert BasisMonomial((-3, -1, -1), -2).partition == (-3, -1, -1)
+
+
+def test_interned_monomial_equals_validated_one():
+    for partition, charge in (((), 0), ((-1,), 3), ((-4, -2, -2, -1), -1)):
+        fast = _mk_mono(partition, charge)
+        checked = BasisMonomial(partition, charge)
+        assert type(fast) is BasisMonomial
+        assert fast == checked and hash(fast) == hash(checked)
+        assert (fast.partition, fast.charge) == (partition, charge)
+        # a monomial is the tuple of its fields
+        assert fast == (partition, charge) and hash(fast) == hash((partition, charge))
+
+
+def test_monomial_order_is_sort_key_not_tuple_order():
+    # at N = 1, weight 1, tuple order puts ((), 1) before ((-1,), 0), but
+    # the canonical (charge, partition) order puts charge 0 first
+    ctx = Context(N=1)
+    basis = enumerate_basis(ctx, 1)
+    assert list(basis) == sorted(basis, key=BasisMonomial.sort_key)
+    assert list(basis) != sorted(basis)
+    assert [(m.partition, m.charge) for m in basis] == [((), -1), ((-1,), 0), ((), 1)]
+    v = Vector.monomial(ctx, (), 1) + Vector.monomial(ctx, (-1,), 0)
+    terms = vector_to_json(v)["terms"]
+    assert [(t["partition"], t["charge"]) for t in terms] == [([-1], 0), ([], 1)]
+    assert [m for m, _ in v.items()] != sorted(v.terms)
 
 
 def test_enumerate_basis_small_cases():

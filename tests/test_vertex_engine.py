@@ -395,6 +395,24 @@ def test_kernel_golden_digest():
     )
 
 
+def test_kernel_golden_digest_wide_windows():
+    # every weight <= 4 monomial pair at width +4, where stage 1 leaves many
+    # entries that differ only in their pending creations; recorded before
+    # stage 2 merged them into one state per z-exponent
+    digest = hashlib.sha256()
+    pairs = 0
+    for n_lat in (1, 2, 3):
+        for a, b in _unit_pairs(Context(n_lat), max_weight=4):
+            win = vertex_window(a, b, a.weight() + b.weight() + 4)
+            data = {str(n): vector_to_json(v) for n, v in win.items()}
+            digest.update(json.dumps(data, sort_keys=True).encode("utf-8"))
+            pairs += 1
+    assert pairs == 1440
+    assert digest.hexdigest() == (
+        "6c675179e981b310c5e08159dd62c187bcb5acdaaa0c685c50ff7ed08ad3ecbb"
+    )
+
+
 def test_skew_symmetry():
     # Y(b, z) a = e^{z L_{-1}} Y(a, -z) b, mode by mode:
     # b_(n) a = sum_j (-1)^(n+j+1) L_{-1}^j (a_(n+j) b) / j!
