@@ -23,11 +23,12 @@ The only denominators are the z_lambda of the E_+- tables, and F!/z_lambda
 is an integer for every partition lambda of size at most F, so with both
 tables scaled by F! each term is a Python int over the common denominator
 (F!)^2.  As J = alpha / sqrt(2N), the J-basis coefficient of an output
-monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}; the
-division and the conversion happen once per final entry.  E_+ and E_-
-exist only as the kernel's alpha-basis tables _eplus_pairs and
-_eminus_pairs; _int_pairs reads them as ints, scaled by the factorial of
-their order.
+monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}.
+The kernel's cache keeps it so: one int per entry over one denominator
+per monomial pair, every even power of sqrt(2N) folded into those ints,
+and the odd power left to the reader.  E_+ and E_- exist only as the
+kernel's alpha-basis tables _eplus_pairs and _eminus_pairs; _int_pairs
+reads them as ints, scaled by the factorial of their order.
 
 The kernel's second stage expands E_+ once per z-exponent, not once per
 intermediate state.  A stage-1 state carries pending creation modes of
@@ -63,19 +64,19 @@ dict lookups of vertex_window and Vector.__add__ on engine outputs hit on
 identity.  Equality stays by value; an evicted entry costs only speed.
 
 Everything is computed exactly; mode products of basis monomial pairs
-are cached per requested weight window.  vertex_window assembles those
-cached blocks into vectors with one canonical pass per output entry: it
-sums the entry's terms as integer numerators over one common denominator
-and builds its Scalar once, through Context.from_ints.
+are cached per requested weight window, in ints.  vertex_window is the
+only place where a Scalar meets them: it sums every output entry as
+integer numerators over one common denominator of the window and builds
+the entry's Scalar once, through Context.from_ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
-from .scalars import Context, ContextMismatchError, Scalar, json_int
+from .scalars import Context, ContextMismatchError, json_int
 from .state_space import (
     BasisMonomial,
     Vector,
@@ -112,9 +113,10 @@ def _clean(ctx: Context, terms: dict) -> Vector:
 
 
 def _flip_terms(terms: dict, lab: int) -> dict:
-    """phi-image of the {monomial: Scalar} terms of a product of factors
-    with lab J-factors: each monomial's charge negated, its coefficient
-    times (-1)^(len(partition) - lab)."""
+    """phi-image of the {monomial: coefficient} terms, Scalars or the
+    kernel's ints, of a product of factors with lab J-factors: each
+    monomial's charge negated, its coefficient times
+    (-1)^(len(partition) - lab)."""
     return {
         _mk_mono(m.partition, -m.charge): -c if (len(m.partition) - lab) & 1 else c
         for m, c in terms.items()
@@ -217,17 +219,6 @@ def _int_pairs(table, k: int, order: int) -> tuple:
     return tuple((parts, f.numerator * (size // f.denominator)) for parts, f in table(k, order))
 
 
-def _root_power(ctx: Context, num: int, den: int, d: int) -> Scalar:
-    """(num / den) * sqrt(2N)^d; built through ctx.from_ints, which folds the
-    radical where it can and divides out the gcd."""
-    half = d // 2
-    if half > 0:
-        num *= (2 * ctx.N) ** half
-    elif half < 0:
-        den *= (2 * ctx.N) ** -half
-    return ctx.from_ints((), (num,), den) if d & 1 else ctx.from_ints((num,), (), den)
-
-
 def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
     """Apply a product of positive-mode factors to a {partition: coefficient}
     dict at one fixed charge; the result is keyed on partitions too, and a
@@ -267,46 +258,50 @@ def _field_coeff(k: int, m: int) -> int:
 
 
 @lru_cache(maxsize=200_000)
-def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int) -> dict:
+def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int) -> tuple:
     """All modes a_(n) b for two basis monomials, output weight <= wmax.
 
-    Returns {n: {monomial: Scalar}}.  Only charge-canonical keys (ca > 0,
-    or ca == 0 and cb >= 0) are computed, by _mono_products_direct; any
+    Returns (den, {n: {monomial: num}}) in ints: the J-basis coefficient
+    of monomial x in a_(n) b is num/den * sqrt(2N)^r, where r = (len(x) -
+    len(a) - len(b)) & 1.  den > 0 and gcd(den, every num) = 1, no num is
+    zero and no block is empty.  Only charge-canonical keys (ca > 0, or
+    ca == 0 and cb >= 0) are computed, by _mono_products_direct; any
     other key is the phi-image of the cached canonical entry of
-    (phi a, phi b): every output monomial's charge negated and its
-    coefficient times (-1)^(len out - len a - len b), which is exact by
-    the phi-equivariance in the module docstring.  In the kernel's own
-    terms, every E_+- weight (+-k)^{len lambda}/z_lambda and the alpha_0
-    factor 2N cb change sign once per alpha-factor, while zshift =
-    2N ca cb, base = N (ca + cb)^2 and the sqrt(2N) power do not change.
+    (phi a, phi b): every output monomial's charge negated and its num
+    times (-1)^r over the same den, which is exact by the phi-equivariance
+    in the module docstring (the sign is (-1)^(len x - len a - len b), and
+    only its parity r counts).  In the kernel's own terms, every E_+-
+    weight (+-k)^{len lambda}/z_lambda and the alpha_0 factor 2N cb change
+    sign once per alpha-factor, while zshift = 2N ca cb, base = N (ca +
+    cb)^2, F and the sqrt(2N) power do not change.
     """
     ca, cb = amono.charge, bmono.charge
     if ca > 0 or (ca == 0 and cb >= 0):
         return _mono_products_direct(ctx, amono, bmono, wmax)
-    canon = _mono_products(
+    den, canon = _mono_products(
         ctx, _mk_mono(amono.partition, -ca), _mk_mono(bmono.partition, -cb), wmax
     )
     lab = len(amono.partition) + len(bmono.partition)
-    return {n: _flip_terms(block, lab) for n, block in canon.items()}
+    return den, {n: _flip_terms(block, lab) for n, block in canon.items()}
 
 
 def _mono_products_direct(
     ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int
-) -> dict:
+) -> tuple:
     """All modes a_(n) b for two basis monomials, output weight <= wmax, uncached.
 
-    Returns {n: {monomial: Scalar}}.  Stage 1 enumerates, per J-factor of
-    a, the annihilation-mode and creation-mode choices (merged on equal
-    z-exponent and pending-creation multiset).  Stage 2 applies E_- and
-    the z^{(a|b)} shift from z^{alpha_0} at b's original charge to every
-    stage-1 state, merges the state's pending creations into each
-    partition, and sums the results into one state per z-exponent e1;
-    then it expands E_+ once per e1 over that sum.  This equals applying
-    E_+ and the pending creations to each state apart: both are creation
-    operators, so they commute, and E_+ is linear.  The E_+ orders p run
-    over the same range for every state of one e1, as the output weight
-    wt a + wt b + e1 + p must lie in [base, wmax], which depends on e1
-    alone.
+    Returns (den, {n: {monomial: num}}) as _mono_products does.  Stage 1
+    enumerates, per J-factor of a, the annihilation-mode and creation-mode
+    choices (merged on equal z-exponent and pending-creation multiset).
+    Stage 2 applies E_- and the z^{(a|b)} shift from z^{alpha_0} at b's
+    original charge to every stage-1 state, merges the state's pending
+    creations into each partition, and sums the results into one state
+    per z-exponent e1; then it expands E_+ once per e1 over that sum.
+    This equals applying E_+ and the pending creations to each state
+    apart: both are creation operators, so they commute, and E_+ is
+    linear.  The E_+ orders p run over the same range for every state of
+    one e1, as the output weight wt a + wt b + e1 + p must lie in
+    [base, wmax], which depends on e1 alone.
 
     Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
@@ -321,8 +316,12 @@ def _mono_products_direct(
     An E_+ order p is at most fmax: by the grading contract an output
     monomial has weight base + its Fock weight <= wmax, and p is part of
     that Fock weight.  So a final entry is its rational times (F!)^2, and
-    its J-basis coefficient is entry / (F!)^2 times
-    sqrt(2N)^{len(out) - len(a) - len(b)}.
+    its J-basis coefficient is entry / (F!)^2 times sqrt(2N)^d, d =
+    len(out) - len(a) - len(b).  With sqrt(2N)^d = (2N)^{floor(d/2)}
+    sqrt(2N)^{d & 1}, the even part goes into the ints: each entry is
+    multiplied by (2N)^{floor(d/2) - low} and den = (F!)^2 (2N)^{-low},
+    low = min(0, every floor(d/2) of the pair); one gcd pass then reduces
+    the pair.
     """
     n_lat = ctx.N
     two_n = 2 * n_lat
@@ -331,15 +330,22 @@ def _mono_products_direct(
     base = n_lat * ctot * ctot
     fmax = wmax - base
     if fmax < 0:
-        return {}
+        return 1, {}
     wa, wb = amono.weight(n_lat), bmono.weight(n_lat)
 
     # stage 1: one mode choice per alpha-factor of a; every state has charge
     # cb, so the dicts are keyed on bare partitions
     entries: dict = {(0, ()): {bmono.partition: 1}}
+    top = -min(bmono.partition, default=0)
     for part in amono.partition:
         k = -part - 1
         new: dict = {}
+        # this factor's field coefficients, once per part: ann[s] at the
+        # annihilation mode s <= top (no state has a part above b's
+        # largest) and cre[s] at the creation mode -s, read for s > k only
+        ann = [_field_coeff(k, s) for s in range(top + 1)]
+        cre = [_field_coeff(k, -s) for s in range(fmax + 1)]
+        zero_mode = ann[0] * two_n * cb
 
         def put(key, vec_terms, factor):
             if not vec_terms:
@@ -361,22 +367,18 @@ def _mono_products_direct(
             pend_sum = -sum(pend)
             # annihilation choices: alpha_0 (nonzero charge) and every part size
             if cb:
-                put((zexp - k - 1, pend), vec, _field_coeff(k, 0) * two_n * cb)
+                put((zexp - k - 1, pend), vec, zero_mode)
             sizes = sorted({-p for lam in vec for p in lam})
             for s in sizes:
                 img = _apply_annihilators((s,), vec, two_n)
-                put((zexp - s - k - 1, pend), img, _field_coeff(k, s))
+                put((zexp - s - k - 1, pend), img, ann[s])
             # creation choices: modes -k-1, -k-2, ... within the Fock budget
             for s in range(k + 1, fmax - pend_sum + 1):
-                put(
-                    (zexp + s - k - 1, tuple(sorted(pend + (-s,)))),
-                    vec,
-                    _field_coeff(k, -s),
-                )
+                put((zexp + s - k - 1, tuple(sorted(pend + (-s,)))), vec, cre[s])
         entries = {key: {m: c for m, c in vec.items() if c} for key, vec in new.items()}
         entries = {key: vec for key, vec in entries.items() if vec}
         if not entries:
-            return {}
+            return 1, {}
 
     # stage 2: E_- and the pending creations into one state per z-exponent
     # e1, then one E_+ pass per e1; weights scaled by F!, and every output
@@ -423,20 +425,29 @@ def _mono_products_direct(
                     prev = block.get(lam)
                     block[lam] = add if prev is None else prev + add
 
-    # back to the J-basis, one division by (F!)^2 and one Scalar per final
-    # block entry, keyed on its interned monomial
-    lab = len(amono.partition) + len(bmono.partition)
-    den = scale * scale
-    out: dict = {}
+    # back to the J-basis: drop cancelled entries and empty blocks, fold
+    # the even power of sqrt(2N) into the ints, reduce by one gcd, and key
+    # each entry on its interned monomial
+    blocks: dict = {}
     for n, block in result.items():
-        clean = {
-            _mk_mono(lam, ctot): _root_power(ctx, c, den, len(lam) - lab)
-            for lam, c in block.items()
-            if c
-        }
-        if clean:
-            out[n] = clean
-    return out
+        block = {lam: c for lam, c in block.items() if c}
+        if block:
+            blocks[n] = block
+    if not blocks:
+        return 1, {}
+    lab = len(amono.partition) + len(bmono.partition)
+    lens = {len(lam) for block in blocks.values() for lam in block}
+    low = min(0, (min(lens) - lab) >> 1)
+    mult = {s: two_n ** (((s - lab) >> 1) - low) for s in lens}
+    for block in blocks.values():
+        for lam, c in block.items():
+            block[lam] = c * mult[len(lam)]
+    den = scale * scale * two_n**-low
+    g = gcd(den, *(c for block in blocks.values() for c in block.values()))
+    return den // g, {
+        n: {_mk_mono(lam, ctot): c // g for lam, c in block.items()}
+        for n, block in blocks.items()
+    }
 
 
 def vertex_mode(a: Vector, n: int, b: Vector) -> Vector:
@@ -470,51 +481,47 @@ def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
     Shares one cache entry per monomial pair, so it is the right call in
     loops that sweep many modes of the same vectors.
 
-    Each output entry is summed in integers and canonicalized once.  Let
-    f = (r + s sqrt(2N)) / f.den be the factor of a monomial pair and c a
-    kernel entry of its block.  An entry is a list of 2 phi(n) integer
-    numerators, rat then rad, over den, the lcm of every f.den * c.den in
-    the window.  A kernel entry c = p/q adds p den/(f.den q) times (r, s);
-    c = (p/q) sqrt(2N) adds the same multiple of (2N s, r).  Only an entry
-    of another shape, where sqrt(2N) folds into Q(zeta_n) as a
-    non-rational, is multiplied as a Scalar first; the canonical den of
-    f * c divides f.den * c.den.  ctx.from_ints then builds each entry's
-    Scalar; entries that cancel are dropped, and so are modes left empty.
-    A single monomial pair with f = 1 returns copies of its cached blocks.
+    Each output entry is summed in integers and canonicalized once.  Let f
+    be the factor of a monomial pair, (dp, blocks) its kernel entry and
+    num/dp sqrt(2N)^r an entry of its blocks (see _mono_products).  An
+    output entry is a list of 2 phi(n) integer numerators, rat then rad,
+    over den, the lcm of every f.den * dp in the window.  A kernel entry
+    adds num den/(f.den dp) times the numerators of f over f.den when
+    r = 0, and of f sqrt(2N) over f.den when r = 1.  f sqrt(2N) is one
+    Scalar product per pair, made only for a pair with an odd entry, so a
+    radical that folds into Q(zeta_n) takes the same path; its canonical
+    den divides f.den.  ctx.from_ints then builds each entry's Scalar;
+    entries that cancel are dropped, and so are modes left empty.
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
     pairs = [
-        (cav * cbv, _mono_products(ctx, am, bm, wmax))
+        (cav * cbv, len(am.partition) + len(bm.partition), *_mono_products(ctx, am, bm, wmax))
         for am, cav in a.terms.items()
         for bm, cbv in b.terms.items()
     ]
-    if len(pairs) == 1 and pairs[0][0].is_one():
-        return {n: _raw(ctx, dict(block)) for n, block in pairs[0][1].items()}
-    two_n, deg = 2 * ctx.N, ctx.degree
-    den = lcm(
-        *{f.den * c.den for f, prod in pairs for block in prod.values() for c in block.values()}
-    )
+    deg, root = ctx.degree, ctx.sqrt_2n()
+    den = lcm(*{f.den * dp for f, _, dp, _ in pairs})
     acc: dict = {}
-    for f, prod in pairs:
-        fr, fs = f.rat_num, f.rad_num
-        scale = den // f.den
-        by_rat = _nonzero_slots(fr, fs, deg)
-        by_rad = _nonzero_slots([two_n * x for x in fs], fr, deg)
+    for f, lab, dp, prod in pairs:
+        scale = den // (f.den * dp)
+        even = _nonzero_slots(f.rat_num, f.rad_num, deg)
+        odd = None
         for n, block in prod.items():
             dst = acc.get(n)
             if dst is None:
                 dst = acc[n] = {}
-            for mono, c in block.items():
-                crat, crad = c.rat_num, c.rad_num
-                if not crad and len(crat) == 1:
-                    k, slots = crat[0] * (scale // c.den), by_rat
-                elif not crat and len(crad) == 1:
-                    k, slots = crad[0] * (scale // c.den), by_rad
+            for mono, num in block.items():
+                if (len(mono.partition) - lab) & 1:
+                    if odd is None:
+                        fr = f * root
+                        up = f.den // fr.den
+                        odd = [(i, x * up) for i, x in _nonzero_slots(fr.rat_num, fr.rad_num, deg)]
+                    slots = odd
                 else:
-                    fc = f * c
-                    k, slots = den // fc.den, _nonzero_slots(fc.rat_num, fc.rad_num, deg)
+                    slots = even
+                k = num * scale
                 nums = dst.get(mono)
                 if nums is None:
                     nums = dst[mono] = [0] * (2 * deg)

@@ -282,6 +282,17 @@ def test_verify_all_default_output_at_cutoff_six(capsys):
     )
 
 
+def test_verify_all_output_at_conductor_eight(capsys):
+    # N = 1 at conductor 8, where sqrt 2 folds into Q(zeta_8): every odd
+    # kernel entry reaches its window through the folded f sqrt(2N)
+    code, out = run(capsys, "--conductor", "8", "verify", "all", "--cutoff", "4")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "7e44d8c9383d3a36f120c8fb85febefd4a3732f1cbfd069000d2793e1fc55d7d"
+    )
+
+
 @pytest.mark.parametrize("n_lat", ["1", "2", "3"])
 def test_verify_all_at_each_lattice(capsys, n_lat):
     # sl2, omega and tensor-split keep their own lattice; --N sets the rest

@@ -7,7 +7,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -490,12 +490,29 @@ def test_vertex_mode_is_bilinear_across_components():
         assert vertex_mode(a, n, b) == expect, n
 
 
+def _kernel_scalars(ctx, am, bm, wmax):
+    # the kernel's integer entries decoded by their documented meaning:
+    # num/den * sqrt(2N)^r, r = (len out - len a - len b) & 1, each Scalar
+    # built by ctx.scalar and not by engine code
+    den, blocks = _mono_products(ctx, am, bm, wmax)
+    lab = len(am.partition) + len(bm.partition)
+    return {
+        n: {
+            m: ctx.scalar(0, Fraction(num, den))
+            if (len(m.partition) - lab) & 1
+            else ctx.scalar(Fraction(num, den))
+            for m, num in block.items()
+        }
+        for n, block in blocks.items()
+    }
+
+
 def _window_by_pairs(a, b, wmax):
     # the per-pair Scalar sum: sum over monomial pairs of f * Vector(block)
     ctx = a.ctx
     acc = {}
     for (am, ca), (bm, cb) in product(a.terms.items(), b.terms.items()):
-        for n, block in _mono_products(ctx, am, bm, wmax).items():
+        for n, block in _kernel_scalars(ctx, am, bm, wmax).items():
             acc[n] = acc.get(n, Vector.zero(ctx)) + Vector(ctx, block).scale(ca * cb)
     return {n: v for n, v in acc.items() if not v.is_zero()}
 
@@ -546,7 +563,7 @@ def test_vertex_window_drops_cancelled_entries(n_lat, conductor):
     assert got == _window_by_pairs(a, b, 4)
     cancelled = BasisMonomial((-1,), 1)
     (jm,), (em,) = j.terms, ep.terms
-    assert cancelled in _mono_products(ctx, jm, em, 4)[-1]
+    assert cancelled in _kernel_scalars(ctx, jm, em, 4)[-1]
     assert cancelled not in got[-1].terms
     assert (0 in got) == (n_lat != 1)
 
@@ -565,10 +582,12 @@ def test_single_unit_pair_window_does_not_share_the_cache():
     a, b = charged_vacuum(ctx, 1), mono(ctx, (-1,), -1)
     (am,), (bm,) = a.terms, b.terms
     cached = _mono_products(ctx, am, bm, 5)
-    before = {n: dict(block) for n, block in cached.items()}
+    before = (cached[0], {n: dict(block) for n, block in cached[1].items()})
     win = vertex_window(a, b, 5)
     original = {n: Vector(ctx, v.terms) for n, v in win.items()}
-    assert original == {n: Vector(ctx, block) for n, block in before.items()}
+    assert original == {
+        n: Vector(ctx, block) for n, block in _kernel_scalars(ctx, am, bm, 5).items()
+    }
     for v in win.values():
         first = next(iter(v.terms))
         v.terms[first] = ctx.from_fraction(7)
@@ -587,9 +606,12 @@ def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conducto
     seen = {0: 0, 1: 0}
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        products = _mono_products(ctx, am, bm, a.weight() + b.weight() + 2)
-        for block in products.values():
+        wmax = a.weight() + b.weight() + 2
+        den, blocks = _mono_products(ctx, am, bm, wmax)
+        assert type(den) is int and den > 0, (am, bm)
+        for n, block in _kernel_scalars(ctx, am, bm, wmax).items():
             for out, c in block.items():
+                assert type(blocks[n][out]) is int, (am, bm, out)
                 odd = (len(out.partition) - len(am.partition) - len(bm.partition)) % 2
                 rat, rad = (c.rad, c.rat) if odd else (c.rat, c.rad)
                 assert len(rat) == 1 and not rad, (am, bm, out, c)
@@ -610,7 +632,7 @@ def test_kernel_outputs_are_interned_and_valid(n_lat, conductor):
     shared = 0
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        for block in _mono_products(ctx, am, bm, a.weight() + b.weight() + 2).values():
+        for block in _kernel_scalars(ctx, am, bm, a.weight() + b.weight() + 2).values():
             for m in block:
                 assert BasisMonomial(m.partition, m.charge) == m
                 assert m is _mk_mono(m.partition, m.charge)
@@ -618,6 +640,47 @@ def test_kernel_outputs_are_interned_and_valid(n_lat, conductor):
                 shared += key in seen
                 assert seen.setdefault(key, m) is m
     assert shared
+
+
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
+def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor):
+    # a cached entry is (den, {n: {monomial: num}}) with den > 0 coprime to
+    # every num, no zero num and no empty block; a non-canonical key holds
+    # its canonical partner's nums times (-1)^r over the same den; and the
+    # decoded blocks are the window of the unit pair
+    ctx = Context(n_lat, conductor)
+    flipped = 0
+    for a, b in _unit_pairs(ctx):
+        (am,), (bm,) = a.terms, b.terms
+        wmax = a.weight() + b.weight() + 2
+        den, blocks = _mono_products(ctx, am, bm, wmax)
+        nums = [num for block in blocks.values() for num in block.values()]
+        assert den > 0 and gcd(den, *nums) == 1, (am, bm)
+        assert all(blocks.values()) and all(nums), (am, bm)
+        if not _canonical(am, bm):
+            partner = _mono_products(
+                ctx,
+                BasisMonomial(am.partition, -am.charge),
+                BasisMonomial(bm.partition, -bm.charge),
+                wmax,
+            )
+            lab = len(am.partition) + len(bm.partition)
+            assert (den, blocks) == (
+                partner[0],
+                {
+                    n: {
+                        BasisMonomial(m.partition, -m.charge): (
+                            -num if (len(m.partition) - lab) & 1 else num
+                        )
+                        for m, num in block.items()
+                    }
+                    for n, block in partner[1].items()
+                },
+            ), (am, bm)
+            flipped += 1
+        win = vertex_window(a, b, wmax)
+        assert {n: v.terms for n, v in win.items()} == _kernel_scalars(ctx, am, bm, wmax)
+    assert flipped
 
 
 def _window_json(a, b, wmax):
@@ -630,7 +693,7 @@ def _window_keys(ctx, a, b, wmax):
         (n, m.partition, m.charge): m
         for am in a.terms
         for bm in b.terms
-        for n, block in _mono_products(ctx, am, bm, wmax).items()
+        for n, block in _kernel_scalars(ctx, am, bm, wmax).items()
         for m in block
     }
 
@@ -736,17 +799,18 @@ def test_vertex_window_computes_only_canonical_keys(monkeypatch):
 def test_kernel_window_bound_only_truncates(n_lat, conductor):
     # a bound w keeps exactly the modes of a wider window whose output weight
     # is <= w, also below the Fock weight of b, where that Fock weight and not
-    # w sets the common denominator of the kernel's integer terms
+    # w sets the common denominator of the kernel's integer terms; the
+    # cached den depends on that bound too, so decoded values are compared
     ctx = Context(n_lat, conductor)
     below_fock = 0
     for a, b in _unit_pairs(ctx, max_weight=2):
         (am,), (bm,) = a.terms, b.terms
         wa, wb = a.weight(), b.weight()
         base = n_lat * (am.charge + bm.charge) ** 2
-        full = _mono_products(ctx, am, bm, wa + wb + 4)
+        full = _kernel_scalars(ctx, am, bm, wa + wb + 4)
         for w in range(max(0, wa + wb - 3), wa + wb + 4):
             expect = {n: block for n, block in full.items() if wa + wb - n - 1 <= w}
-            assert _mono_products(ctx, am, bm, w) == expect, (am, bm, w)
+            assert _kernel_scalars(ctx, am, bm, w) == expect, (am, bm, w)
             below_fock += w - base < -sum(bm.partition)
     assert below_fock
 
