@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 
@@ -255,13 +255,17 @@ class Context:
                 f"conductor must be at most {MAX_CONDUCTOR}, got {self.conductor}"
             )
 
-    @property
+    # computed once per Context: a cached_property writes the instance
+    # __dict__ directly, which a frozen dataclass allows, and eq, hash and
+    # repr read only the fields
+    @cached_property
     def degree(self) -> int:
         """phi(conductor), the degree of Q(zeta_n) over Q."""
         return len(_cyclotomic(self.conductor)) - 1
 
-    @property
+    @cached_property
     def fold(self):
+        """sqrt(2N) as an integer polynomial mod Phi_n, or None (_sqrt_fold)."""
         return _sqrt_fold(self.conductor, 2 * self.N)
 
     def scalar(self, rat=0, rad=0) -> "Scalar":

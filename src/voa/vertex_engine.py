@@ -63,6 +63,23 @@ shared by the kernel, _flip_terms, _virasoro_mono and heis_apply, so the
 dict lookups of vertex_window and Vector.__add__ on engine outputs hit on
 identity.  Equality stays by value; an evicted entry costs only speed.
 
+The Heisenberg and Virasoro actions are the free-boson module action.
+J_k removes a part (k > 0), adds one (k < 0), or is charge * sqrt(2N)
+(k = 0), and _heis_terms is its one implementation on {partition: coeff}
+dicts at one charge.  The Virasoro modes are the Sugawara sums
+
+    L_m = (1/2) sum_j :J_j J_{m-j}:    (Frenkel-Lepowsky-Meurman 1988),
+
+so on a monomial every coefficient of L_m is (rat + rad sqrt(2N)) / 2
+with integers rat and rad (L_0, the only mode with a J_0 J_0 term, is
+the weight).  Parity rule: a term of the sum has a radical exactly when
+it used J_0, and then it changes the number of parts by one; every other
+term changes it by 0 or 2.  So an output monomial has rat = 0 or rad = 0.
+_virasoro_mono sums each output partition as an int pair [rat, rad] and
+builds its Scalar once, through Context.from_ints, which folds sqrt(2N)
+where it lies in Q(zeta_n); virasoro_apply sums the cached images into
+one dict.
+
 Everything is computed exactly; mode products of basis monomial pairs
 are cached per requested weight window, in ints.  vertex_window is the
 only place where a Scalar meets them: it sums every output entry as
@@ -123,65 +140,98 @@ def _flip_terms(terms: dict, lab: int) -> dict:
     }
 
 
+def _heis_terms(k: int, terms: dict, charge: int) -> tuple:
+    """J_k on a {partition: coefficient} dict at one charge, as (image,
+    radical): J_k maps sum c lam to the image, times sqrt(2N) when radical
+    is True.  J_k removes a part through _apply_annihilators for k > 0 and
+    adds the part k by a sorted merge for k < 0; J_0 = charge * sqrt(2N)
+    multiplies by the charge and marks the image radical.  Removing or
+    adding one part is injective, so no two terms of the image meet."""
+    if k > 0:
+        return _apply_annihilators((k,), terms, 1), False
+    if k < 0:
+        return {tuple(sorted(lam + (k,))): c for lam, c in terms.items()}, False
+    if not charge:
+        return {}, False
+    return {lam: c * charge for lam, c in terms.items()}, True
+
+
 def heis_apply(m: int, v: Vector) -> Vector:
     """Heisenberg mode J_m; [J_m, J_n] = m delta_{m,-n} and J_0 = charge * sqrt(2N)."""
     ctx = v.ctx
-    if m == 0:
-        root = ctx.sqrt_2n()
-        out = {}
-        for mono, c in v.terms.items():
-            if mono.charge:
-                out[mono] = c * (root * mono.charge)
-        return _clean(ctx, out)
-    if m > 0:
-        # removing a part is injective per charge, so no two terms meet
-        out = {
-            _mk_mono(lam, mono.charge): d
-            for mono, c in v.terms.items()
-            for lam, d in _apply_annihilators((m,), {mono.partition: c}, 1).items()
-        }
-        return _clean(ctx, out)
-    out: dict = {}
+    by_charge: dict = {}
     for mono, c in v.terms.items():
-        new = _mk_mono(tuple(sorted(mono.partition + (m,))), mono.charge)
-        prev = out.get(new)
-        out[new] = c if prev is None else prev + c
-    return _clean(ctx, out)
+        by_charge.setdefault(mono.charge, {})[mono.partition] = c
+    # J_m multiplies every coefficient by a nonzero factor and no two terms
+    # meet, so no entry of the image is zero
+    out = {}
+    for charge, terms in by_charge.items():
+        img, radical = _heis_terms(m, terms, charge)
+        if radical:
+            root = ctx.sqrt_2n()
+            img = {lam: c * root for lam, c in img.items()}
+        for lam, c in img.items():
+            out[_mk_mono(lam, charge)] = c
+    return _raw(ctx, out)
 
 
 @lru_cache(maxsize=50_000)
 def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
+    """L_m of one basis monomial, summed in ints: each output partition
+    gets (rat + rad sqrt(2N)) / 2, and its Scalar is built once through
+    Context.from_ints, which folds the radical where it lies in Q(zeta_n).
+    No entry is zero."""
     if mono.charge < 0:
         # L_m commutes with phi, since nu = (1/2) J_{-1}^2 vacuum is phi-fixed
         img = _virasoro_mono(ctx, m, _mk_mono(mono.partition, -mono.charge))
         return _raw(ctx, _flip_terms(img.terms, len(mono.partition)))
-    one = _raw(ctx, {mono: ctx.one()})
     if m == 0:
-        return one.scale(mono.weight(ctx.N))
-    fock = -sum(mono.partition)
-    acc = Vector.zero(ctx)
+        w = mono.weight(ctx.N)
+        return _raw(ctx, {mono: ctx.from_ints((w,))} if w else {})
+    charge = mono.charge
+    one = {mono.partition: 1}
+    sums: dict = {}
     # L_m = (1/2) sum_j :J_j J_{m-j}:, and for m != 0 the two factors always
-    # commute, so each term is applied annihilator first; the sum is finite
-    # because J_j needs a part of size at most the Fock weight on each side.
-    for j in range(m - fock, fock + 1):
-        p, q = sorted((j, m - j))
-        w = heis_apply(q, one)
-        if w.is_zero():
+    # commute, so the terms j and m - j are equal: each pair p < q counts
+    # twice, with J_q applied first (annihilator first).  A J_q with q > 0
+    # needs a part of size q, so q runs up to the Fock weight; at most one
+    # of p, q is 0, so a term is radical at most once.
+    for q in range((m + 1) // 2, 1 - sum(mono.partition)):
+        p = m - q
+        img, rq = _heis_terms(q, one, charge)
+        if not img:
             continue
-        w = heis_apply(p, w)
-        if not w.is_zero():
-            acc = acc + w
-    return acc.scale(Fraction(1, 2))
+        img, rp = _heis_terms(p, img, charge)
+        slot = rq + rp
+        twice = 1 if p == q else 2
+        for lam, c in img.items():
+            pair = sums.get(lam)
+            if pair is None:
+                pair = sums[lam] = [0, 0]
+            pair[slot] += c * twice
+    # every term adds a positive int, as the charge is >= 0, so no entry
+    # cancels and none is zero
+    return _raw(
+        ctx,
+        {
+            _mk_mono(lam, charge): ctx.from_ints((rat,), (rad,), 2)
+            for lam, (rat, rad) in sums.items()
+        },
+    )
 
 
 def virasoro_apply(m: int, v: Vector) -> Vector:
-    """Virasoro mode L_m of the free boson conformal vector, central charge 1."""
-    acc = Vector.zero(v.ctx)
+    """Virasoro mode L_m of the free boson conformal vector, central charge 1.
+
+    Sums every d * c into one dict and drops the entries that cancel; the
+    cached images of _virasoro_mono are read, never handed out."""
+    ctx = v.ctx
+    out: dict = {}
     for mono, c in v.terms.items():
-        img = _virasoro_mono(v.ctx, m, mono)
-        if not img.is_zero():
-            acc = acc + img.scale(c)
-    return acc
+        for x, d in _virasoro_mono(ctx, m, mono).terms.items():
+            prev = out.get(x)
+            out[x] = d * c if prev is None else prev + d * c
+    return _clean(ctx, out)
 
 
 @lru_cache(maxsize=None)

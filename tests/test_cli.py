@@ -293,6 +293,17 @@ def test_verify_all_output_at_conductor_eight(capsys):
     )
 
 
+def test_verify_axioms_n1_output_at_cutoff_five(capsys):
+    # the N = 1 leg of the axiom suite, which verify all (N = 2) and the
+    # axioms benchmark workload (N = 3) do not run
+    code, out = run(capsys, "verify", "axioms", "--N", "1", "--cutoff", "5")
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "51f5f5bbaea3ff03d10b047d70527239fe3a7f52b640d65fd6271740cc621459"
+    )
+
+
 @pytest.mark.parametrize("n_lat", ["1", "2", "3"])
 def test_verify_all_at_each_lattice(capsys, n_lat):
     # sl2, omega and tensor-split keep their own lattice; --N sets the rest

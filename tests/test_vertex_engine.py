@@ -774,6 +774,87 @@ def test_flipped_virasoro_images_match_direct_sum(n_lat, conductor):
     assert negative
 
 
+@pytest.mark.parametrize("n_lat, conductor", [(1, 4), (1, 8), (3, 4)])
+def test_virasoro_mono_matches_kernel_mode(n_lat, conductor):
+    # L_m = nu_(m+1) read through the mode-product kernel, which shares no
+    # code with heis_apply or _virasoro_mono; conductor 8 at N = 1 folds
+    # sqrt 2 into Q(zeta_8)
+    ctx = Context(n_lat, conductor)
+    nu = conformal_vector(ctx)
+    for v in basis_vectors(ctx, 5):
+        for m in range(-4, 5):
+            got = virasoro_apply(m, v)
+            assert got == vertex_mode(nu, m + 1, v), (v, m)
+            assert not any(c.is_zero() for c in got.terms.values()), (v, m)
+
+
+def _mixed_coefficients(ctx):
+    # Scalars with a rational, a zeta and a sqrt(2N) part
+    return [
+        ctx.scalar((Fraction(1, 3), 2), (0, Fraction(-5, 7))),
+        ctx.scalar((0, -1), (Fraction(3, 2),)),
+        ctx.scalar(Fraction(-4, 9)),
+    ]
+
+
+def test_virasoro_apply_on_mixed_vectors_matches_direct_sum():
+    ctx = Context(3)
+    a, b, c = _mixed_coefficients(ctx)
+    vecs = [
+        mono(ctx, (-2, -1), 0, a) + mono(ctx, (-3,), 0, b) + mono(ctx, (-1,), 1, c),
+        mono(ctx, (-1, -1), -1, b) + mono(ctx, (-2,), -1, a) + charged_vacuum(ctx, 1).scale(c),
+    ]
+    # 4 J_{-3} J_{-1} - 3 J_{-2}^2 is quasi-primary: the two L_1 images cancel
+    quasi = mono(ctx, (-3, -1), 0, 4) + mono(ctx, (-2, -2), 0, -3)
+    vecs.append(quasi.scale(a) + mono(ctx, (-2,), 0, b))
+    for v in vecs:
+        for m in range(-3, 4):
+            got = virasoro_apply(m, v)
+            assert got == _virasoro_sum(m, v), (v, m)
+            assert not any(x.is_zero() for x in got.terms.values()), (v, m)
+    assert virasoro_apply(1, quasi.scale(a)).is_zero()
+    assert virasoro_apply(1, vecs[-1]) == mono(ctx, (-1,), 0, 2).scale(b)
+
+
+@pytest.mark.parametrize("n_lat, conductor", [(1, 8), (3, 4)])
+def test_virasoro_images_store_no_zero(n_lat, conductor):
+    ctx = Context(n_lat, conductor)
+    assert virasoro_apply(0, vacuum(ctx)).terms == {}
+    assert virasoro_apply(1, mono(ctx, (-1,), 0)).terms == {}
+    for v in basis_vectors(ctx, 4):
+        (x,) = v.terms
+        for m in range(-3, 4):
+            img = vertex_engine._virasoro_mono(ctx, m, x)
+            assert not any(c.is_zero() for c in img.terms.values()), (x, m)
+
+
+def test_virasoro_apply_hands_out_no_cached_vector():
+    ctx = Context(3)
+    a, b, _ = _mixed_coefficients(ctx)
+    checked = 0
+    for v in (
+        mono(ctx, (-2,), 0),
+        charged_vacuum(ctx, -1),
+        mono(ctx, (-2, -1), 1, a) + mono(ctx, (-1,), 0, b),
+    ):
+        for m in (-2, -1, 1, 2):
+            cached = {x: dict(vertex_engine._virasoro_mono(ctx, m, x).terms) for x in v.terms}
+            first = virasoro_apply(m, v)
+            want = dict(first.terms)
+            if not want:
+                continue
+            checked += 1
+            for x in first.terms:
+                first.terms[x] = ctx.one()
+            first.terms[_mk_mono((-5,), 0)] = ctx.one()
+            assert virasoro_apply(m, v).terms == want, (v, m)
+            first.terms.clear()
+            assert virasoro_apply(m, v).terms == want, (v, m)
+            for x, terms in cached.items():
+                assert vertex_engine._virasoro_mono(ctx, m, x).terms == terms, (x, m)
+    assert checked == 9
+
+
 def test_vertex_window_computes_only_canonical_keys(monkeypatch):
     ctx = Context(3)
     computed = []
