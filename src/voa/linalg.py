@@ -175,14 +175,6 @@ class EchelonSpan:
         return [self.rows[p] for p in sorted(self.rows, key=BasisMonomial.sort_key)]
 
 
-def span_basis(ctx: Context, vectors) -> list:
-    """Reduced echelon basis for the span of the given vectors."""
-    span = EchelonSpan(ctx)
-    for v in vectors:
-        span.add(v)
-    return span.vectors()
-
-
 def operator_kernel(ctx: Context, domain, operators) -> list:
     """Joint kernel of linear maps on the span of an independent domain list.
 

@@ -17,14 +17,12 @@ from itertools import product
 from math import isqrt
 from time import monotonic
 
-from .linalg import EchelonSpan, operator_kernel, solve, span_basis
+from .linalg import EchelonSpan, operator_kernel, solve
 from .scalars import Context, Scalar
 from .state_space import (
     BasisMonomial,
     GradedSubspace,
     Vector,
-    apply_flip,
-    apply_torus,
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
@@ -258,37 +256,57 @@ def _parse_group(group: str):
     raise ValueError(f"unknown group name {group!r}; use T, Dinf, Zk, or Dk")
 
 
-@lru_cache(maxsize=256)
 def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> GradedSubspace:
     """Fixed points of an automorphism subgroup, weight by weight.
 
     Group names: "T" is the full torus, "Dinf" the torus extended by the
     flip, "Zk" the cyclic rotation subgroup of order k (e.g. "Z3"), and
     "Dk" the dihedral subgroup of order 2k.  A pair t = (p, q) conjugates
-    a dihedral subgroup by the rotation of angle 2 pi p / q; the result
-    is then the rotation image of the unconjugated fixed-point space.
+    a dihedral subgroup by the rotation g_t of angle 2 pi p / q; the
+    result is then the g_t image of the unconjugated fixed-point space.
 
-    Basis monomials are torus eigenvectors (the charge is the character),
-    so torus invariance is charge selection; finite generators are
-    handled as honest kernels of A - id.
+    Basis monomials are torus eigenvectors: the rotation of angle
+    2 pi / k multiplies (lambda, c) by zeta_k^c, so the charge is the
+    torus character.  The flip sends (lambda, c) to
+    (-1)^{len lambda} (lambda, -c).  So the fixed points are read off
+    the basis with no elimination:
+    - T: the charge-0 unit vectors;
+    - Zk: the unit vectors with k | c, the lattice subalgebra of kL;
+    - Dinf and Dk: the charge-0 unit vectors with len lambda even, and
+      for each c < 0 (with k | c for Dk) the flip-fixed pair
+      e_(lambda,c) + (-1)^{len lambda} zeta_q^{-2pc} e_(lambda,-c).
+    The phase is 1 without t.  g_t scales (lambda, c) by zeta_q^{pc}, so
+    the pair is g_t of the unconjugated pair, rescaled at its
+    negative-charge monomial.
+
+    The rows have disjoint supports, and each has coefficient 1 at its
+    first monomial in canonical order; they are listed in that order.
+    So every basis is in reduced echelon form over the canonical
+    monomial order, the convention of EchelonSpan, and equal spans give
+    equal bytes.  Zk with k not dividing the conductor, or t = (p, q)
+    with q not dividing it, raises ConductorError before any basis is
+    built; t on a non-dihedral group raises ValueError.
     """
     kind, k = _parse_group(group)
     if t is not None and kind != "D":
         raise ValueError("only dihedral subgroups take a conjugating angle")
-    ops = []
-    if kind in ("Z", "D"):
-        ops.append(lambda v: apply_torus(v, 1, k) - v)
-    if kind in ("Dinf", "D"):
-        ops.append(lambda v: apply_flip(v) - v)
+    if k:
+        ctx.embed_root_of_unity(1, k)
+    p, q = (0, 1) if t is None else t
+    twist = ctx.embed_root_of_unity(2 * p, q)  # the pair of c < 0 carries twist ** -c
+    flipped = kind in ("Dinf", "D")
     basis_by_weight: dict = {}
     for w in range(cutoff + 1):
-        # k = 0 for T and Dinf, which contain the whole torus: charge 0 only
-        domain = [v for v in _unit_vectors(ctx, w) if k or v.charges() == {0}]
-        rows = operator_kernel(ctx, domain, ops)
-        if t is not None:
-            rows = span_basis(ctx, [apply_torus(v, *t) for v in rows])
-        if rows:
-            basis_by_weight[w] = rows
+        for mono in enumerate_basis(ctx, w):
+            lam, c = mono
+            # k = 0 for T and Dinf, which contain the whole torus: charge 0 only;
+            # under the flip, charge c > 0 lies in the pair of -c
+            if (c % k if k else c) or flipped and (c > 0 or c == 0 and len(lam) % 2):
+                continue
+            terms = {mono: 1}
+            if flipped and c:
+                terms[BasisMonomial(lam, -c)] = (-1) ** len(lam) * twist ** -c
+            basis_by_weight.setdefault(w, []).append(Vector(ctx, terms))
     return GradedSubspace(ctx, cutoff, basis_by_weight)
 
 
@@ -311,12 +329,17 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     the span is L_{-1}-stable since the vacuum is member 0 and a_(-2)
     vacuum = L_{-1} a; so the reversed products are already in the span.
     With the earlier member on the left, L_{-1} a would never be admitted.
+
+    The closure is cached; each call gets copies of its basis vectors, so
+    a caller that edits one cannot change what a later call gets.
     """
-    return _close_cached(ctx, tuple(generators), cutoff)
+    bases = _close_cached(ctx, tuple(generators), cutoff)
+    copies = {w: [Vector(ctx, v.terms) for v in vs] for w, vs in bases.items()}
+    return GradedSubspace(ctx, cutoff, copies)
 
 
 @lru_cache(maxsize=256)
-def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> GradedSubspace:
+def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> dict:
     spans: dict = {}
     members: list = []
 
@@ -353,11 +376,7 @@ def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> GradedSubspac
             for n in sorted(window):
                 admit(window[n])
         i += 1
-    return GradedSubspace(
-        ctx,
-        cutoff,
-        {w: spans[w].vectors() for w in sorted(spans) if w <= cutoff and spans[w].rank},
-    )
+    return {w: spans[w].vectors() for w in sorted(spans) if w <= cutoff and spans[w].rank}
 
 
 def project_conformal(sub: GradedSubspace) -> Vector:

@@ -186,6 +186,18 @@ def test_huge_conductor_exits_three_with_one_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [("fixed", "--group", "Z3", "--N", "1"), ("fixed", "--group", "D2", "--N", "1", "--t", "1/3")],
+    ids=["Z3", "D2-t"],
+)
+def test_fixed_root_outside_conductor_exits_three_with_one_line(capsys, argv):
+    code = main(["--conductor", "4", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "zeta_3 is not in Q(zeta_4)" in captured.err
+
+
+@pytest.mark.parametrize(
     "budget, value, says",
     [("MAX_CLOSURE_MEMBERS", 3, "member budget of 3"), ("MAX_CLOSURE_SECONDS", 0.0, "time budget")],
 )

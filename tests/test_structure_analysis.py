@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from voa.linalg import EchelonSpan
+from voa.linalg import EchelonSpan, operator_kernel
 from voa.scalars import ConductorError, Context
 from voa.state_space import (
     Vector,
@@ -18,6 +18,7 @@ from voa.state_space import (
     conformal_vector,
     enumerate_basis,
     partition_count,
+    partitions_of,
     split_virasoro_vector,
     vacuum,
     vector_to_json,
@@ -297,12 +298,31 @@ def test_input_keyed_caches_are_bounded():
         _mono_products,
         _virasoro_mono,
         enumerate_basis,
-        fixed_point_subspace,
         _close_cached,
         _omega_system,
     )
     for cached in caches:
         assert cached.cache_info().maxsize is not None, cached.__name__
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: close_subalgebra(Context(N=1), [conformal_vector(Context(N=1))], 4),
+        lambda: fixed_point_subspace(Context(N=1), "T", 3),
+    ],
+    ids=["closure", "fixed"],
+)
+@pytest.mark.parametrize("access", ["weight_basis", "basis_by_weight"])
+def test_editing_a_returned_basis_vector_changes_no_later_answer(build, access):
+    def as_json(sub):
+        return [[vector_to_json(v) for v in sub.weight_basis(w)] for w in range(sub.cutoff + 1)]
+
+    first = build()
+    expected = as_json(first)
+    vector = first.weight_basis(2)[0] if access == "weight_basis" else first.basis_by_weight[2][0]
+    vector.terms.clear()
+    assert as_json(build()) == expected
 
 
 def test_fixed_points_dihedral_infinity_counts_even_length_partitions():
@@ -334,6 +354,81 @@ def test_fixed_points_conjugated_dihedral_properties():
             assert apply_torus(v, 1, 2) == v
             conj_flip = apply_torus(apply_flip(apply_torus(v, -1, 8)), 1, 8)
             assert conj_flip == v
+
+
+def _fixed_points_by_elimination(ctx, group, cutoff, t):
+    """Reference: the joint kernel of A - id over the unit vectors (charge 0
+    only for T and Dinf), rotated by t and reduced through EchelonSpan."""
+    kind, k = structure_analysis._parse_group(group)
+    ops = []
+    if k:
+        ops.append(lambda v: apply_torus(v, 1, k) - v)
+    if kind in ("Dinf", "D"):
+        ops.append(lambda v: apply_flip(v) - v)
+    out = {}
+    for w in range(cutoff + 1):
+        domain = [Vector(ctx, {m: 1}) for m in enumerate_basis(ctx, w) if k or m.charge == 0]
+        span = EchelonSpan(ctx)
+        for v in operator_kernel(ctx, domain, ops):
+            span.add(v if t is None else apply_torus(v, *t))
+        out[w] = span.vectors()
+    return out
+
+
+def _fixed_point_grid():
+    groups = ("T", "Dinf", "Z1", "Z2", "Z3", "Z4", "Z6", "D1", "D2", "D3", "D4", "D6")
+    angles = (None, (1, 8), (1, 12), (1, 3), (3, 8), (2, 3))
+    for n_lat, conductor in product((1, 2, 3), (4, 8, 12, 24)):
+        ctx = Context(N=n_lat, conductor=conductor)
+        for group, t in product(groups, angles):
+            kind, k = structure_analysis._parse_group(group)
+            if conductor % (k or 1) or (t is not None and (kind != "D" or conductor % t[1])):
+                continue
+            yield ctx, group, t
+
+
+def test_fixed_points_match_elimination_reference():
+    cutoff = 6
+    cases = 0
+    for ctx, group, t in _fixed_point_grid():
+        cases += 1
+        fixed = fixed_point_subspace(ctx, group, cutoff, t)
+        reference = _fixed_points_by_elimination(ctx, group, cutoff, t)
+        assert [fixed.weight_basis(w) for w in range(cutoff + 1)] == [
+            reference[w] for w in range(cutoff + 1)
+        ], (ctx, group, t)
+        kind, k = structure_analysis._parse_group(group)
+        p, q = (0, 1) if t is None else t
+        for w in range(cutoff + 1):
+            for v in fixed.weight_basis(w):
+                # T and Dinf hold the whole torus: the generic rotation 2 pi / n fixes v too
+                assert apply_torus(v, 1, k or ctx.conductor) == v
+                if kind in ("Dinf", "D"):
+                    assert apply_torus(apply_flip(apply_torus(v, -p, q)), p, q) == v
+    assert cases == 258
+
+
+def test_closure_of_nu_and_charge_pair_is_the_flip_fixed_basis():
+    # both bases are reduced echelon over the canonical monomial order
+    for n_lat in (2, 3):
+        ctx = Context(N=n_lat)
+        closed = close_subalgebra(ctx, [conformal_vector(ctx), charge_pair_vector(ctx, 1)], 6)
+        fixed = fixed_point_subspace(ctx, "D1", 6)
+        for w in range(7):
+            assert closed.weight_basis(w) == fixed.weight_basis(w), (n_lat, w)
+
+
+def test_fixed_points_at_conductor_400():
+    # Z100 at N = 1 is the lattice at N = 10000: no charged state below weight 16
+    ctx = Context(N=1, conductor=400)
+    cyclic = fixed_point_subspace(ctx, "Z100", 16)
+    assert cyclic.dims() == [partition_count(w) for w in range(17)]
+    assert cyclic.total_dim() == 915
+    # D100 keeps the even-length partitions at charge 0, however it is conjugated
+    dihedral = fixed_point_subspace(ctx, "D100", 16, t=(1, 400))
+    even = [sum(1 for lam in partitions_of(w) if len(lam) % 2 == 0) for w in range(17)]
+    assert dihedral.dims() == even
+    assert dihedral.total_dim() == 459
 
 
 def test_fixed_points_golden_digest():
