@@ -44,7 +44,7 @@ from .structure_analysis import (
     virasoro_character,
     virasoro_report,
 )
-from .vertex_engine import mode_request
+from .vertex_engine import vertex_mode
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -213,21 +213,24 @@ def cmd_mode(args) -> int:
     # operand and result weights share the budget; a negative result weight means zero
     wa, wb = (max(v.weights(), default=0) for v in (a, b))
     _check_cutoff(max(wa, wb, wa + wb - args.n - 1))
-    request = {
-        "N": args.N,
-        "n": args.n,
-        "a": vector_to_json(a),
-        "b": vector_to_json(b),
-    }
-    answer = mode_request(request, ctx)
+    # the weight check confirms wt(a_(n) b) = wt(a) + wt(b) - n - 1 on every
+    # pair of homogeneous components
+    ok = True
+    result = Vector.zero(ctx)
+    for wa, acomp in a.weight_components().items():
+        for wb, bcomp in b.weight_components().items():
+            part = vertex_mode(acomp, args.n, bcomp)
+            if not part.is_zero() and part.weights() != {wa + wb - args.n - 1}:
+                ok = False
+            result = result + part
     payload = {
         "check": "mode",
         "params": {"N": args.N, "conductor": ctx.conductor, "n": args.n},
-        "result": answer["result"],
-        "weight_check": answer["weight_check"],
+        "result": vector_to_json(result),
+        "weight_check": ok,
     }
     emit(payload, args)
-    return EXIT_OK if answer["weight_check"] else EXIT_VERIFY
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify(args) -> int:

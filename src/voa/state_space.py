@@ -350,8 +350,8 @@ def gram_matrix(ctx: Context, weight: int, subspace=None) -> list:
 class GradedSubspace:
     """A weight-graded subspace given by per-weight basis vectors.
 
-    Immutable: the bases are stored as tuples behind a read-only mapping,
-    so a cached subspace can be handed to every caller.
+    Frozen: the bases are stored as tuples behind a read-only mapping, so
+    a caller cannot add, drop or reorder basis vectors.
     """
 
     ctx: Context

@@ -330,16 +330,9 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     vacuum = L_{-1} a; so the reversed products are already in the span.
     With the earlier member on the left, L_{-1} a would never be admitted.
 
-    The closure is cached; each call gets copies of its basis vectors, so
-    a caller that edits one cannot change what a later call gets.
+    Each call builds its own EchelonSpan per weight and hands out the
+    spans' rows, which nothing else holds.
     """
-    bases = _close_cached(ctx, tuple(generators), cutoff)
-    copies = {w: [Vector(ctx, v.terms) for v in vs] for w, vs in bases.items()}
-    return GradedSubspace(ctx, cutoff, copies)
-
-
-@lru_cache(maxsize=256)
-def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> dict:
     spans: dict = {}
     members: list = []
 
@@ -376,7 +369,8 @@ def _close_cached(ctx: Context, generators: tuple, cutoff: int) -> dict:
             for n in sorted(window):
                 admit(window[n])
         i += 1
-    return {w: spans[w].vectors() for w in sorted(spans) if w <= cutoff and spans[w].rank}
+    bases = {w: spans[w].vectors() for w in sorted(spans) if w <= cutoff and spans[w].rank}
+    return GradedSubspace(ctx, cutoff, bases)
 
 
 def project_conformal(sub: GradedSubspace) -> Vector:

@@ -27,8 +27,8 @@ monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}.
 The kernel's cache keeps it so: one int per entry over one denominator
 per monomial pair, every even power of sqrt(2N) folded into those ints,
 and the odd power left to the reader.  E_+ and E_- exist only as the
-kernel's alpha-basis tables _eplus_pairs and _eminus_pairs; _int_pairs
-reads them as ints, scaled by the factorial of their order.
+kernel's alpha-basis tables _eplus_pairs and _eminus_pairs, whose
+weights are ints, scaled by the factorial of their order.
 
 The kernel's second stage expands E_+ once per z-exponent, not once per
 intermediate state.  A stage-1 state carries pending creation modes of
@@ -89,18 +89,15 @@ the entry's Scalar once, through Context.from_ints.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .scalars import Context, ContextMismatchError, json_int
+from .scalars import Context, ContextMismatchError
 from .state_space import (
     BasisMonomial,
     Vector,
     enumerate_basis,
     partitions_of,
-    vector_from_json,
-    vector_to_json,
     z_lambda,
 )
 
@@ -234,39 +231,34 @@ def virasoro_apply(m: int, v: Vector) -> Vector:
     return _clean(ctx, out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _eplus_pairs(k: int, m: int) -> tuple:
-    """z^m coefficient of E_+(k alpha, z) as (creation partition, Fraction) pairs.
+    """z^m coefficient of E_+(k alpha, z) times m!, as (creation partition,
+    int) pairs.
 
     In the alpha-basis E_+ = exp(sum_{j>0} k alpha_{-j} z^j / j), so the
-    weight of a partition lambda of m is k^{len(lambda)}/z_lambda.
+    weight of a partition lambda of m is k^{len(lambda)}/z_lambda, and
+    m!/z_lambda is an integer (see _mono_products_direct).
     """
     if k == 0 and m:
         return ()
+    size = factorial(m)
     return tuple(
-        (tuple(-p for p in parts), Fraction(k ** len(parts), z_lambda(parts)))
+        (tuple(-p for p in parts), k ** len(parts) * (size // z_lambda(parts)))
         for parts in partitions_of(m)
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _eminus_pairs(k: int, q: int) -> tuple:
-    """z^{-q} coefficient of E_-(k alpha, z) as (annihilator modes, Fraction) pairs."""
+    """z^{-q} coefficient of E_-(k alpha, z) times q!, as (annihilator modes,
+    int) pairs: the weight of lambda is (-k)^{len(lambda)} q!/z_lambda."""
     if k == 0 and q:
         return ()
+    size = factorial(q)
     return tuple(
-        (parts, Fraction((-k) ** len(parts), z_lambda(parts))) for parts in partitions_of(q)
+        (parts, (-k) ** len(parts) * (size // z_lambda(parts))) for parts in partitions_of(q)
     )
-
-
-@lru_cache(maxsize=None)
-def _int_pairs(table, k: int, order: int) -> tuple:
-    """The pairs of table(k, order), _eplus_pairs or _eminus_pairs, with each
-    Fraction weight times order! as an int: order!/z_lambda is an integer
-    for every partition lambda of order (see _mono_products_direct).  Keyed
-    without the kernel's F!, so it holds one int table per Fraction table."""
-    size = factorial(order)
-    return tuple((parts, f.numerator * (size // f.denominator)) for parts, f in table(k, order))
 
 
 def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
@@ -356,22 +348,22 @@ def _mono_products_direct(
     Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
     coefficients (+-k)^{len lambda}/z_lambda.  Both tables are read scaled
-    by F!, F = max(fmax, Fock weight of b): as ints times order! from
-    _int_pairs, then times F!/order! per order.  Every such weight is an
-    integer for an order at most F: z_lambda divides |lambda|!, since
-    |lambda|!/z_lambda is the size of the conjugacy class of cycle type
-    lambda in S_|lambda| (Macdonald, Symmetric Functions and Hall
-    Polynomials, I.2), and |lambda|! divides F!.  An E_- order q is at
-    most the Fock weight of a stage-1 state, which is at most that of b.
-    An E_+ order p is at most fmax: by the grading contract an output
-    monomial has weight base + its Fock weight <= wmax, and p is part of
-    that Fock weight.  So a final entry is its rational times (F!)^2, and
-    its J-basis coefficient is entry / (F!)^2 times sqrt(2N)^d, d =
-    len(out) - len(a) - len(b).  With sqrt(2N)^d = (2N)^{floor(d/2)}
-    sqrt(2N)^{d & 1}, the even part goes into the ints: each entry is
-    multiplied by (2N)^{floor(d/2) - low} and den = (F!)^2 (2N)^{-low},
-    low = min(0, every floor(d/2) of the pair); one gcd pass then reduces
-    the pair.
+    by F!, F = max(fmax, Fock weight of b): _eplus_pairs and _eminus_pairs
+    hold them times order!, and each is multiplied by F!/order!.  Every
+    such weight is an integer for an order at most F: z_lambda divides
+    |lambda|!, since |lambda|!/z_lambda is the size of the conjugacy
+    class of cycle type lambda in S_|lambda| (Macdonald, Symmetric
+    Functions and Hall Polynomials, I.2), and |lambda|! divides F!.
+    An E_- order q is at most the Fock weight of a stage-1 state, which
+    is at most that of b.  An E_+ order p is at most fmax: by the grading
+    contract an output monomial has weight base + its Fock weight <=
+    wmax, and p is part of that Fock weight.  So a final entry is its
+    rational times (F!)^2, and its J-basis coefficient is entry / (F!)^2
+    times sqrt(2N)^d, d = len(out) - len(a) - len(b).  With sqrt(2N)^d =
+    (2N)^{floor(d/2)} sqrt(2N)^{d & 1}, the even part goes into the ints:
+    each entry is multiplied by (2N)^{floor(d/2) - low} and den = (F!)^2
+    (2N)^{-low}, low = min(0, every floor(d/2) of the pair); one gcd pass
+    then reduces the pair.
     """
     n_lat = ctx.N
     two_n = 2 * n_lat
@@ -398,8 +390,6 @@ def _mono_products_direct(
         zero_mode = ann[0] * two_n * cb
 
         def put(key, vec_terms, factor):
-            if not vec_terms:
-                return
             cur = new.get(key)
             if cur is None:
                 new[key] = (
@@ -445,7 +435,7 @@ def _mono_products_direct(
             e1 = zexp - q + zshift
             acc: dict = {}
             mult = scale // factorial(q)
-            for modes, w in _int_pairs(_eminus_pairs, ca, q):
+            for modes, w in _eminus_pairs(ca, q):
                 w *= mult
                 for lam, c in _apply_annihilators(modes, vec, two_n).items():
                     add = c * w
@@ -466,7 +456,7 @@ def _mono_products_direct(
         for p in range(max(0, base_e - e1), top_e - e1 + 1):
             block = result.setdefault(-(e1 + p) - 1, {})
             mult = scale // factorial(p)
-            for cparts, w in _int_pairs(_eplus_pairs, ca, p):
+            for cparts, w in _eplus_pairs(ca, p):
                 w *= mult
                 for lam, c in state:
                     if cparts:
@@ -654,36 +644,3 @@ def find_locality_order(a: Vector, b: Vector, test_weight: int = 4, max_order: i
         ):
             return order
     return None
-
-
-def mode_request(data: dict, ctx: Context | None = None) -> dict:
-    """Serve a serialized mode computation {"N", "n", "a", "b"}.
-
-    Returns {"result": vector JSON, "weight_check": bool}; the weight
-    check confirms wt(a_(n) b) = wt(a) + wt(b) - n - 1 on every pair of
-    homogeneous components.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"mode request must be a JSON object, got {data!r}")
-    n = json_int(data.get("n"), "mode n")
-    n_lat = json_int(data.get("N"), "mode N")
-    a = vector_from_json(data.get("a"), ctx)
-    b = vector_from_json(data.get("b"), a.ctx if a.terms else ctx)
-    if a.ctx != b.ctx:
-        if not a.terms:
-            a = Vector.zero(b.ctx)
-        elif not b.terms:
-            b = Vector.zero(a.ctx)
-        else:
-            raise ContextMismatchError("operands live in different scalar contexts")
-    if n_lat != a.ctx.N:
-        raise ContextMismatchError("request N does not match operand contexts")
-    ok = True
-    result = Vector.zero(a.ctx)
-    for wa, acomp in a.weight_components().items():
-        for wb, bcomp in b.weight_components().items():
-            part = vertex_mode(acomp, n, bcomp)
-            if not part.is_zero() and part.weights() != {wa + wb - n - 1}:
-                ok = False
-            result = result + part
-    return {"result": vector_to_json(result), "weight_check": ok}

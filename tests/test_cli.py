@@ -120,6 +120,21 @@ def test_mode_malformed_json_is_usage_error(capsys, blob):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "1.5", "--a", "e_plus", "--b", "e_minus"],
+        ["--n", "two", "--a", "e_plus", "--b", "e_minus"],
+        ["--n", "1", "--a", "e_plus"],
+        ["--n", "1", "--b", "e_minus"],
+    ],
+    ids=["float-mode", "text-mode", "missing-b", "missing-a"],
+)
+def test_mode_bad_mode_or_missing_operand_is_usage_error(capsys, argv):
+    code, _ = run(capsys, "mode", "--N", "2", *argv)
+    assert code == 2
+
+
 def test_verify_refuses_doubled_conformal_vector(capsys, tmp_path):
     nu = conformal_vector(Context(2))
     path = tmp_path / "two-nu.json"
@@ -314,6 +329,65 @@ def test_verify_axioms_n1_output_at_cutoff_five(capsys):
         hashlib.sha256(out.encode("utf-8")).hexdigest()
         == "51f5f5bbaea3ff03d10b047d70527239fe3a7f52b640d65fd6271740cc621459"
     )
+
+
+# nu + e+ + e- at N = 3, operands of weights 2 and 3
+NU_PAIR_N3 = json.dumps(
+    vector_to_json(conformal_vector(Context(3)) + charge_pair_vector(Context(3)))
+)
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["mode", "--N", "2", "--n", "2", "--a", "e_plus", "--b", "e_minus"],
+            "2a80bedf64c50b66ce80f5a2cddfadd468dae99cab1c357fedf5bb43b77537bd",
+        ),
+        (
+            ["--conductor", "8", "mode", "--N", "2", "--n", "-1"]
+            + ["--a", "omega_pi", "--b", "e_plus"],
+            "b0440f41114a12903fa489821b1795f76ee22168731b75df79ec47533903444c",
+        ),
+        # every pair of weight components is a term of the product
+        (
+            ["mode", "--N", "3", "--n", "-1", "--a", NU_PAIR_N3, "--b", NU_PAIR_N3],
+            "bfe2cddb3a71aee9cda0cf98fc5666c92df533ec3f9b6c9d7bc1837cb7c67753",
+        ),
+    ],
+    ids=["charge-pair", "conductor-eight", "two-weights"],
+)
+def test_mode_output(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+SL2_TEXT = """\
+check: sl2-zero-modes
+params:
+  N: 1
+  cutoff: 1
+rows:
+  - ok=True, relation=[H, E] = 2E
+  - ok=True, relation=[H, F] = -2F
+  - ok=True, relation=[E, F] = H
+  - ok=True, relation=[E, H] = -2E
+  - ok=True, relation=[F, H] = 2F
+  - ok=True, relation=[F, E] = -H
+  - ok=True, relation=[H, H] = 0
+  - ok=True, relation=[E, E] = 0
+  - ok=True, relation=[F, F] = 0
+  - ok=True, relation=weight-one basis orthonormal
+  - checked=36, ok=True, relation=[a_(0), b_(0)] = (a_(0) b)_(0)
+verdict: True
+"""
+
+
+def test_text_format_renders_report_rows(capsys):
+    code, out = run(capsys, "--format", "text", "verify", "sl2", "--cutoff", "1")
+    assert code == 0
+    assert out == SL2_TEXT
 
 
 @pytest.mark.parametrize("n_lat", ["1", "2", "3"])

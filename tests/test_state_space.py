@@ -30,6 +30,7 @@ from voa.state_space import (
     vector_to_json,
     weight4_primary,
 )
+from voa.structure_analysis import fixed_point_subspace
 from voa.vertex_engine import _mk_mono
 
 
@@ -302,6 +303,18 @@ def test_gram_positive_definite(n_lat):
             continue
         for minor in linalg.leading_principal_minors(g, ctx):
             assert minor.as_fraction() > 0
+
+
+def test_gram_matrix_of_a_subspace_is_positive_definite():
+    # the scalar product restricted to the flip-fixed subspace of V_{L_4}
+    ctx = Context(N=2)
+    d1 = fixed_point_subspace(ctx, "D1", 4)
+    for w in range(5):
+        g = gram_matrix(ctx, w, subspace=d1)
+        assert len(g) == len(d1.weight_basis(w))
+        minors = [m.as_fraction() for m in linalg.leading_principal_minors(g, ctx)]
+        assert all(m > 0 for m in minors), (w, minors)
+    assert minors == [4, 16, 48, 384, 9216]
 
 
 def test_graded_subspace_dims():

@@ -28,7 +28,6 @@ from voa import structure_analysis
 from voa.structure_analysis import (
     CertificateRefused,
     _bracket_cases,
-    _close_cached,
     _identity_row,
     _omega_system,
     _unit_pool,
@@ -48,6 +47,8 @@ from voa.structure_analysis import (
     virasoro_character,
 )
 from voa.vertex_engine import (
+    _eminus_pairs,
+    _eplus_pairs,
     _mk_mono,
     _mono_products,
     _virasoro_mono,
@@ -111,6 +112,37 @@ def test_quasi_primary_weight_two_splits_at_n_two():
         span.add(v)
     for probe in (conformal_vector(ctx), charged_vacuum(ctx, 1), charged_vacuum(ctx, -1)):
         assert span.contains(probe)
+
+
+@pytest.mark.parametrize(
+    "group, probes",
+    [("D1", ("pair", "nu")), ("T", ("nu",))],
+    ids=["flip-fixed", "torus-fixed"],
+)
+def test_quasi_primary_basis_inside_an_ambient_subspace(group, probes):
+    # only the ambient's weight-2 basis is searched: the flip-fixed space at
+    # N = 2 keeps nu and e+ + e- but neither charged vacuum alone, the torus
+    # fixed space keeps nu alone
+    ctx = Context(N=2)
+    vectors = quasi_primary_basis(ctx, 2, ambient=fixed_point_subspace(ctx, group, 4))
+    assert len(vectors) == len(probes)
+    span = EchelonSpan(ctx)
+    for v in vectors:
+        span.add(v)
+    named = {"pair": charge_pair_vector(ctx), "nu": conformal_vector(ctx)}
+    for probe in probes:
+        assert span.contains(named[probe])
+
+
+def test_primary_basis_inside_an_ambient_subspace():
+    # of the two weight-3 primaries e+ and e- at N = 3, the flip-fixed space
+    # holds only their sum
+    ctx = Context(N=3)
+    vectors = primary_basis(ctx, 3, ambient=fixed_point_subspace(ctx, "D1", 3))
+    assert len(vectors) == 1
+    span = EchelonSpan(ctx)
+    span.add(vectors[0])
+    assert span.contains(charge_pair_vector(ctx))
 
 
 def test_character_c1_h0_prefix():
@@ -227,10 +259,8 @@ def test_closure_golden_digest_after_intern_eviction():
     # sums cached charge-zero blocks with charged blocks built anew, whose
     # keys are equal to, but not the same objects as, the cached ones
     _mono_products.cache_clear()
-    _close_cached.cache_clear()
     for _, ctx, gens, cutoff in _closure_family():
         close_subalgebra(ctx, gens[:1], cutoff)
-    _close_cached.cache_clear()
     _mk_mono.cache_clear()
     assert _closure_digest() == CLOSURE_DIGEST
 
@@ -297,8 +327,9 @@ def test_input_keyed_caches_are_bounded():
         _mk_mono,
         _mono_products,
         _virasoro_mono,
+        _eplus_pairs,
+        _eminus_pairs,
         enumerate_basis,
-        _close_cached,
         _omega_system,
     )
     for cached in caches:

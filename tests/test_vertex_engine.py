@@ -12,7 +12,7 @@ from math import comb, factorial, gcd
 import pytest
 
 from voa import vertex_engine
-from voa.scalars import Context, ContextMismatchError
+from voa.scalars import Context
 from voa.state_space import (
     BasisMonomial,
     Vector,
@@ -34,7 +34,6 @@ from voa.vertex_engine import (
     _mono_products_direct,
     find_locality_order,
     heis_apply,
-    mode_request,
     vertex_mode,
     vertex_mode_physics,
     vertex_window,
@@ -173,13 +172,19 @@ def test_virasoro_heisenberg_mixed_commutator():
 # ------------------------------------------------------- exponential factors
 
 
+def _weights(table, k, order):
+    """The (modes, weight) pairs of an E_+- table, each int weight read as
+    the Fraction it stands for: the table holds weights times order!."""
+    return tuple((modes, Fraction(w, factorial(order))) for modes, w in table(k, order))
+
+
 def test_eplus_coefficients_low_orders():
     # alpha-basis: the z^m coefficient of E_+(k alpha, z) is k^len(lambda)/z_lambda
-    assert _eplus_pairs(1, 0) == (((), 1),)
-    assert _eplus_pairs(0, 3) == ()
-    assert dict(_eplus_pairs(1, 1)) == {(-1,): 1}
+    assert _weights(_eplus_pairs, 1, 0) == (((), 1),)
+    assert _weights(_eplus_pairs, 0, 3) == ()
+    assert dict(_weights(_eplus_pairs, 1, 1)) == {(-1,): 1}
 
-    quartic = dict(_eplus_pairs(1, 4))
+    quartic = dict(_weights(_eplus_pairs, 1, 4))
     assert quartic == {
         (-4,): Fraction(1, 4),
         (-3, -1): Fraction(1, 3),
@@ -188,16 +193,16 @@ def test_eplus_coefficients_low_orders():
         (-1, -1, -1, -1): Fraction(1, 24),
     }
     # charge -1 flips the sign of odd-length partitions
-    neg = dict(_eplus_pairs(-1, 4))
+    neg = dict(_weights(_eplus_pairs, -1, 4))
     assert neg == {parts: (-1) ** len(parts) * f for parts, f in quartic.items()}
 
 
 def test_eminus_action_on_conformal_vector():
     # alpha-basis: the z^{-q} coefficient of E_-(k alpha, z) is (-k)^len(lambda)/z_lambda
-    assert _eminus_pairs(1, 0) == (((), 1),)
-    assert _eminus_pairs(0, 2) == ()
-    assert dict(_eminus_pairs(1, 2)) == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
-    assert dict(_eminus_pairs(-1, 1)) == {(1,): 1}
+    assert _weights(_eminus_pairs, 1, 0) == (((), 1),)
+    assert _weights(_eminus_pairs, 0, 2) == ()
+    assert dict(_weights(_eminus_pairs, 1, 2)) == {(2,): Fraction(-1, 2), (1, 1): Fraction(1, 2)}
+    assert dict(_weights(_eminus_pairs, -1, 1)) == {(1,): 1}
 
     # E_-(alpha, z)(nu (x) e^alpha) = nu e - 2 J_{-1} e z^{-1} + 2 e z^{-2} in V_{L_4},
     # with nu = J_{-1}^2 / 2 = alpha_{-1}^2 / 8, J_{-1} = alpha_{-1} / 2 and
@@ -206,7 +211,7 @@ def test_eminus_action_on_conformal_vector():
 
     def coefficient(k, q):
         acc: dict = {}
-        for modes, f in _eminus_pairs(k, q):
+        for modes, f in _weights(_eminus_pairs, k, q):
             for part, c in _apply_annihilators(modes, carrier, 4).items():
                 m = BasisMonomial(part, 1)
                 acc[m] = acc.get(m, 0) + f * c
@@ -942,66 +947,3 @@ def test_locality_order_matches_commutator_formula(n_lat, left, right):
     # the search returns the first order that works, so max_order = top + 1
     # gives the same verdict as a wider search, and a wrong kernel fails fast
     assert find_locality_order(a, b, test_weight=2, max_order=top + 1) == top + 1
-
-
-def test_mode_request_round_trip():
-    ctx = Context(N=2)
-    ep = charged_vacuum(ctx, 1)
-    em = charged_vacuum(ctx, -1)
-    req = {
-        "N": 2,
-        "n": 2,
-        "a": vector_to_json(ep),
-        "b": vector_to_json(em),
-    }
-    out = mode_request(req)
-    assert out["weight_check"] is True
-    assert out["result"] == vector_to_json(mono(ctx, (-1,), 0, 2))
-
-    with pytest.raises(ContextMismatchError):
-        mode_request({"N": 3, "n": 0, "a": vector_to_json(ep), "b": vector_to_json(em)})
-
-
-def test_mode_request_rejects_non_integer_mode():
-    ctx = Context(N=2)
-    ep, em = charged_vacuum(ctx, 1), charged_vacuum(ctx, -1)
-    req = {"N": 2, "a": vector_to_json(ep), "b": vector_to_json(em)}
-    with pytest.raises(ValueError):
-        mode_request(req)
-    for n in (1.5, "2", None, True):
-        with pytest.raises(ValueError):
-            mode_request({**req, "n": n})
-
-
-@pytest.mark.parametrize(
-    "request_",
-    [[], "x", None, {"N": "2"}, {"N": None}, {"N": True}],
-    ids=["list", "string", "null", "string-N", "null-N", "boolean-N"],
-)
-def test_mode_request_rejects_malformed_request(request_):
-    # malformed input is a plain ValueError, not the context-error subclass
-    ctx = Context(N=2)
-    if isinstance(request_, dict):
-        request_ = {
-            "n": 1,
-            "a": vector_to_json(charged_vacuum(ctx, 1)),
-            "b": vector_to_json(charged_vacuum(ctx, -1)),
-            **request_,
-        }
-    with pytest.raises(ValueError) as exc:
-        mode_request(request_)
-    assert not isinstance(exc.value, ContextMismatchError)
-
-
-@pytest.mark.parametrize("missing", ["a", "b"])
-def test_mode_request_rejects_missing_operand(missing):
-    ctx = Context(N=2)
-    req = {
-        "N": 2,
-        "n": 1,
-        "a": vector_to_json(charged_vacuum(ctx, 1)),
-        "b": vector_to_json(charged_vacuum(ctx, -1)),
-    }
-    del req[missing]
-    with pytest.raises(ValueError, match="vector JSON"):
-        mode_request(req)
