@@ -159,33 +159,27 @@ class Vector:
                 out.pop(mono, None)
             else:
                 out[mono] = new
-        return self._wrap(out)
+        return raw_vector(self.ctx, out)
 
     def __sub__(self, other: "Vector") -> "Vector":
         return self + (-other)
 
     def __neg__(self) -> "Vector":
-        return self._wrap({m: -c for m, c in self.terms.items()})
+        return raw_vector(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def scale(self, factor) -> "Vector":
         if not isinstance(factor, Scalar):
             factor = self.ctx.from_fraction(factor)
         if factor.is_zero():
             return Vector(self.ctx)
-        return self._wrap(
-            {m: v for m, c in self.terms.items() if not (v := factor * c).is_zero()}
+        return raw_vector(
+            self.ctx, {m: v for m, c in self.terms.items() if not (v := factor * c).is_zero()}
         )
 
     def __rmul__(self, factor) -> "Vector":
         return self.scale(factor)
 
     __mul__ = __rmul__
-
-    def _wrap(self, terms: dict) -> "Vector":
-        out = Vector.__new__(Vector)
-        out.ctx = self.ctx
-        out.terms = terms
-        return out
 
     def __eq__(self, other):
         return (
@@ -216,7 +210,7 @@ class Vector:
         n_lat = self.ctx.N
         for mono, coeff in self.terms.items():
             out.setdefault(mono.weight(n_lat), {})[mono] = coeff
-        return {w: self._wrap(t) for w, t in sorted(out.items())}
+        return {w: raw_vector(self.ctx, t) for w, t in sorted(out.items())}
 
     def charges(self) -> set:
         return {m.charge for m in self.terms}
@@ -227,6 +221,15 @@ class Vector:
         return " + ".join(f"({c})*{m}" for m, c in self.items())
 
     __repr__ = __str__
+
+
+def raw_vector(ctx: Context, terms: dict) -> Vector:
+    """Unvalidated Vector over ctx: terms must map monomials to nonzero
+    Scalars of ctx, and the vector takes the dict over uncopied."""
+    out = Vector.__new__(Vector)
+    out.ctx = ctx
+    out.terms = terms
+    return out
 
 
 def vacuum(ctx: Context) -> Vector:
@@ -297,15 +300,6 @@ def enumerate_basis(ctx: Context, weight: int) -> tuple:
     return tuple(out)
 
 
-def pct(v: Vector) -> Vector:
-    """Antiunitary PCT operator: charge flip, sign (-1)^s, conjugated coefficients."""
-    out: dict = {}
-    for mono, coeff in v.terms.items():
-        sign = -1 if len(mono.partition) % 2 else 1
-        out[BasisMonomial(mono.partition, -mono.charge)] = sign * coeff.conjugate()
-    return Vector(v.ctx, out)
-
-
 def apply_flip(v: Vector) -> Vector:
     """Linear automorphism phi: J_n -> -J_n, e^{k alpha} -> e^{-k alpha}."""
     out: dict = {}
@@ -313,6 +307,11 @@ def apply_flip(v: Vector) -> Vector:
         sign = -1 if len(mono.partition) % 2 else 1
         out[BasisMonomial(mono.partition, -mono.charge)] = sign * coeff
     return Vector(v.ctx, out)
+
+
+def pct(v: Vector) -> Vector:
+    """Antiunitary PCT operator: the charge flip phi with conjugated coefficients."""
+    return raw_vector(v.ctx, {m: c.conjugate() for m, c in apply_flip(v).terms.items()})
 
 
 def apply_torus(v: Vector, p: int, q: int) -> Vector:

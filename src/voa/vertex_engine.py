@@ -96,8 +96,8 @@ from .scalars import Context, ContextMismatchError
 from .state_space import (
     BasisMonomial,
     Vector,
-    enumerate_basis,
     partitions_of,
+    raw_vector,
     z_lambda,
 )
 
@@ -113,17 +113,6 @@ def _mk_mono(partition: tuple, charge: int) -> BasisMonomial:
     already be an ascending tuple of negative modes, since BasisMonomial's
     validating __new__ is skipped."""
     return tuple.__new__(BasisMonomial, (partition, charge))
-
-
-def _raw(ctx: Context, terms: dict) -> Vector:
-    out = Vector.__new__(Vector)
-    out.ctx = ctx
-    out.terms = terms
-    return out
-
-
-def _clean(ctx: Context, terms: dict) -> Vector:
-    return _raw(ctx, {m: c for m, c in terms.items() if not c.is_zero()})
 
 
 def _flip_terms(terms: dict, lab: int) -> dict:
@@ -169,7 +158,7 @@ def heis_apply(m: int, v: Vector) -> Vector:
             img = {lam: c * root for lam, c in img.items()}
         for lam, c in img.items():
             out[_mk_mono(lam, charge)] = c
-    return _raw(ctx, out)
+    return raw_vector(ctx, out)
 
 
 @lru_cache(maxsize=50_000)
@@ -181,10 +170,10 @@ def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
     if mono.charge < 0:
         # L_m commutes with phi, since nu = (1/2) J_{-1}^2 vacuum is phi-fixed
         img = _virasoro_mono(ctx, m, _mk_mono(mono.partition, -mono.charge))
-        return _raw(ctx, _flip_terms(img.terms, len(mono.partition)))
+        return raw_vector(ctx, _flip_terms(img.terms, len(mono.partition)))
     if m == 0:
         w = mono.weight(ctx.N)
-        return _raw(ctx, {mono: ctx.from_ints((w,))} if w else {})
+        return raw_vector(ctx, {mono: ctx.from_ints((w,))} if w else {})
     charge = mono.charge
     one = {mono.partition: 1}
     sums: dict = {}
@@ -208,7 +197,7 @@ def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
             pair[slot] += c * twice
     # every term adds a positive int, as the charge is >= 0, so no entry
     # cancels and none is zero
-    return _raw(
+    return raw_vector(
         ctx,
         {
             _mk_mono(lam, charge): ctx.from_ints((rat,), (rad,), 2)
@@ -228,7 +217,7 @@ def virasoro_apply(m: int, v: Vector) -> Vector:
         for x, d in _virasoro_mono(ctx, m, mono).terms.items():
             prev = out.get(x)
             out[x] = d * c if prev is None else prev + d * c
-    return _clean(ctx, out)
+    return raw_vector(ctx, {m: c for m, c in out.items() if not c.is_zero()})
 
 
 @lru_cache(maxsize=4096)
@@ -575,16 +564,8 @@ def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
             if not c.is_zero():
                 terms[mono] = c
         if terms:
-            out[n] = _raw(ctx, terms)
+            out[n] = raw_vector(ctx, terms)
     return out
-
-
-def vertex_mode_physics(a: Vector, n: int, b: Vector) -> Vector:
-    """Physics-convention mode a_n = a_(n + wt a - 1) for homogeneous a.
-
-    Documented convenience only; the whole engine speaks a_(n).
-    """
-    return vertex_mode(a, n + a.weight() - 1, b)
 
 
 def virasoro_field_of(omega: Vector, m: int, v: Vector) -> Vector:
@@ -594,53 +575,17 @@ def virasoro_field_of(omega: Vector, m: int, v: Vector) -> Vector:
     return vertex_mode(omega, m + 1, v)
 
 
-def _commutator_coefficient_kills(a: Vector, b: Vector, order: int, c: Vector, wf_max: int) -> bool:
-    """Check (z-w)^order [Y(a,z), Y(b,w)] c = 0 on a finite exponent window."""
-    wa, wb = a.weight(), b.weight()
-    wc = c.weight()
-    inner = wf_max + wc + 2 * order  # largest weight of a_(m) c or b_(n) c in the window
-    # ab[n][m] = a_(m) b_(n) c and ba[m][n] = b_(n) a_(m) c, read from vertex_window tables
-    ab = {n: vertex_window(a, v, wf_max) for n, v in vertex_window(b, c, inner).items()}
-    ba = {m: vertex_window(b, v, wf_max) for m, v in vertex_window(a, c, inner).items()}
-    zero = Vector.zero(a.ctx)
-    for wf in range(0, wf_max + 1):
-        rs = wa + wb + wc - order - 2 - wf
-        r_lo = rs - wb - wc + 1 - order
-        r_hi = wa + wc - 1 + order
-        for r in range(r_lo, r_hi + 1):
-            s = rs - r
-            acc = zero
-            for i in range(order + 1):
-                sign = -1 if i % 2 else 1
-                f = sign * comb(order, i)
-                t1 = ab.get(s + i, {}).get(r + order - i, zero)
-                t2 = ba.get(r + order - i, {}).get(s + i, zero)
-                acc = acc + (t1 - t2).scale(f)
-            if not acc.is_zero():
-                return False
-    return True
+def find_locality_order(a: Vector, b: Vector, max_order: int = 12):
+    """Smallest order with (z-w)^order [Y(a,z), Y(b,w)] = 0, or None above max_order.
 
-
-def find_locality_order(a: Vector, b: Vector, test_weight: int = 4, max_order: int = 12):
-    """Smallest order with (z-w)^order [Y(a,z), Y(b,w)] = 0 on low-weight states.
-
-    The commutator is tested against every basis vector of weight at most
-    test_weight over a finite exponent window wide enough to cover all
-    potentially nonzero coefficients at those weights.  Returns None when
-    no order up to max_order works.  A zero operand raises ValueError.
+    [Y(a,z), Y(b,w)] = sum_{j>=0} Y(a_(j) b, w) d_w^(j) delta(z-w) (Kac 1998), and
+    Y(u, w) = 0 only for u = 0, since u_(-1) vacuum = u; so the order is 1 + the
+    largest j >= 0 with a_(j) b != 0, or 0 if there is none.  The window of
+    output weight <= wt a + wt b - 1 holds exactly the modes j >= 0.  A zero
+    or non-homogeneous operand raises ValueError.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("locality needs nonzero operands")
-    ctx = a.ctx
-    tests = [
-        Vector.monomial(ctx, m.partition, m.charge)
-        for w in range(test_weight + 1)
-        for m in enumerate_basis(ctx, w)
-    ]
-    for order in range(max_order + 1):
-        if all(
-            _commutator_coefficient_kills(a, b, order, c, test_weight + 2)
-            for c in tests
-        ):
-            return order
-    return None
+    window = vertex_window(a, b, a.weight() + b.weight() - 1)
+    order = 1 + max(window, default=-1)
+    return order if order <= max_order else None

@@ -44,6 +44,17 @@ def test_character_dims(capsys):
     assert data["dims"] == [1, 0, 1, 1, 2]
 
 
+def test_character_output_at_c_half(capsys):
+    # the c = 1/2, h = 0 Virasoro character past cutoff 6, through the CLI
+    code, out = run(capsys, "character", "--c", "1/2", "--h", "0", "--max", "7")
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 0, 1, 1, 2, 2, 3, 3]
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "7feb1fe4836d195db064d58f9de6339f3244df44358b37e1cfcc7688814243c3"
+    )
+
+
 def test_character_usage_error(capsys):
     code, _ = run(capsys, "character", "--c", "1", "--h", "-1", "--max", "4")
     assert code == 2

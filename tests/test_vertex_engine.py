@@ -35,7 +35,6 @@ from voa.vertex_engine import (
     find_locality_order,
     heis_apply,
     vertex_mode,
-    vertex_mode_physics,
     vertex_window,
     virasoro_apply,
     virasoro_field_of,
@@ -268,7 +267,6 @@ def test_conformal_field_matches_virasoro_action():
         for b in basis_vectors(ctx, 4):
             for m in range(-3, 4):
                 assert virasoro_field_of(nu, m, b) == virasoro_apply(m, b), (n_lat, m, b)
-                assert vertex_mode_physics(nu, m, b) == virasoro_apply(m, b)
 
 
 def test_virasoro_field_rejects_wrong_weight():
@@ -906,12 +904,12 @@ def test_locality_orders():
     j = mono(ctx, (-1,), 0)
     nu = conformal_vector(ctx)
     ep, em = charged_vacuum(ctx, 1), charged_vacuum(ctx, -1)
-    assert find_locality_order(j, j, test_weight=2) == 2
-    assert find_locality_order(j, ep, test_weight=2) == 1
-    assert find_locality_order(nu, ep, test_weight=2) == 2
-    assert find_locality_order(ep, ep, test_weight=2) == 0
-    assert find_locality_order(ep, em, test_weight=2) == 4
-    assert find_locality_order(nu, nu, test_weight=2) == 4
+    assert find_locality_order(j, j) == 2
+    assert find_locality_order(j, ep) == 1
+    assert find_locality_order(nu, ep) == 2
+    assert find_locality_order(ep, ep) == 0
+    assert find_locality_order(ep, em) == 4
+    assert find_locality_order(nu, nu) == 4
 
 
 def test_locality_order_rejects_zero_operand():
@@ -919,7 +917,7 @@ def test_locality_order_rejects_zero_operand():
     ep, zero = charged_vacuum(ctx, 1), Vector.zero(ctx)
     for a, b in ((zero, ep), (ep, zero)):
         with pytest.raises(ValueError):
-            find_locality_order(a, b, test_weight=1)
+            find_locality_order(a, b)
 
 
 LOCALITY_OPERANDS = ("Jm1", "Jm2", "nu", "ep", "em")
@@ -938,12 +936,32 @@ def _locality_operands(ctx):
 @pytest.mark.parametrize("n_lat", [1, 3])
 @pytest.mark.parametrize("left,right", list(product(LOCALITY_OPERANDS, repeat=2)))
 def test_locality_order_matches_commutator_formula(n_lat, left, right):
-    # [Y(a,z), Y(b,w)] = sum_{j>=0} Y(a_(j) b, w) d^(j) delta(z-w)  (Kac 1998), so
-    # the locality order is 1 + the largest j >= 0 with a_(j) b != 0, or 0 if none
-    ops = _locality_operands(Context(n_lat))
+    # an order N is right when a_(N-1) b != 0 and the commutator formula
+    # [a_(m), b_(n)] = sum_{j>=0} C(m, j) (a_(j) b)_(m+n-j) (Kac 1998) holds
+    # with the sum cut at j < N, both read through vertex_mode alone
+    ctx = Context(n_lat)
+    ops = _locality_operands(ctx)
     a, b = ops[left], ops[right]
-    products = vertex_window(a, b, a.weight() + b.weight() - 1)
-    top = max((j for j in products if j >= 0), default=-1)
-    # the search returns the first order that works, so max_order = top + 1
-    # gives the same verdict as a wider search, and a wrong kernel fails fast
-    assert find_locality_order(a, b, test_weight=2, max_order=top + 1) == top + 1
+    order = find_locality_order(a, b)
+    assert find_locality_order(a, b, max_order=order - 1) is None
+    if order:
+        assert not vertex_mode(a, order - 1, b).is_zero()
+    products = [vertex_mode(a, j, b) for j in range(order)]
+    for c in basis_vectors(ctx, 1):
+        for m in range(order + 2):
+            for n in range(-2, 2):
+                lhs = vertex_mode(a, m, vertex_mode(b, n, c)) - vertex_mode(
+                    b, n, vertex_mode(a, m, c)
+                )
+                rhs = Vector.zero(ctx)
+                for j, u in enumerate(products):
+                    rhs = rhs + vertex_mode(u, m + n - j, c).scale(comb(m, j))
+                assert lhs == rhs, (m, n, c)
+
+
+def test_locality_order_rejects_inhomogeneous_operand():
+    ctx = Context(N=2)
+    j, ep = mono(ctx, (-1,), 0), charged_vacuum(ctx, 1)
+    for a, b in ((j + ep, ep), (ep, j + conformal_vector(ctx))):
+        with pytest.raises(ValueError):
+            find_locality_order(a, b)
