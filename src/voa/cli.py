@@ -53,19 +53,6 @@ EXIT_CONTEXT = 3
 
 MAX_CUTOFF = 16  # weight bound; the conductor bound is scalars.MAX_CONDUCTOR
 
-SUITES = (
-    "axioms",
-    "virasoro",
-    "lemma-weight4",
-    "mode-prop",
-    "omega",
-    "decomposition",
-    "fixed-points",
-    "tensor-split",
-    "sl2",
-)
-ONE_LATTICE_SUITES = ("omega", "tensor-split", "sl2")
-
 
 class UsageError(ValueError):
     pass
@@ -173,33 +160,33 @@ def render_text(payload: dict, indent: str = "") -> str:
 # verification suite dispatch
 
 
+# suite -> (default N, lives at one lattice, builder(ctx, cutoff, args)); the
+# builders look axiom_report up at call time, so it can be rebound on the module
+SUITES = {
+    "axioms": (2, False, lambda ctx, cutoff, args: axiom_report(ctx, cutoff)),
+    "virasoro": (
+        2,
+        False,
+        lambda ctx, cutoff, args: virasoro_report(
+            resolve_vector(ctx, args.omega), _fraction(args.c), cutoff
+        ),
+    ),
+    "lemma-weight4": (2, False, lambda ctx, cutoff, args: lemma_weight4_report(ctx)),
+    "mode-prop": (2, False, lambda ctx, cutoff, args: mode_prop_report(ctx.conductor)),
+    "omega": (2, True, lambda ctx, cutoff, args: omega_report(ctx)),
+    "decomposition": (3, False, lambda ctx, cutoff, args: decomposition_reports(ctx, cutoff)),
+    "fixed-points": (1, False, lambda ctx, cutoff, args: fixed_points_report(ctx, cutoff, args.k)),
+    "tensor-split": (2, True, lambda ctx, cutoff, args: verify_w_tensor_split(ctx, cutoff)),
+    "sl2": (1, True, lambda ctx, cutoff, args: sl2_zero_mode_check(ctx, cutoff)),
+}
+
+
 def run_suite(name: str, args) -> CheckReport | list:
-    conductor = args.conductor
+    default_n, one_lattice, build = SUITES[name]
     cutoff = _check_cutoff(args.cutoff)
     # under "all", a suite that lives at one lattice runs there whatever --N says
-    n_lat = None if args.suite == "all" and name in ONE_LATTICE_SUITES else args.N
-
-    if name == "axioms":
-        return axiom_report(Context(n_lat or 2, conductor), cutoff)
-    if name == "virasoro":
-        ctx = Context(n_lat or 2, conductor)
-        omega = resolve_vector(ctx, args.omega)
-        return virasoro_report(omega, _fraction(args.c), cutoff)
-    if name == "lemma-weight4":
-        return lemma_weight4_report(Context(n_lat or 2, conductor))
-    if name == "mode-prop":
-        return mode_prop_report(conductor)
-    if name == "omega":
-        return omega_report(Context(n_lat or 2, conductor))
-    if name == "decomposition":
-        return decomposition_reports(Context(n_lat or 3, conductor), cutoff)
-    if name == "fixed-points":
-        return fixed_points_report(Context(n_lat or 1, conductor), cutoff, args.k)
-    if name == "tensor-split":
-        return verify_w_tensor_split(Context(n_lat or 2, conductor), cutoff)
-    if name == "sl2":
-        return sl2_zero_mode_check(Context(n_lat or 1, conductor), cutoff)
-    raise UsageError(f"unknown suite {name!r}")
+    keep_default = args.N is None or one_lattice and args.suite == "all"
+    return build(Context(default_n if keep_default else args.N, args.conductor), cutoff, args)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +308,8 @@ def cmd_close(args) -> int:
     cutoff = _check_cutoff(args.cutoff)
     refs = args.gen if args.gen else ["nu"]
     generators = [resolve_vector(ctx, ref) for ref in refs]
+    for g in generators:
+        _check_cutoff(max(g.weights(), default=0))
     sub = close_subalgebra(ctx, generators, cutoff)
     payload = {
         "check": "close",
@@ -370,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mode)
 
     p = sub.add_parser("verify", help="run a verification suite", parents=[common])
-    p.add_argument("suite", choices=SUITES + ("all",))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--N", type=_positive, default=None)
     p.add_argument("--cutoff", type=int, default=6)
     p.add_argument("--k", type=_positive, default=2, help="cyclic order (fixed-points)")

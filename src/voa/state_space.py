@@ -188,9 +188,6 @@ class Vector:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.ctx, tuple(sorted(self.terms.items(), key=lambda kv: kv[0].sort_key()))))
-
     def weights(self) -> set:
         return {m.weight(self.ctx.N) for m in self.terms}
 
@@ -291,10 +288,7 @@ def enumerate_basis(ctx: Context, weight: int) -> tuple:
     out = []
     kmax = isqrt(weight // ctx.N)
     for k in range(-kmax, kmax + 1):
-        rem = weight - ctx.N * k * k
-        if rem < 0:
-            continue
-        for parts in partitions_of(rem):
+        for parts in partitions_of(weight - ctx.N * k * k):
             out.append(BasisMonomial(tuple(-p for p in parts), k))
     out.sort(key=BasisMonomial.sort_key)
     return tuple(out)

@@ -26,6 +26,7 @@ from .state_space import (
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
+    gram_matrix,
     inner_product,
     partition_count,
     pct,
@@ -380,7 +381,7 @@ def project_conformal(sub: GradedSubspace) -> Vector:
     basis = sub.weight_basis(2)
     if not basis:
         return Vector.zero(ctx)
-    gram = [[inner_product(a, b) for b in basis] for a in basis]
+    gram = gram_matrix(ctx, 2, sub)
     rhs = [inner_product(b, conformal_vector(ctx)) for b in basis]
     coeffs = solve(gram, rhs, len(basis), ctx)
     if coeffs is None:
@@ -589,19 +590,18 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     h = j.scale(ctx.sqrt_2n())
     zero = Vector.zero(ctx)
 
-    def bracket(a: Vector, b: Vector) -> Vector:
-        return vertex_mode(a, 0, b)
-
+    named = {"E": e, "F": f, "H": h}
+    br = {(p, q): vertex_mode(named[p], 0, named[q]) for p in named for q in named}
     relations = [
-        ("[H, E] = 2E", bracket(h, e), e.scale(2)),
-        ("[H, F] = -2F", bracket(h, f), f.scale(-2)),
-        ("[E, F] = H", bracket(e, f), h),
-        ("[E, H] = -2E", bracket(e, h), e.scale(-2)),
-        ("[F, H] = 2F", bracket(f, h), f.scale(2)),
-        ("[F, E] = -H", bracket(f, e), -h),
-        ("[H, H] = 0", bracket(h, h), zero),
-        ("[E, E] = 0", bracket(e, e), zero),
-        ("[F, F] = 0", bracket(f, f), zero),
+        ("[H, E] = 2E", br["H", "E"], e.scale(2)),
+        ("[H, F] = -2F", br["H", "F"], f.scale(-2)),
+        ("[E, F] = H", br["E", "F"], h),
+        ("[E, H] = -2E", br["E", "H"], e.scale(-2)),
+        ("[F, H] = 2F", br["F", "H"], f.scale(2)),
+        ("[F, E] = -H", br["F", "E"], -h),
+        ("[H, H] = 0", br["H", "H"], zero),
+        ("[E, E] = 0", br["E", "E"], zero),
+        ("[F, F] = 0", br["F", "F"], zero),
     ]
     rows = [{"relation": name, "ok": lhs == rhs} for name, lhs, rhs in relations]
 
@@ -613,69 +613,53 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     )
     rows.append({"relation": "weight-one basis orthonormal", "ok": ortho})
 
-    pool = _unit_pool(ctx, cutoff)
-    triple = [(a, lambda v, lo, a=a: {0: bracket(a, v)}) for a in (e, f, h)]
-
     def operator_cases():
-        for (a, x), (b, y) in product(triple, repeat=2):
-            ab = bracket(a, b)
-            for v, m, n, lhs, _ in _bracket_cases(x, y, pool, [(0, 0)]):
-                yield lhs, bracket(ab, v), (v, m, n)
+        # one pass per vector: its three zero-mode images and their nine images
+        for v in _unit_pool(ctx, cutoff):
+            once = {q: vertex_mode(b, 0, v) for q, b in named.items()}
+            twice = {(p, q): vertex_mode(named[p], 0, once[q]) for p, q in br}
+            for p, q in br:
+                yield twice[p, q] - twice[q, p], vertex_mode(br[p, q], 0, v), (v, 0, 0)
 
     rows.append(_identity_row("[a_(0), b_(0)] = (a_(0) b)_(0)", operator_cases()))
     return CheckReport("sl2-zero-modes", {"N": ctx.N, "cutoff": cutoff}, rows)
+
+
+# decomposition space -> (group whose fixed points it is, step s of the
+# neutral weights (s p)^2, multiplicity of the charged weights N m^2)
+_DECOMPOSITION_SPACES = {
+    "V": ("Z1", 1, 2),
+    "M1": ("T", 1, 0),
+    "V+": ("D1", 2, 1),
+    "M1+": ("Dinf", 2, 0),
+}
 
 
 def verify_decomposition(ctx: Context, which: str, cutoff: int) -> DecompositionReport:
     """Compare honest graded dimensions against central charge 1 character sums.
 
     which selects the space: "V" is the whole algebra, "M1" the torus
-    fixed points, "V+" the flip fixed points, "M1+" both.  The charged
+    fixed points, "V+" the flip fixed points, "M1+" both.  Each is the
+    fixed-point space of a group, and its character is the sum of
+    ch(1, (s p)^2) over p >= 0 plus mult times the sum of ch(1, N m^2)
+    over m >= 1, with s and mult from _DECOMPOSITION_SPACES.  The charged
     families of "V" and "V+" require N non-square, since their character
     formulas assume the charged conformal weights are never squares.
     """
-    if which not in ("V", "M1", "V+", "M1+"):
+    if which not in _DECOMPOSITION_SPACES:
         raise ValueError('which must be one of "V", "M1", "V+", "M1+"')
+    group, step, mult = _DECOMPOSITION_SPACES[which]
     n_lat = ctx.N
-    if which in ("V", "V+") and isqrt(n_lat) ** 2 == n_lat:
+    if mult and isqrt(n_lat) ** 2 == n_lat:
         raise ValueError("charged-sector characters need N non-square")
 
-    if which == "V":
-        lhs = [len(enumerate_basis(ctx, w)) for w in range(cutoff + 1)]
-    elif which == "M1":
-        lhs = fixed_point_subspace(ctx, "T", cutoff).dims()
-    elif which == "V+":
-        lhs = fixed_point_subspace(ctx, "D1", cutoff).dims()
-    else:
-        lhs = fixed_point_subspace(ctx, "Dinf", cutoff).dims()
-
+    lhs = fixed_point_subspace(ctx, group, cutoff).dims()
+    sectors = [((step * p) ** 2, 1) for p in range(isqrt(cutoff) // step + 1)]
+    sectors += [(n_lat * m * m, mult) for m in range(1, isqrt(cutoff // n_lat) + 1)]
     rhs = [0] * (cutoff + 1)
-
-    def add_char(h: int, mult: int = 1) -> None:
-        ch = virasoro_character(1, h, cutoff)
-        for w in range(cutoff + 1):
-            rhs[w] += mult * ch[w]
-
-    if which in ("V", "M1"):
-        p = 0
-        while p * p <= cutoff:
-            add_char(p * p)
-            p += 1
-    else:
-        p = 0
-        while 4 * p * p <= cutoff:
-            add_char(4 * p * p)
-            p += 1
-    if which == "V":
-        m = 1
-        while n_lat * m * m <= cutoff:
-            add_char(n_lat * m * m, 2)
-            m += 1
-    elif which == "V+":
-        m = 1
-        while n_lat * m * m <= cutoff:
-            add_char(n_lat * m * m)
-            m += 1
+    for h, times in sectors:
+        for w, d in enumerate(virasoro_character(1, h, cutoff)):
+            rhs[w] += times * d
 
     per_weight = [
         {"w": w, "lhs": lhs[w], "rhs": rhs[w], "ok": lhs[w] == rhs[w]}
@@ -704,13 +688,15 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
             yield window.get(-1, zero), a
 
     def translation():
-        for a, b in product(small, pool):
-            # both sides have weight wt a + wt b - n, so one window holds every mode n
-            wmax = a.weight() + b.weight() + mode_range
-            shifted = vertex_window(virasoro_apply(-1, a), b, wmax)
-            plain = vertex_window(a, b, wmax)
-            for n in modes:
-                yield shifted.get(n, zero), plain.get(n - 1, zero).scale(-n)
+        for a in small:
+            shifted_a = virasoro_apply(-1, a)
+            for b in pool:
+                # both sides have weight wt a + wt b - n, so one window holds every mode n
+                wmax = a.weight() + b.weight() + mode_range
+                shifted = vertex_window(shifted_a, b, wmax)
+                plain = vertex_window(a, b, wmax)
+                for n in modes:
+                    yield shifted.get(n, zero), plain.get(n - 1, zero).scale(-n)
 
     # both tables build exactly the modes that pairs reads and ignore lo;
     # no check here reads x_{m+n} v from the x-table
@@ -868,11 +854,12 @@ def fixed_points_report(ctx: Context, cutoff: int, k: int = 2) -> CheckReport:
 def decomposition_reports(ctx: Context, cutoff: int) -> list:
     """Decomposition checks of every space whose character formula holds at ctx.N."""
     # the charged families need N non-square; the others hold for any N
-    if isqrt(ctx.N) ** 2 == ctx.N:
-        which = ("M1", "M1+")
-    else:
-        which = ("V", "M1", "V+", "M1+")
-    return [verify_decomposition(ctx, name, cutoff) for name in which]
+    square = isqrt(ctx.N) ** 2 == ctx.N
+    return [
+        verify_decomposition(ctx, name, cutoff)
+        for name, (_, _, mult) in _DECOMPOSITION_SPACES.items()
+        if not (mult and square)
+    ]
 
 
 def virasoro_report(omega: Vector, central_charge, cutoff: int) -> CheckReport:

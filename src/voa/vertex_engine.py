@@ -227,15 +227,10 @@ def _eplus_pairs(k: int, m: int) -> tuple:
 
     In the alpha-basis E_+ = exp(sum_{j>0} k alpha_{-j} z^j / j), so the
     weight of a partition lambda of m is k^{len(lambda)}/z_lambda, and
-    m!/z_lambda is an integer (see _mono_products_direct).
+    m!/z_lambda is an integer (see _mono_products_direct).  These are the
+    pairs of _eminus_pairs(-k, m) with every mode negated.
     """
-    if k == 0 and m:
-        return ()
-    size = factorial(m)
-    return tuple(
-        (tuple(-p for p in parts), k ** len(parts) * (size // z_lambda(parts)))
-        for parts in partitions_of(m)
-    )
+    return tuple((tuple(-p for p in parts), w) for parts, w in _eminus_pairs(-k, m))
 
 
 @lru_cache(maxsize=4096)

@@ -9,6 +9,7 @@ from voa import structure_analysis
 from voa.cli import main
 from voa.scalars import Context
 from voa.state_space import (
+    Vector,
     charge_pair_vector,
     conformal_vector,
     enumerate_basis,
@@ -237,6 +238,15 @@ def test_close_over_budget_exits_two_with_one_line(capsys, monkeypatch, budget, 
     assert captured.err.count("\n") == 1 and says in captured.err
 
 
+def test_close_refuses_generator_above_weight_bound(capsys):
+    # J_{-17} vacuum has weight 17, one above MAX_CUTOFF
+    gen = json.dumps(vector_to_json(Vector.monomial(Context(1), (-17,), 0)))
+    code = main(["close", "--N", "1", "--cutoff", "2", "--gen", gen])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "weight bound" in captured.err
+
+
 def test_conductor_environment_override(capsys, monkeypatch):
     monkeypatch.setenv("VOA_CONDUCTOR", "8")
     code, data = run_json(capsys, "verify", "omega")
@@ -340,6 +350,30 @@ def test_verify_axioms_n1_output_at_cutoff_five(capsys):
         hashlib.sha256(out.encode("utf-8")).hexdigest()
         == "51f5f5bbaea3ff03d10b047d70527239fe3a7f52b640d65fd6271740cc621459"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["verify", "decomposition", "--N", "2", "--cutoff", "12"],
+            "bcbdeea6030510f4f442a5980c83b8bb625a2697d7a278fa050afd2b9217dc1f",
+        ),
+        (
+            ["verify", "decomposition", "--N", "3", "--cutoff", "12"],
+            "f196dd1612875cfd3ea3fce51f212efd31f5ebc22d1ad6264c7560cfb8a1ef6b",
+        ),
+        (
+            ["verify", "sl2", "--cutoff", "8"],
+            "0c678f40095fb44a27feeab9aece1916d27603dda2e9f8f6c54bffae42095016",
+        ),
+    ],
+    ids=["decomposition-n2", "decomposition-n3", "sl2"],
+)
+def test_verify_suite_output(capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # nu + e+ + e- at N = 3, operands of weights 2 and 3

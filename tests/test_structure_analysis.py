@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from voa.linalg import EchelonSpan, operator_kernel
-from voa.scalars import ConductorError, Context
+from voa.scalars import ConductorError, Context, ContextMismatchError, scalar_from_json
 from voa.state_space import (
     Vector,
     apply_flip,
@@ -17,10 +17,12 @@ from voa.state_space import (
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
+    inner_product,
     partition_count,
     partitions_of,
     split_virasoro_vector,
     vacuum,
+    vector_from_json,
     vector_to_json,
     weight4_primary,
 )
@@ -53,6 +55,7 @@ from voa.vertex_engine import (
     _mono_products,
     _virasoro_mono,
     heis_apply,
+    vertex_mode,
     vertex_window,
     virasoro_apply,
     virasoro_field_of,
@@ -615,6 +618,65 @@ def test_sl2_zero_mode_report():
 def test_sl2_check_needs_n_one():
     with pytest.raises(ValueError):
         sl2_zero_mode_check(Context(N=2))
+
+
+def test_sl2_operator_row_names_witness_of_broken_zero_mode(monkeypatch):
+    # u -> a_(0) u + u keeps the commutator but adds b_(0) v + v to the right
+    # side, so the row fails on the vacuum whatever order it checks in
+    monkeypatch.setattr(
+        structure_analysis, "vertex_mode", lambda a, n, b: vertex_mode(a, n, b) + b
+    )
+    ctx = Context(N=1)
+    row = sl2_zero_mode_check(ctx, 1).rows[-1]
+    assert row["relation"] == "[a_(0), b_(0)] = (a_(0) b)_(0)"
+    assert row["ok"] is False
+    assert row["checked"] == 9 * len(_unit_pool(ctx, 1))
+    assert set(row["witness"]) == {"vector", "m", "n"}
+    assert (row["witness"]["m"], row["witness"]["n"]) == (0, 0)
+    assert row["defect"]["terms"]
+
+
+N1, N2 = Context(N=1), Context(N=2)
+MISMATCH = ContextMismatchError
+
+
+@pytest.mark.parametrize(
+    "call, error, says",
+    [
+        pytest.param(
+            lambda: Vector(N1, {enumerate_basis(N1, 0)[0]: N2.one()}),
+            MISMATCH,
+            "does not match vector context",
+            id="vector-coefficient",
+        ),
+        pytest.param(
+            lambda: inner_product(vacuum(N1), vacuum(N2)), MISMATCH, "common", id="inner-product"
+        ),
+        pytest.param(
+            lambda: vertex_mode(vacuum(N1), -1, vacuum(N2)), MISMATCH, "common", id="vertex-mode"
+        ),
+        pytest.param(
+            lambda: vertex_window(vacuum(N1), vacuum(N2), 0), MISMATCH, "common", id="vertex-window"
+        ),
+        pytest.param(
+            lambda: vector_from_json({"N": 1, "terms": [5]}), ValueError, "term", id="json-term"
+        ),
+        pytest.param(lambda: scalar_from_json([1, 1]), ValueError, "object", id="json-scalar"),
+        pytest.param(
+            lambda: verify_w_tensor_split(N1, 2, 1), ValueError, "N = 2", id="tensor-split-n"
+        ),
+        pytest.param(
+            lambda: N1.embed_root_of_unity(1, 0), ValueError, "positive", id="root-order-0"
+        ),
+        pytest.param(
+            lambda: verify_decomposition(N2, "W", 4), ValueError, "one of", id="decomposition-space"
+        ),
+    ],
+)
+def test_library_refuses_malformed_requests(call, error, says):
+    # raises that no other test reaches
+    with pytest.raises(error, match=says):
+        call()
 
 
 def _pool_size(ctx, cutoff):
