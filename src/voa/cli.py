@@ -99,16 +99,19 @@ def resolve_vector(ctx: Context, ref: str) -> Vector:
     }
     if ref in builtins:
         return builtins[ref](ctx)
-    if ref.startswith("@"):
-        with open(ref[1:], encoding="utf-8") as handle:
-            data = json.load(handle)
-    else:
-        try:
+    try:
+        if ref.startswith("@"):
+            with open(ref[1:], encoding="utf-8") as handle:
+                data = json.load(handle)
+        else:
             data = json.loads(ref)
-        except json.JSONDecodeError as exc:
-            raise UsageError(
-                f"vector reference {ref!r} is not a builtin, inline JSON, or @file"
-            ) from exc
+    except RecursionError as exc:
+        # the json parser recurses once per nesting level
+        raise UsageError("vector reference JSON is nested too deeply") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(
+            f"vector reference {ref!r} is not a builtin, inline JSON, or @file: {exc}"
+        ) from exc
     return vector_from_json(data, ctx)
 
 
@@ -143,11 +146,8 @@ def render_text(payload: dict, indent: str = "") -> str:
         if key in ("rows", "per_weight", "reports", "monomials", "terms"):
             lines.append(f"{indent}{key}:")
             for row in value:
-                if isinstance(row, dict):
-                    inner = ", ".join(f"{k}={row[k]}" for k in sorted(row))
-                    lines.append(f"{indent}  - {inner}")
-                else:
-                    lines.append(f"{indent}  - {row}")
+                inner = ", ".join(f"{k}={row[k]}" for k in sorted(row))
+                lines.append(f"{indent}  - {inner}")
         elif isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.append(render_text(value, indent + "  ").rstrip("\n"))

@@ -81,8 +81,6 @@ def solve(rows, rhs, ncols: int, ctx: Context):
     for row in red[nres:]:
         if not row[ncols].is_zero():
             return None
-    if ncols in pivots:
-        return None
     vec = [ctx.zero()] * ncols
     for r, p in enumerate(pivots):
         vec[p] = red[r][ncols]

@@ -322,10 +322,12 @@ class Context:
             raise ValueError("root order must be positive")
         if self.conductor % q:
             need = lcm(self.conductor, q, 4)
-            raise ConductorError(
-                f"zeta_{q} is not in Q(zeta_{self.conductor}); "
+            hint = (
                 f"rebuild the context with conductor {need}"
+                if need <= MAX_CONDUCTOR
+                else f"it needs conductor {need}, above the cap of {MAX_CONDUCTOR}"
             )
+            raise ConductorError(f"zeta_{q} is not in Q(zeta_{self.conductor}); {hint}")
         return self.zeta((self.conductor // q) * p)
 
 

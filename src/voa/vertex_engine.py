@@ -570,8 +570,8 @@ def virasoro_field_of(omega: Vector, m: int, v: Vector) -> Vector:
     return vertex_mode(omega, m + 1, v)
 
 
-def find_locality_order(a: Vector, b: Vector, max_order: int = 12):
-    """Smallest order with (z-w)^order [Y(a,z), Y(b,w)] = 0, or None above max_order.
+def find_locality_order(a: Vector, b: Vector) -> int:
+    """Smallest order with (z-w)^order [Y(a,z), Y(b,w)] = 0.
 
     [Y(a,z), Y(b,w)] = sum_{j>=0} Y(a_(j) b, w) d_w^(j) delta(z-w) (Kac 1998), and
     Y(u, w) = 0 only for u = 0, since u_(-1) vacuum = u; so the order is 1 + the
@@ -582,5 +582,4 @@ def find_locality_order(a: Vector, b: Vector, max_order: int = 12):
     if a.is_zero() or b.is_zero():
         raise ValueError("locality needs nonzero operands")
     window = vertex_window(a, b, a.weight() + b.weight() - 1)
-    order = 1 + max(window, default=-1)
-    return order if order <= max_order else None
+    return 1 + max(window, default=-1)

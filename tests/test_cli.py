@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,17 +44,6 @@ def test_character_dims(capsys):
     code, data = run_json(capsys, "character", "--c", "1", "--h", "0", "--max", "4")
     assert code == 0
     assert data["dims"] == [1, 0, 1, 1, 2]
-
-
-def test_character_output_at_c_half(capsys):
-    # the c = 1/2, h = 0 Virasoro character past cutoff 6, through the CLI
-    code, out = run(capsys, "character", "--c", "1/2", "--h", "0", "--max", "7")
-    assert code == 0
-    assert json.loads(out)["dims"] == [1, 0, 1, 1, 2, 2, 3, 3]
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "7feb1fe4836d195db064d58f9de6339f3244df44358b37e1cfcc7688814243c3"
-    )
 
 
 def test_character_usage_error(capsys):
@@ -124,8 +114,17 @@ NU_TERM = {
         json.dumps({"N": 2, "terms": [dict(NU_TERM, coeff=dict(NU_TERM["coeff"], rat=[[1, 0]]))]}),
         "[1, 2]",
         json.dumps({"N": 2, "terms": [NU_TERM, NU_TERM]}),
+        "[" * 50000,
     ],
-    ids=["not-json", "float-mode", "float-charge", "zero-denominator", "list", "repeated-term"],
+    ids=[
+        "not-json",
+        "float-mode",
+        "float-charge",
+        "zero-denominator",
+        "list",
+        "repeated-term",
+        "deep-nesting",
+    ],
 )
 def test_mode_malformed_json_is_usage_error(capsys, blob):
     code, _ = run(capsys, "mode", "--N", "2", "--n", "0", "--a", blob, "--b", "vac")
@@ -144,6 +143,30 @@ def test_mode_malformed_json_is_usage_error(capsys, blob):
 )
 def test_mode_bad_mode_or_missing_operand_is_usage_error(capsys, argv):
     code, _ = run(capsys, "mode", "--N", "2", *argv)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text, says",
+    [("[" * 50000, "nested too deeply"), ("{bad", "deep.json' is not a builtin")],
+    ids=["deep-nesting", "not-json"],
+)
+def test_malformed_vector_file_exits_two_with_one_line(capsys, tmp_path, text, says):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code = main(["close", "--N", "1", "--gen", f"@{path}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and says in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("basis", "--N", "0", "--weight", "1"), ("character", "--c", "abc", "--h", "0", "--max", "2")],
+    ids=["basis-N-0", "character-c-abc"],
+)
+def test_bad_number_is_usage_error(capsys, argv):
+    code, _ = run(capsys, *argv)
     assert code == 2
 
 
@@ -224,6 +247,17 @@ def test_fixed_root_outside_conductor_exits_three_with_one_line(capsys, argv):
     assert captured.err.count("\n") == 1 and "zeta_3 is not in Q(zeta_4)" in captured.err
 
 
+def test_root_above_conductor_cap_names_the_cap(capsys):
+    # zeta_101 needs conductor 404, which Context refuses, so the hint must not
+    # ask for a rebuild at 404
+    code = main(["fixed", "--group", "Z101", "--N", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "needs conductor 404, above the cap of 400" in captured.err
+    assert "rebuild" not in captured.err
+
+
 @pytest.mark.parametrize(
     "budget, value, says",
     [("MAX_CLOSURE_MEMBERS", 3, "member budget of 3"), ("MAX_CLOSURE_SECONDS", 0.0, "time budget")],
@@ -294,118 +328,19 @@ def test_close_charged_vacua_generate_everything(capsys):
     assert data["dims"] == [len(enumerate_basis(ctx, w)) for w in range(5)]
 
 
-def test_verify_all_small_cutoff(capsys):
-    code, out = run(capsys, "verify", "all", "--cutoff", "2")
+# each entry of cli_pins.json is the sha256 of one command's stdout.  Among them:
+# verify all at the verify_all workload's cutoff 4, and at conductor 8, where
+# sqrt 2 folds into Q(zeta_8); the N = 1 axiom leg, which neither verify all
+# (N = 2) nor the axioms workload (N = 3) runs; a mode product whose operands
+# have two weights each; and the conductor-400 fixed points of Z100.
+PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("pin", PINS, ids=[pin["id"] for pin in PINS])
+def test_pinned_output(capsys, pin):
+    code, out = run(capsys, *pin["argv"])
     assert code == 0
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "0aff2bf7bf8517a4af96518966619efe45925437bcf246519af195caf1b97a36"
-    )
-    data = json.loads(out)
-    assert data["verdict"] is True
-    checks = [r["check"] for r in data["reports"]]
-    assert "axioms" in checks
-    assert "decomposition:V" in checks
-    assert "sl2-zero-modes" in checks
-    assert all(r["verdict"] for r in data["reports"])
-
-
-def test_verify_all_output_at_cutoff_four(capsys):
-    # the cutoff of the verify_all benchmark workload
-    code, out = run(capsys, "verify", "all", "--cutoff", "4")
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "5407a45f17aea43c2ed62eac0aff599deb2db30f51f07c53aa3fda14f86d8b8f"
-    )
-
-
-def test_verify_all_default_output_at_cutoff_six(capsys):
-    # the cutoff where per-vector mode-table bounds cut the most windows
-    code, out = run(capsys, "verify", "all", "--cutoff", "6")
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "cd776cb786ad7391ca3e684ae56d3a9577204f7fc02babda018d86affd4ece62"
-    )
-
-
-def test_verify_all_output_at_conductor_eight(capsys):
-    # N = 1 at conductor 8, where sqrt 2 folds into Q(zeta_8): every odd
-    # kernel entry reaches its window through the folded f sqrt(2N)
-    code, out = run(capsys, "--conductor", "8", "verify", "all", "--cutoff", "4")
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "7e44d8c9383d3a36f120c8fb85febefd4a3732f1cbfd069000d2793e1fc55d7d"
-    )
-
-
-def test_verify_axioms_n1_output_at_cutoff_five(capsys):
-    # the N = 1 leg of the axiom suite, which verify all (N = 2) and the
-    # axioms benchmark workload (N = 3) do not run
-    code, out = run(capsys, "verify", "axioms", "--N", "1", "--cutoff", "5")
-    assert code == 0
-    assert (
-        hashlib.sha256(out.encode("utf-8")).hexdigest()
-        == "51f5f5bbaea3ff03d10b047d70527239fe3a7f52b640d65fd6271740cc621459"
-    )
-
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["verify", "decomposition", "--N", "2", "--cutoff", "12"],
-            "bcbdeea6030510f4f442a5980c83b8bb625a2697d7a278fa050afd2b9217dc1f",
-        ),
-        (
-            ["verify", "decomposition", "--N", "3", "--cutoff", "12"],
-            "f196dd1612875cfd3ea3fce51f212efd31f5ebc22d1ad6264c7560cfb8a1ef6b",
-        ),
-        (
-            ["verify", "sl2", "--cutoff", "8"],
-            "0c678f40095fb44a27feeab9aece1916d27603dda2e9f8f6c54bffae42095016",
-        ),
-    ],
-    ids=["decomposition-n2", "decomposition-n3", "sl2"],
-)
-def test_verify_suite_output(capsys, argv, digest):
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
-
-
-# nu + e+ + e- at N = 3, operands of weights 2 and 3
-NU_PAIR_N3 = json.dumps(
-    vector_to_json(conformal_vector(Context(3)) + charge_pair_vector(Context(3)))
-)
-
-
-@pytest.mark.parametrize(
-    "argv, digest",
-    [
-        (
-            ["mode", "--N", "2", "--n", "2", "--a", "e_plus", "--b", "e_minus"],
-            "2a80bedf64c50b66ce80f5a2cddfadd468dae99cab1c357fedf5bb43b77537bd",
-        ),
-        (
-            ["--conductor", "8", "mode", "--N", "2", "--n", "-1"]
-            + ["--a", "omega_pi", "--b", "e_plus"],
-            "b0440f41114a12903fa489821b1795f76ee22168731b75df79ec47533903444c",
-        ),
-        # every pair of weight components is a term of the product
-        (
-            ["mode", "--N", "3", "--n", "-1", "--a", NU_PAIR_N3, "--b", NU_PAIR_N3],
-            "bfe2cddb3a71aee9cda0cf98fc5666c92df533ec3f9b6c9d7bc1837cb7c67753",
-        ),
-    ],
-    ids=["charge-pair", "conductor-eight", "two-weights"],
-)
-def test_mode_output(capsys, argv, digest):
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin["sha256"]
 
 
 SL2_TEXT = """\

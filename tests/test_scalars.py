@@ -196,6 +196,14 @@ def test_json_round_trip():
     assert scalar_from_json(t.to_json(), ctx2) == t
     with pytest.raises(ContextMismatchError):
         scalar_from_json(t.to_json(), ctx)
+    with pytest.raises(ValueError, match="pairs"):
+        scalar_from_json({"N": 3, "n": 4, "rat": [[1, 1, 1]], "rad": []})
+
+
+def test_str_of_zero_and_of_both_parts():
+    ctx = Context(N=3)
+    assert str(ctx.zero()) == "0"
+    assert str(ctx.scalar(1, [Fraction(2, 3)])) == "1 + (2/3)*r"
 
 
 def test_as_fraction_rejects_irrational():

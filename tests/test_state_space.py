@@ -344,6 +344,17 @@ def test_vector_json_round_trip():
     empty = vector_to_json(Vector.zero(ctx))
     assert empty["terms"] == []
     assert vector_from_json(empty, ctx).is_zero()
+    # without a context, an empty term list is zero at Context(N) and the
+    # coefficients must carry the vector's N
+    assert vector_from_json(empty) == Vector.zero(Context(N=2))
+    for term in data["terms"]:
+        term["coeff"]["N"] = 3
+    with pytest.raises(ContextMismatchError, match="disagrees with vector N"):
+        vector_from_json(data)
+
+
+def test_zero_vector_prints_zero():
+    assert str(Vector.zero(Context(N=2))) == "0"
 
 
 def test_vector_json_canonical_numbers():
@@ -379,6 +390,10 @@ def test_linalg_rref_kernel_solve():
 
     det = linalg.determinant([[s(2), s(1)], [s(1), s(1)]], ctx)
     assert det.as_fraction() == 1
+    # a row swap flips the sign; a singular matrix and the empty one
+    assert linalg.determinant([[s(0), s(1)], [s(1), s(0)]], ctx).as_fraction() == -1
+    assert linalg.determinant([[s(1), s(2)], [s(2), s(4)]], ctx).is_zero()
+    assert linalg.determinant([], ctx).is_one()
 
 
 def test_echelon_span_membership():

@@ -137,6 +137,12 @@ def test_quasi_primary_basis_inside_an_ambient_subspace(group, probes):
         assert span.contains(named[probe])
 
 
+def test_quasi_primary_basis_of_an_empty_ambient_weight():
+    # at N = 2 weight 1 holds only J_{-1}|0>, which the flip negates
+    ctx = Context(N=2)
+    assert quasi_primary_basis(ctx, 1, ambient=fixed_point_subspace(ctx, "Dinf", 2)) == []
+
+
 def test_primary_basis_inside_an_ambient_subspace():
     # of the two weight-3 primaries e+ and e- at N = 3, the flip-fixed space
     # holds only their sum
