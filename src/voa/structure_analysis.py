@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt
+from math import gcd, isqrt
 from time import monotonic
 
 from .linalg import EchelonSpan, operator_kernel, solve
@@ -23,6 +23,7 @@ from .state_space import (
     BasisMonomial,
     GradedSubspace,
     Vector,
+    apply_flip,
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
@@ -64,8 +65,10 @@ __all__ = [
 ]
 
 # closure budgets: members admitted, and wall seconds checked once per
-# worklist member; 300 s is about twenty times the c = 1/2 character's
-# closure at cutoff 8 (13.8 s on a 2-core host with Python 3.11)
+# worklist member.  300 s is about a hundred times the c = 1/2 character's
+# closure at cutoff 8, which never reaches its fixed-point bound: 3.21 s of
+# one process's CPU on a 2-core host with Python 3.11.7, whose speed drifts
+# by up to 2x (5.4-6.0 s in a slow phase)
 MAX_CLOSURE_MEMBERS = 4000
 MAX_CLOSURE_SECONDS = 300.0
 
@@ -257,6 +260,17 @@ def _parse_group(group: str):
     raise ValueError(f"unknown group name {group!r}; use T, Dinf, Zk, or Dk")
 
 
+def _fixed_representative(mono: BasisMonomial, k: int, flipped: bool) -> bool:
+    """Whether mono indexes one basis vector of the fixed points of Z_k,
+    or of T when k = 0, extended by a flip when flipped.
+
+    k = 0 means the whole torus: charge 0 only.  Under a flip, charge
+    c > 0 lies in the pair of -c, and a charge-0 monomial is fixed when
+    len lambda is even."""
+    lam, c = mono
+    return not ((c % k if k else c) or flipped and (c > 0 or c == 0 and len(lam) % 2))
+
+
 def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> GradedSubspace:
     """Fixed points of an automorphism subgroup, weight by weight.
 
@@ -299,16 +313,71 @@ def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> Grade
     basis_by_weight: dict = {}
     for w in range(cutoff + 1):
         for mono in enumerate_basis(ctx, w):
-            lam, c = mono
-            # k = 0 for T and Dinf, which contain the whole torus: charge 0 only;
-            # under the flip, charge c > 0 lies in the pair of -c
-            if (c % k if k else c) or flipped and (c > 0 or c == 0 and len(lam) % 2):
+            if not _fixed_representative(mono, k, flipped):
                 continue
+            lam, c = mono
             terms = {mono: 1}
             if flipped and c:
                 terms[BasisMonomial(lam, -c)] = (-1) ** len(lam) * twist ** -c
             basis_by_weight.setdefault(w, []).append(Vector(ctx, terms))
     return GradedSubspace(ctx, cutoff, basis_by_weight)
+
+
+def _closure_bound(ctx: Context, generators, cutoff: int) -> list:
+    """dim V^G_w at weights 0..cutoff, for a group G in T x| Z2 read off
+    the generators so that it fixes each of them.
+
+    - The torus part is Z_k, for k the gcd of the charges of every
+      generator term, or the whole torus T when every charge is 0.
+    - The flip part, when there is one, is a conjugated flip
+      e_(lambda,c) -> (-1)^{len lambda} s^c e_(lambda,-c) with |s| = 1:
+      g phi g^-1 for the rotation g by zeta, with s = zeta^-2.
+      On the charges k m that occur, s acts only through u = s^k.  u is
+      read off the first generator term of charge +-k, in canonical
+      order, and its partner: u = (-1)^{len lambda} a_(lambda,-k) /
+      a_(lambda,k).  The flip is left out when no term has charge +-k,
+      when the partner is missing, when u conj(u) != 1, or when the
+      flip moves a generator.  A smaller G gives a larger bound, which
+      is always safe.
+
+    dim V^G_w counts the monomials that _fixed_representative keeps, as
+    fixed_point_subspace does, with no elimination and no root of unity
+    in ctx.
+    """
+    k = 0
+    for g in generators:
+        for mono in g.terms:
+            k = gcd(k, mono.charge)
+
+    def fixed_by_a_flip() -> bool:
+        u = ctx.one()  # with every charge 0 the flip sees no s
+        if k:
+            first = next(
+                ((g, m.partition) for g in generators for m, _ in g.items() if abs(m.charge) == k),
+                None,
+            )
+            if first is None:
+                return False
+            g, lam = first
+            up, down = g.coeff(BasisMonomial(lam, k)), g.coeff(BasisMonomial(lam, -k))
+            if up.is_zero() or down.is_zero():
+                return False
+            u = down / up * (-1) ** len(lam)
+            if not (u * u.conjugate()).is_one():
+                return False
+        # apply_flip moves the term at charge c to -c; the conjugated flip
+        # also scales it by s^c = u^(c/k)
+        return all(
+            Vector(ctx, {m: u ** (-m.charge // (k or 1)) * a for m, a in apply_flip(g).terms.items()})
+            == g
+            for g in generators
+        )
+
+    flipped = fixed_by_a_flip()
+    return [
+        sum(_fixed_representative(m, k, flipped) for m in enumerate_basis(ctx, w))
+        for w in range(cutoff + 1)
+    ]
 
 
 def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
@@ -317,7 +386,8 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
 
     Everything is split into weight components first; the worklist then
     keeps adding PCT images, L_1 images, and every product a_(n) b that
-    lands at weight <= cutoff, until the per-weight ranks stop growing.
+    lands at weight <= cutoff, until the per-weight ranks stop growing
+    or every weight <= cutoff reaches its fixed-point bound (below).
     Products of pool vectors of any two weights are considered, so
     generator components above the cutoff still contribute.  A closure
     that grows past MAX_CLOSURE_MEMBERS members, or that is still running
@@ -331,13 +401,37 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     vacuum = L_{-1} a; so the reversed products are already in the span.
     With the earlier member on the left, L_{-1} a would never be admitted.
 
+    The stop rule.  _closure_bound reads off the generators a group G of
+    automorphisms in T x| Z2 that fixes each of them, and gives dim V^G_w.
+    The closure lies in V^G: the vacuum and the generators are fixed by
+    G, G preserves weight, and every step maps fixed vectors to fixed
+    vectors:
+    - g(a_(n) b) = (g a)_(n) (g b) for an automorphism g, so products of
+      fixed vectors are fixed;
+    - g fixes nu, so g L_1 = g nu_(2) = nu_(2) g = L_1 g by the first
+      point;
+    - PCT g PCT = g.  PCT is antilinear, so for the rotation by zeta this
+      needs conj(zeta) = 1/zeta, and for the conjugated flip with s it
+      needs conj(s) = 1/s, the |s| = 1 that _closure_bound checks.
+    So once the rank at weight w equals dim V^G_w, the span there is
+    V^G_w and cannot grow.  When that holds at every weight <= cutoff
+    (checked before each window), the loop returns.  Its spans are the
+    ones a full run ends with, and both are kept as reduced echelon
+    bases over the canonical monomial order, which the span determines:
+    so the bases are byte-identical.  A closure that stays below its
+    bound runs its worklist to the end.
+
     Each call builds its own EchelonSpan per weight and hands out the
     spans' rows, which nothing else holds.
     """
+    generators = list(generators)
+    bound = _closure_bound(ctx, generators, cutoff)
     spans: dict = {}
     members: list = []
+    open_weights = sum(1 for d in bound if d)  # weights <= cutoff below their bound
 
     def admit(v: Vector) -> None:
+        nonlocal open_weights
         components = v.weight_components()
         for w in sorted(components):
             comp = components[w]
@@ -351,13 +445,15 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
                     raise ClosureBudgetError(
                         f"subalgebra closure exceeded its member budget of {MAX_CLOSURE_MEMBERS}"
                     )
+                if w <= cutoff and span.rank == bound[w]:
+                    open_weights -= 1
 
     start = monotonic()
     admit(vacuum(ctx))
     for g in generators:
         admit(g)
     i = 0
-    while i < len(members):
+    while open_weights and i < len(members):
         if monotonic() - start > MAX_CLOSURE_SECONDS:
             raise ClosureBudgetError(
                 f"subalgebra closure exceeded its time budget of {MAX_CLOSURE_SECONDS:g} s"
@@ -366,6 +462,8 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
         admit(pct(x))
         admit(virasoro_apply(1, x))
         for j in range(i + 1):
+            if not open_weights:
+                break
             window = vertex_window(x, members[j], cutoff)
             for n in sorted(window):
                 admit(window[n])

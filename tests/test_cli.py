@@ -332,7 +332,9 @@ def test_close_charged_vacua_generate_everything(capsys):
 # verify all at the verify_all workload's cutoff 4, and at conductor 8, where
 # sqrt 2 folds into Q(zeta_8); the N = 1 axiom leg, which neither verify all
 # (N = 2) nor the axioms workload (N = 3) runs; a mode product whose operands
-# have two weights each; and the conductor-400 fixed points of Z100.
+# have two weights each; the conductor-400 fixed points of Z100; and two
+# closures, of e_plus, which stops at its fixed-point bound, and of nu, which
+# stays below it.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
 
 

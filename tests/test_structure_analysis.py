@@ -304,6 +304,76 @@ def test_closure_budget_error_is_a_value_error(monkeypatch):
         close_subalgebra(ctx, [conformal_vector(ctx)], 5)
 
 
+def _unreachable_bound(ctx, generators, cutoff):
+    # an oracle closure: no rank reaches this bound, so the worklist runs to its end
+    return [structure_analysis.MAX_CLOSURE_MEMBERS + 1] * (cutoff + 1)
+
+
+def _unit_phase(ctx):
+    # (3 + 4i)/5 has modulus 1 and is not a root of unity
+    return (ctx.from_fraction(3) + ctx.i() * 4) * Fraction(1, 5)
+
+
+# (N, generators, cutoff, group whose fixed-point dims are the bound, whether
+# the closure reaches its bound); a bound that is reached stops the closure early
+BOUND_CASES = {
+    "Z2: e^{2 alpha}, no flip": (2, lambda c: [charged_vacuum(c, 2)], 6, "Z2", True),
+    "T: J alone": (2, lambda c: [Vector.monomial(c, (-1,), 0)], 6, "T", True),
+    "D1 with s = -1": (
+        3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1, -1)], 6, "D1", True
+    ),
+    "D1 with s = (3 + 4i)/5": (
+        3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1, _unit_phase(c))], 6, "D1", True
+    ),
+    "|s| = 2 refuses the flip": (1, lambda c: [charge_pair_vector(c, 1, 2)], 4, "Z1", True),
+    "J is moved by the flip": (
+        1, lambda c: [charge_pair_vector(c, 1), Vector.monomial(c, (-1,), 0)], 4, "Z1", True
+    ),
+    "nu below Dinf": (3, lambda c: [conformal_vector(c)], 7, "Dinf", False),
+    "c = 1/2 below D1": (2, lambda c: [split_virasoro_vector(c)], 6, "D1", False),
+}
+
+
+@pytest.mark.parametrize(
+    "n_lat, gens, cutoff, group, reaches", BOUND_CASES.values(), ids=BOUND_CASES.keys()
+)
+def test_closure_stopped_at_its_bound_matches_the_full_closure(
+    monkeypatch, n_lat, gens, cutoff, group, reaches
+):
+    ctx = Context(N=n_lat)
+    generators = gens(ctx)
+    bound = structure_analysis._closure_bound(ctx, generators, cutoff)
+    assert bound == fixed_point_subspace(ctx, group, cutoff).dims()
+    early = close_subalgebra(ctx, generators, cutoff)
+    monkeypatch.setattr(structure_analysis, "_closure_bound", _unreachable_bound)
+    full = close_subalgebra(ctx, generators, cutoff)
+    for w in range(cutoff + 1):
+        assert early.weight_basis(w) == full.weight_basis(w), w
+    assert all(d <= b for d, b in zip(full.dims(), bound))
+    assert (full.dims() == bound) is reaches
+
+
+@pytest.mark.parametrize("phase", [1, -1])
+def test_closure_stopped_at_its_bound_makes_fewer_windows(monkeypatch, phase):
+    # the closure workload's inputs: nu and e_+ + b e_- at N = 3, cutoff 7
+    ctx = Context(N=3)
+    generators = [conformal_vector(ctx), charge_pair_vector(ctx, 1, phase)]
+    calls = []
+
+    def counting_window(*args):
+        calls.append(args)
+        return vertex_window(*args)
+
+    monkeypatch.setattr(structure_analysis, "vertex_window", counting_window)
+    early = close_subalgebra(ctx, generators, 7)
+    early_calls = len(calls)
+    monkeypatch.setattr(structure_analysis, "_closure_bound", _unreachable_bound)
+    full = close_subalgebra(ctx, generators, 7)
+    assert early_calls < len(calls) - early_calls
+    for w in range(8):
+        assert early.weight_basis(w) == full.weight_basis(w), w
+
+
 def test_project_conformal_recovers_generators():
     ctx = Context(N=2)
     w_nu = close_subalgebra(ctx, [conformal_vector(ctx)], 4)
