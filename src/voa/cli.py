@@ -143,7 +143,7 @@ def render_text(payload: dict, indent: str = "") -> str:
     lines = []
     for key in sorted(payload):
         value = payload[key]
-        if key in ("rows", "per_weight", "reports", "monomials", "terms"):
+        if isinstance(value, list) and all(isinstance(row, dict) for row in value):
             lines.append(f"{indent}{key}:")
             for row in value:
                 inner = ", ".join(f"{k}={row[k]}" for k in sorted(row))

@@ -185,12 +185,9 @@ def _bracket_cases(x, y, pool, pairs):
 
 def _virasoro_table(omega: Vector):
     """Mode table of omega's field, keyed by Virasoro index: omega_(n) acts
-    as L_{n-1}.  Called as table(v, lo) on a homogeneous v, it holds every
-    nonzero L_k v with k >= lo.  L_k v has weight wt v - k, so the window
-    at wt v - lo holds each of them, and for homogeneous operands a mode's
-    block does not depend on the window once its weight is within it: the
-    table agrees with any wider one on every mode >= lo."""
-    return lambda v, lo: {n - 1: u for n, u in vertex_window(omega, v, v.weight() - lo).items()}
+    as L_{n-1}.  Called as table(v, lo), it holds every nonzero L_k v
+    with k >= lo: the window from omega_(lo+1)."""
+    return lambda v, lo: {n - 1: u for n, u in vertex_window(omega, v, lo=lo + 1).items()}
 
 
 def _unit_vectors(ctx: Context, weight: int) -> list:
@@ -464,7 +461,9 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
         for j in range(i + 1):
             if not open_weights:
                 break
-            window = vertex_window(x, members[j], cutoff)
+            y = members[j]
+            # from the mode that lands at weight cutoff
+            window = vertex_window(x, y, lo=x.weight() + y.weight() - 1 - cutoff)
             for n in sorted(window):
                 admit(window[n])
         i += 1
@@ -779,8 +778,7 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
 
     def creation():
         for a in pool:
-            # a_(n) vacuum has weight wt a - n - 1, so one window holds n >= -1
-            window = vertex_window(a, vac, a.weight())
+            window = vertex_window(a, vac, lo=-1)
             for n in range(mode_range + 1):
                 yield window.get(n, zero), zero
             yield window.get(-1, zero), a
@@ -789,10 +787,8 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
         for a in small:
             shifted_a = virasoro_apply(-1, a)
             for b in pool:
-                # both sides have weight wt a + wt b - n, so one window holds every mode n
-                wmax = a.weight() + b.weight() + mode_range
-                shifted = vertex_window(shifted_a, b, wmax)
-                plain = vertex_window(a, b, wmax)
+                shifted = vertex_window(shifted_a, b, lo=-mode_range)
+                plain = vertex_window(a, b, lo=-mode_range - 1)
                 for n in modes:
                     yield shifted.get(n, zero), plain.get(n - 1, zero).scale(-n)
 

@@ -81,10 +81,11 @@ where it lies in Q(zeta_n); virasoro_apply sums the cached images into
 one dict.
 
 Everything is computed exactly; mode products of basis monomial pairs
-are cached per requested weight window, in ints.  vertex_window is the
-only place where a Scalar meets them: it sums every output entry as
-integer numerators over one common denominator of the window and builds
-the entry's Scalar once, through Context.from_ints.
+are cached per output weight bound, in ints.  Callers address a window
+by its lowest mode, and vertex_window turns that into each pair's bound.
+It is the only place where a Scalar meets the cached ints: it sums every
+output entry as integer numerators over one common denominator of the
+window and builds the entry's Scalar once, through Context.from_ints.
 """
 
 from __future__ import annotations
@@ -477,18 +478,10 @@ def _mono_products_direct(
 def vertex_mode(a: Vector, n: int, b: Vector) -> Vector:
     """The mode a_(n) b; bilinear in both slots, exact grading.
 
-    A read of vertex_window per pair of weight components, bounded at that
-    pair's output weight, so both share the same kernel cache entries.
+    One read of the window from n, so both share the same kernel cache
+    entries.
     """
-    if a.ctx != b.ctx:
-        raise ContextMismatchError("vertex mode needs a common context")
-    acc = zero = Vector.zero(a.ctx)
-    for wa, acomp in a.weight_components().items():
-        for wb, bcomp in b.weight_components().items():
-            need = wa + wb - n - 1
-            if need >= 0:
-                acc = acc + vertex_window(acomp, bcomp, need).get(n, zero)
-    return acc
+    return vertex_window(a, b, lo=n).get(n, Vector.zero(a.ctx))
 
 
 def _nonzero_slots(rat, rad, deg: int) -> list:
@@ -499,11 +492,16 @@ def _nonzero_slots(rat, rad, deg: int) -> list:
     ]
 
 
-def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
-    """All modes a_(n) b with output weight <= wmax, as {n: Vector}.
+def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
+    """All modes a_(n) b with n >= lo, as {n: Vector}.
 
     Shares one cache entry per monomial pair, so it is the right call in
-    loops that sweep many modes of the same vectors.
+    loops that sweep many modes of the same vectors.  A pair am, bm is
+    read from its kernel entry bounded at wt am + wt bm - lo - 1, the
+    output weight of its mode lo by the grading contract: the kernel's
+    bound only truncates, so that entry holds exactly the pair's modes
+    n >= lo.  A pair whose bound is negative has no such mode and is
+    skipped.
 
     Each output entry is summed in integers and canonicalized once.  Let f
     be the factor of a monomial pair, (dp, blocks) its kernel entry and
@@ -520,11 +518,15 @@ def vertex_window(a: Vector, b: Vector, wmax: int) -> dict:
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
-    pairs = [
-        (cav * cbv, len(am.partition) + len(bm.partition), *_mono_products(ctx, am, bm, wmax))
-        for am, cav in a.terms.items()
-        for bm, cbv in b.terms.items()
-    ]
+    n_lat = ctx.N
+    b_terms = [(bm, cbv, bm.weight(n_lat)) for bm, cbv in b.terms.items()]
+    pairs = []
+    for am, cav in a.terms.items():
+        top = am.weight(n_lat) - lo - 1
+        for bm, cbv, wb in b_terms:
+            if top + wb >= 0:
+                lab = len(am.partition) + len(bm.partition)
+                pairs.append((cav * cbv, lab, *_mono_products(ctx, am, bm, top + wb)))
     deg, root = ctx.degree, ctx.sqrt_2n()
     den = lcm(*{f.den * dp for f, _, dp, _ in pairs})
     acc: dict = {}
@@ -575,11 +577,11 @@ def find_locality_order(a: Vector, b: Vector) -> int:
 
     [Y(a,z), Y(b,w)] = sum_{j>=0} Y(a_(j) b, w) d_w^(j) delta(z-w) (Kac 1998), and
     Y(u, w) = 0 only for u = 0, since u_(-1) vacuum = u; so the order is 1 + the
-    largest j >= 0 with a_(j) b != 0, or 0 if there is none.  The window of
-    output weight <= wt a + wt b - 1 holds exactly the modes j >= 0.  A zero
-    or non-homogeneous operand raises ValueError.
+    largest j >= 0 with a_(j) b != 0, or 0 if there is none, read off the
+    window from mode 0.  A zero or non-homogeneous operand raises ValueError.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("locality needs nonzero operands")
-    window = vertex_window(a, b, a.weight() + b.weight() - 1)
-    return 1 + max(window, default=-1)
+    if not (a.is_homogeneous() and b.is_homogeneous()):
+        raise ValueError("locality needs homogeneous operands")
+    return 1 + max(vertex_window(a, b, lo=0), default=-1)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from voa import structure_analysis
+from voa import cli, structure_analysis
 from voa.cli import main
 from voa.scalars import Context
 from voa.state_space import (
@@ -14,6 +14,7 @@ from voa.state_space import (
     charge_pair_vector,
     conformal_vector,
     enumerate_basis,
+    vacuum,
     vector_from_json,
     vector_to_json,
     weight4_primary,
@@ -64,6 +65,14 @@ def test_mode_creation_axiom(capsys):
     assert data["weight_check"] is True
     ctx = Context(2)
     assert vector_from_json(data["result"], ctx) == conformal_vector(ctx)
+
+
+def test_mode_reports_a_failed_weight_check(capsys, monkeypatch):
+    # nu_(1) nu has weight 2; a product of weight 0 fails the check
+    monkeypatch.setattr(cli, "vertex_mode", lambda a, n, b: vacuum(a.ctx))
+    code, data = run_json(capsys, "mode", "--N", "2", "--n", "1", "--a", "nu", "--b", "nu")
+    assert code == 1
+    assert data["weight_check"] is False
 
 
 def test_mode_charge_pair_product(capsys, tmp_path):
@@ -334,7 +343,8 @@ def test_close_charged_vacua_generate_everything(capsys):
 # (N = 2) nor the axioms workload (N = 3) runs; a mode product whose operands
 # have two weights each; the conductor-400 fixed points of Z100; and two
 # closures, of e_plus, which stops at its fixed-point bound, and of nu, which
-# stays below it.
+# stays below it; and three text-format runs, whose reports, vector terms and
+# basis monomials are lists of rows.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
 
 

@@ -240,7 +240,8 @@ def test_close_subalgebra_is_mode_closed(n_lat, gens, cutoff):
             spans[w].add(v)
     for x in pool:
         for y in pool:
-            for n, prod in vertex_window(x, y, cutoff).items():
+            lo = x.weight() + y.weight() - 1 - cutoff
+            for n, prod in vertex_window(x, y, lo=lo).items():
                 assert spans[prod.weight()].contains(prod), (x, y, n)
 
 
@@ -329,6 +330,11 @@ BOUND_CASES = {
     "J is moved by the flip": (
         1, lambda c: [charge_pair_vector(c, 1), Vector.monomial(c, (-1,), 0)], 4, "Z1", True
     ),
+    # k = 1, but no term has charge +-1 to read s off, so the flip is left
+    # out: the bound is Z1's, the dims of V, not the smaller ones of D1
+    "charges 2 and -3: no term at +-k": (
+        1, lambda c: [charged_vacuum(c, 2), charged_vacuum(c, -3)], 4, "Z1", True
+    ),
     "nu below Dinf": (3, lambda c: [conformal_vector(c)], 7, "Dinf", False),
     "c = 1/2 below D1": (2, lambda c: [split_virasoro_vector(c)], 6, "D1", False),
 }
@@ -360,9 +366,9 @@ def test_closure_stopped_at_its_bound_makes_fewer_windows(monkeypatch, phase):
     generators = [conformal_vector(ctx), charge_pair_vector(ctx, 1, phase)]
     calls = []
 
-    def counting_window(*args):
+    def counting_window(*args, **kwargs):
         calls.append(args)
-        return vertex_window(*args)
+        return vertex_window(*args, **kwargs)
 
     monkeypatch.setattr(structure_analysis, "vertex_window", counting_window)
     early = close_subalgebra(ctx, generators, 7)
@@ -732,7 +738,10 @@ MISMATCH = ContextMismatchError
             lambda: vertex_mode(vacuum(N1), -1, vacuum(N2)), MISMATCH, "common", id="vertex-mode"
         ),
         pytest.param(
-            lambda: vertex_window(vacuum(N1), vacuum(N2), 0), MISMATCH, "common", id="vertex-window"
+            lambda: vertex_window(vacuum(N1), vacuum(N2), lo=-1),
+            MISMATCH,
+            "common",
+            id="vertex-window",
         ),
         pytest.param(
             lambda: vector_from_json({"N": 1, "terms": [5]}), ValueError, "term", id="json-term"
@@ -827,7 +836,7 @@ def test_virasoro_table_holds_every_mode_from_lo(omega):
     # same images at every mode >= lo, and none of them missing
     table = _virasoro_table(omega)
     for v in _unit_pool(omega.ctx, 4):
-        wide = {n - 1: u for n, u in vertex_window(omega, v, 12).items()}
+        wide = {n - 1: u for n, u in vertex_window(omega, v, lo=v.weight() - 11).items()}
         for lo in range(-6, 2):
             assert _json_bytes(table(v, lo), lo) == _json_bytes(wide, lo), (v, lo)
 

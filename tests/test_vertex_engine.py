@@ -359,15 +359,12 @@ def test_vertex_window_agrees_with_single_modes():
     ctx = Context(N=2)
     a = conformal_vector(ctx) + charged_vacuum(ctx, 1)
     b = mono(ctx, (-2,), -1) + vacuum(ctx)
-    win = vertex_window(a, b, 8)
-    lo = min(win)
-    for n in range(lo, 8):
-        expect = vertex_mode(a, n, b)
-        got = win.get(n, Vector.zero(ctx))
-        # entries above the weight window are simply absent
-        if not expect.is_zero() and max(expect.weights()) <= 8:
-            assert got == expect, n
-    assert all(max(v.weights()) <= 8 for v in win.values())
+    # a_(-7) vacuum = L_{-1}^6 a / 6! is the lowest mode read, and every
+    # mode from it on is whole
+    win = vertex_window(a, b, lo=-7)
+    assert min(win) == -7
+    for n in range(-7, 8):
+        assert win.get(n, Vector.zero(ctx)) == vertex_mode(a, n, b), n
 
 
 def _unit_pairs(ctx, max_weight=3):
@@ -388,7 +385,7 @@ def test_kernel_golden_digest():
     for n_lat in (1, 2, 3):
         for conductor in (4, 8):
             for a, b in _unit_pairs(Context(n_lat, conductor)):
-                win = vertex_window(a, b, a.weight() + b.weight() + 2)
+                win = vertex_window(a, b, lo=-3)
                 data = {str(n): vector_to_json(v) for n, v in win.items()}
                 digest.update(json.dumps(data, sort_keys=True).encode("utf-8"))
                 pairs += 1
@@ -406,7 +403,7 @@ def test_kernel_golden_digest_wide_windows():
     pairs = 0
     for n_lat in (1, 2, 3):
         for a, b in _unit_pairs(Context(n_lat), max_weight=4):
-            win = vertex_window(a, b, a.weight() + b.weight() + 4)
+            win = vertex_window(a, b, lo=-5)
             data = {str(n): vector_to_json(v) for n, v in win.items()}
             digest.update(json.dumps(data, sort_keys=True).encode("utf-8"))
             pairs += 1
@@ -424,9 +421,8 @@ def test_skew_symmetry():
         ctx = Context(n_lat)
         zero = Vector.zero(ctx)
         for a, b in _unit_pairs(ctx):
-            wmax = a.weight() + b.weight() + 2
-            ab = vertex_window(a, b, wmax)
-            ba = vertex_window(b, a, wmax)
+            ab = vertex_window(a, b, lo=-3)
+            ba = vertex_window(b, a, lo=-3)
             for n in range(-3, 4):
                 rhs = zero
                 for m, v in ab.items():
@@ -510,12 +506,17 @@ def _kernel_scalars(ctx, am, bm, wmax):
     }
 
 
-def _window_by_pairs(a, b, wmax):
+def _pair_bound(ctx, am, bm, lo):
+    # the output weight of the pair's mode lo, wt(a_(n) b) = wt a + wt b - n - 1
+    return am.weight(ctx.N) + bm.weight(ctx.N) - lo - 1
+
+
+def _window_by_pairs(a, b, lo):
     # the per-pair Scalar sum: sum over monomial pairs of f * Vector(block)
     ctx = a.ctx
     acc = {}
     for (am, ca), (bm, cb) in product(a.terms.items(), b.terms.items()):
-        for n, block in _kernel_scalars(ctx, am, bm, wmax).items():
+        for n, block in _kernel_scalars(ctx, am, bm, _pair_bound(ctx, am, bm, lo)).items():
             acc[n] = acc.get(n, Vector.zero(ctx)) + Vector(ctx, block).scale(ca * cb)
     return {n: v for n, v in acc.items() if not v.is_zero()}
 
@@ -543,13 +544,13 @@ def test_vertex_window_matches_per_pair_scalar_sum(n_lat, conductor):
         + charged_vacuum(ctx, -1).scale(Fraction(-1, 2))
         + mono(ctx, (-2,), 1).scale(root * third)
     )
-    for wmax in (2, 4, 6):
-        got = vertex_window(a, b, wmax)
-        expect = _window_by_pairs(a, b, wmax)
-        assert got == expect, wmax
+    for lo in (-2, -4, -6):
+        got = vertex_window(a, b, lo=lo)
+        expect = _window_by_pairs(a, b, lo)
+        assert got == expect, lo
         for n, v in got.items():
-            assert vector_to_json(v) == vector_to_json(expect[n]), (wmax, n)
-            assert not any(c.is_zero() for c in v.terms.values()), (wmax, n)
+            assert vector_to_json(v) == vector_to_json(expect[n]), (lo, n)
+            assert not any(c.is_zero() for c in v.terms.values()), (lo, n)
 
 
 @pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
@@ -562,8 +563,8 @@ def test_vertex_window_drops_cancelled_entries(n_lat, conductor):
     j, ep = mono(ctx, (-1,), 0), charged_vacuum(ctx, 1)
     a = j + ep
     b = ep + j.scale(Fraction(1, 2 * n_lat - 1))
-    got = vertex_window(a, b, 4)
-    assert got == _window_by_pairs(a, b, 4)
+    got = vertex_window(a, b, lo=-3)
+    assert got == _window_by_pairs(a, b, -3)
     cancelled = BasisMonomial((-1,), 1)
     (jm,), (em,) = j.terms, ep.terms
     assert cancelled in _kernel_scalars(ctx, jm, em, 4)[-1]
@@ -576,8 +577,9 @@ def test_vertex_window_single_pair_with_non_unit_factor(n_lat, conductor):
     ctx = Context(n_lat, conductor)
     f = ctx.zeta() + ctx.sqrt_2n() * ctx.from_fraction(Fraction(2, 3))
     a, b = mono(ctx, (-2,), 1).scale(f), mono(ctx, (-1,), -1).scale(Fraction(3, 7))
-    got = vertex_window(a, b, 5)
-    assert got and got == _window_by_pairs(a, b, 5)
+    lo = a.weight() + b.weight() - 6  # the modes of output weight <= 5
+    got = vertex_window(a, b, lo=lo)
+    assert got and got == _window_by_pairs(a, b, lo)
 
 
 def test_single_unit_pair_window_does_not_share_the_cache():
@@ -586,7 +588,8 @@ def test_single_unit_pair_window_does_not_share_the_cache():
     (am,), (bm,) = a.terms, b.terms
     cached = _mono_products(ctx, am, bm, 5)
     before = (cached[0], {n: dict(block) for n, block in cached[1].items()})
-    win = vertex_window(a, b, 5)
+    # the window from mode 1 reads the pair at output weight 3 + 4 - 1 - 1 = 5
+    win = vertex_window(a, b, lo=1)
     original = {n: Vector(ctx, v.terms) for n, v in win.items()}
     assert original == {
         n: Vector(ctx, block) for n, block in _kernel_scalars(ctx, am, bm, 5).items()
@@ -595,7 +598,7 @@ def test_single_unit_pair_window_does_not_share_the_cache():
         first = next(iter(v.terms))
         v.terms[first] = ctx.from_fraction(7)
         v.terms[BasisMonomial((-9,), 4)] = ctx.one()
-    assert vertex_window(a, b, 5) == original
+    assert vertex_window(a, b, lo=1) == original
     assert _mono_products(ctx, am, bm, 5) is cached
     assert cached == before
 
@@ -681,22 +684,22 @@ def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor)
                 },
             ), (am, bm)
             flipped += 1
-        win = vertex_window(a, b, wmax)
+        win = vertex_window(a, b, lo=-3)
         assert {n: v.terms for n, v in win.items()} == _kernel_scalars(ctx, am, bm, wmax)
     assert flipped
 
 
-def _window_json(a, b, wmax):
-    win = vertex_window(a, b, wmax)
+def _window_json(a, b, lo):
+    win = vertex_window(a, b, lo=lo)
     return json.dumps({str(n): vector_to_json(v) for n, v in win.items()}, sort_keys=True)
 
 
-def _window_keys(ctx, a, b, wmax):
+def _window_keys(ctx, a, b, lo):
     return {
         (n, m.partition, m.charge): m
         for am in a.terms
         for bm in b.terms
-        for n, block in _kernel_scalars(ctx, am, bm, wmax).items()
+        for n, block in _kernel_scalars(ctx, am, bm, _pair_bound(ctx, am, bm, lo)).items()
         for m in block
     }
 
@@ -716,16 +719,16 @@ def test_evicted_intern_entries_do_not_change_a_window(n_lat, conductor):
     b = charged_vacuum(ctx, 1) + j.scale(Fraction(1, 3)) + vacuum(ctx).scale(z)
     _mono_products.cache_clear()
     _mk_mono.cache_clear()
-    fresh = _window_json(a, b, 6)
+    fresh = _window_json(a, b, -6)
 
     _mono_products.cache_clear()
     _mk_mono.cache_clear()
-    old = _window_keys(ctx, j, b, 6)
+    old = _window_keys(ctx, j, b, -6)
     _mk_mono.cache_clear()
-    new = _window_keys(ctx, rest, b, 6)
+    new = _window_keys(ctx, rest, b, -6)
     shared = old.keys() & new.keys()
     assert shared and all(old[k] is not new[k] for k in shared)
-    assert _window_json(a, b, 6) == fresh
+    assert _window_json(a, b, -6) == fresh
 
 
 def _canonical(am, bm):
@@ -870,11 +873,11 @@ def test_vertex_window_computes_only_canonical_keys(monkeypatch):
     _mono_products.cache_clear()
     a = charged_vacuum(ctx, -1) + mono(ctx, (-1,), -1, 2)
     b = charged_vacuum(ctx, -1) + mono(ctx, (-2,), 1) + mono(ctx, (-1,), 0)
-    got = vertex_window(a, b, 6)
+    got = vertex_window(a, b, lo=-3)
     assert computed and all(_canonical(am, bm) for am, bm, _ in computed)
     # each of the six monomial pairs maps to its own canonical key, computed once
     assert len(computed) == len(set(computed)) == 6
-    flipped = vertex_window(apply_flip(a), apply_flip(b), 6)
+    flipped = vertex_window(apply_flip(a), apply_flip(b), lo=-3)
     assert got == {n: apply_flip(v) for n, v in flipped.items()}
     assert len(computed) == 6
 
