@@ -229,6 +229,33 @@ def raw_vector(ctx: Context, terms: dict) -> Vector:
     return out
 
 
+@lru_cache(maxsize=100_000)
+def _mk_mono(partition: tuple, charge: int) -> BasisMonomial:
+    """The interning constructor of the engine's outputs: one BasisMonomial
+    per (partition, charge) while its entry stays in the cache, so dict
+    lookups on engine outputs hit on identity.  The bound of 100000
+    entries is far above the 866 distinct monomials of the largest
+    benchmark workload.  Equality stays by value, so an evicted entry
+    costs only speed.  Trusted fast path: the partition must already be an
+    ascending tuple of negative modes, since BasisMonomial's validating
+    __new__ is skipped.  Vectors built from user input or by the set-up
+    constructors do not come through here, so a fresh process starts with
+    this cache empty."""
+    return tuple.__new__(BasisMonomial, (partition, charge))
+
+
+def _flip_terms(terms: dict, lab: int) -> dict:
+    """phi-image of the {monomial: coefficient} terms, Scalars or the
+    kernel's ints, of a product of factors with lab J-factors: each
+    monomial's charge negated, its coefficient times
+    (-1)^(len(partition) - lab).  The one statement of the charge flip's
+    sign rule."""
+    return {
+        _mk_mono(m.partition, -m.charge): -c if (len(m.partition) - lab) & 1 else c
+        for m, c in terms.items()
+    }
+
+
 def vacuum(ctx: Context) -> Vector:
     return Vector.monomial(ctx, (), 0)
 
@@ -296,11 +323,7 @@ def enumerate_basis(ctx: Context, weight: int) -> tuple:
 
 def apply_flip(v: Vector) -> Vector:
     """Linear automorphism phi: J_n -> -J_n, e^{k alpha} -> e^{-k alpha}."""
-    out: dict = {}
-    for mono, coeff in v.terms.items():
-        sign = -1 if len(mono.partition) % 2 else 1
-        out[BasisMonomial(mono.partition, -mono.charge)] = sign * coeff
-    return Vector(v.ctx, out)
+    return raw_vector(v.ctx, _flip_terms(v.terms, 0))
 
 
 def pct(v: Vector) -> Vector:

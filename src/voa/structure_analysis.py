@@ -51,7 +51,6 @@ __all__ = [
     "fixed_points_report",
     "lemma_weight4_report",
     "mode_prop_report",
-    "omega_report",
     "omega_residuals",
     "primary_basis",
     "project_conformal",
@@ -607,7 +606,8 @@ def solve_omega_constraint(ctx: Context) -> CheckReport:
     own conformal vector, compare it with the reference system
     {2a = 2(a^2 + 4 b bbar), 2b = 4ab, 2bbar = 4 a bbar}, and probe the
     known solution family a = 1/2 with |b| = 1/4 plus the degenerate
-    points (1, 0) and (0, 0)."""
+    points (1, 0) and (0, 0).  When the conductor allows eighth roots,
+    also check the full circle of solutions b = zeta_8^k / 4."""
     system = _omega_system(ctx)
     derived = {_canonical_poly(p) for p in system}
 
@@ -641,6 +641,11 @@ def solve_omega_constraint(ctx: Context) -> CheckReport:
                 "ok": solves == expect,
             }
         )
+    if ctx.conductor % 8 == 0:
+        for k in range(8):
+            b = ctx.embed_root_of_unity(k, 8) * Fraction(1, 4)
+            ok = all(r.is_zero() for r in omega_residuals(ctx, Fraction(1, 2), b))
+            rows.append({"relation": f"a = 1/2, b = zeta_8^{k}/4 solves", "ok": ok})
     return CheckReport(
         "omega-constraint",
         {"N": ctx.N, "conductor": ctx.conductor, "equations": len(system)},
@@ -906,19 +911,6 @@ def mode_prop_report(conductor: int = 4) -> CheckReport:
                 }
             )
     return CheckReport("mode-prop", {"conductor": conductor}, rows)
-
-
-def omega_report(ctx: Context) -> CheckReport:
-    """Conformal-vector constraint system plus, when the conductor allows
-    eighth roots, the full circle of solutions b = zeta_8^k / 4."""
-    base = solve_omega_constraint(ctx)
-    rows = list(base.rows)
-    if ctx.conductor % 8 == 0:
-        for k in range(8):
-            b = ctx.embed_root_of_unity(k, 8) * Fraction(1, 4)
-            ok = all(r.is_zero() for r in omega_residuals(ctx, Fraction(1, 2), b))
-            rows.append({"relation": f"a = 1/2, b = zeta_8^{k}/4 solves", "ok": ok})
-    return CheckReport("omega-constraint", dict(base.params), rows)
 
 
 def fixed_points_report(ctx: Context, cutoff: int, k: int = 2) -> CheckReport:

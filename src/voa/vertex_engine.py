@@ -49,19 +49,22 @@ and e_{c alpha} to e_{-c alpha}, as the rank-one cocycle is trivial
 (Frenkel-Lepowsky-Meurman 1988).  On a monomial x with s J-factors
 phi x = (-1)^s xbar, xbar being x with its charge negated, so if
 a_(n) b = sum c_x x then abar_(n) bbar = sum (-1)^{len x - len a - len b}
-c_x xbar.  The kernel computes only charge-canonical pairs (a's charge
-positive, or zero with b's charge nonnegative) and reads every other pair
-as the image of its canonical partner; _virasoro_mono does the same for
-negative charge, since nu is phi-fixed and L_m commutes with phi.
+c_x xbar.  state_space._flip_terms states that sign rule once, and
+apply_flip is it at zero J-factors.  The kernel computes only
+charge-canonical pairs (a's charge positive, or zero with b's charge
+nonnegative) and reads every other pair as the image of its canonical
+partner; _virasoro_mono does the same for negative charge, since nu is
+phi-fixed and L_m commutes with phi.
 
 Inside the kernel every state of a stage has one charge (b's in stage 1,
 a's plus b's in the output blocks), so its dicts are keyed on bare
 partition tuples and compare in C.  A BasisMonomial is built only for a
-final block entry, by _mk_mono, the engine's interning constructor: one
-object per (partition, charge) for as long as its bounded cache keeps it,
-shared by the kernel, _flip_terms, _virasoro_mono and heis_apply, so the
-dict lookups of vertex_window and Vector.__add__ on engine outputs hit on
-identity.  Equality stays by value; an evicted entry costs only speed.
+final block entry, by state_space._mk_mono, the interning constructor:
+one object per (partition, charge) for as long as its bounded cache
+keeps it, shared by the kernel, _flip_terms, _virasoro_mono and
+heis_apply, so the dict lookups of vertex_window and Vector.__add__ on
+engine outputs hit on identity.  Equality stays by value; an evicted
+entry costs only speed.
 
 The Heisenberg and Virasoro actions are the free-boson module action.
 J_k removes a part (k > 0), adds one (k < 0), or is charge * sqrt(2N)
@@ -81,11 +84,13 @@ where it lies in Q(zeta_n); virasoro_apply sums the cached images into
 one dict.
 
 Everything is computed exactly; mode products of basis monomial pairs
-are cached per output weight bound, in ints.  Callers address a window
-by its lowest mode, and vertex_window turns that into each pair's bound.
-It is the only place where a Scalar meets the cached ints: it sums every
-output entry as integer numerators over one common denominator of the
-window and builds the entry's Scalar once, through Context.from_ints.
+are cached per lowest mode, in ints.  Callers address a window by its
+lowest mode, vertex_window hands that mode to the kernel unchanged, and
+the kernel alone turns it into z-exponent bounds by the grading
+contract.  vertex_window is the only place where a Scalar meets the
+cached ints: it sums every output entry as integer numerators over one
+common denominator of the window and builds the entry's Scalar once,
+through Context.from_ints.
 """
 
 from __future__ import annotations
@@ -97,34 +102,12 @@ from .scalars import Context, ContextMismatchError
 from .state_space import (
     BasisMonomial,
     Vector,
+    _flip_terms,
+    _mk_mono,
     partitions_of,
     raw_vector,
     z_lambda,
 )
-
-
-@lru_cache(maxsize=100_000)
-def _mk_mono(partition: tuple, charge: int) -> BasisMonomial:
-    """The engine's interning constructor: one BasisMonomial per (partition,
-    charge) while its entry stays in the cache, so dict lookups on engine
-    outputs hit on identity.  The bound of 100000 entries is far above the
-    1932 distinct monomials the whole test suite builds in one process (866
-    on the largest benchmark workload).  Equality stays by value, so an
-    evicted entry costs only speed.  Trusted fast path: the partition must
-    already be an ascending tuple of negative modes, since BasisMonomial's
-    validating __new__ is skipped."""
-    return tuple.__new__(BasisMonomial, (partition, charge))
-
-
-def _flip_terms(terms: dict, lab: int) -> dict:
-    """phi-image of the {monomial: coefficient} terms, Scalars or the
-    kernel's ints, of a product of factors with lab J-factors: each
-    monomial's charge negated, its coefficient times
-    (-1)^(len(partition) - lab)."""
-    return {
-        _mk_mono(m.partition, -m.charge): -c if (len(m.partition) - lab) & 1 else c
-        for m, c in terms.items()
-    }
 
 
 def _heis_terms(k: int, terms: dict, charge: int) -> tuple:
@@ -285,9 +268,12 @@ def _field_coeff(k: int, m: int) -> int:
 
 
 @lru_cache(maxsize=200_000)
-def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int) -> tuple:
-    """All modes a_(n) b for two basis monomials, output weight <= wmax.
+def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, lo: int) -> tuple:
+    """All modes a_(n) b with n >= lo for two basis monomials.
 
+    Keyed on the lowest mode lo itself, one entry per (pair, lo); the
+    kernel body turns lo into its z-exponent bounds (see
+    _mono_products_direct), so no caller converts a mode to a weight.
     Returns (den, {n: {monomial: num}}) in ints: the J-basis coefficient
     of monomial x in a_(n) b is num/den * sqrt(2N)^r, where r = (len(x) -
     len(a) - len(b)) & 1.  den > 0 and gcd(den, every num) = 1, no num is
@@ -299,23 +285,23 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wma
     in the module docstring (the sign is (-1)^(len x - len a - len b), and
     only its parity r counts).  In the kernel's own terms, every E_+-
     weight (+-k)^{len lambda}/z_lambda and the alpha_0 factor 2N cb change
-    sign once per alpha-factor, while zshift = 2N ca cb, base = N (ca +
-    cb)^2, F and the sqrt(2N) power do not change.
+    sign once per alpha-factor, while zshift = 2N ca cb, base_e, top_e, F
+    and the sqrt(2N) power do not change.
     """
     ca, cb = amono.charge, bmono.charge
     if ca > 0 or (ca == 0 and cb >= 0):
-        return _mono_products_direct(ctx, amono, bmono, wmax)
+        return _mono_products_direct(ctx, amono, bmono, lo)
     den, canon = _mono_products(
-        ctx, _mk_mono(amono.partition, -ca), _mk_mono(bmono.partition, -cb), wmax
+        ctx, _mk_mono(amono.partition, -ca), _mk_mono(bmono.partition, -cb), lo
     )
     lab = len(amono.partition) + len(bmono.partition)
     return den, {n: _flip_terms(block, lab) for n, block in canon.items()}
 
 
 def _mono_products_direct(
-    ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, wmax: int
+    ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, lo: int
 ) -> tuple:
-    """All modes a_(n) b for two basis monomials, output weight <= wmax, uncached.
+    """All modes a_(n) b with n >= lo for two basis monomials, uncached.
 
     Returns (den, {n: {monomial: num}}) as _mono_products does.  Stage 1
     enumerates, per J-factor of a, the annihilation-mode and creation-mode
@@ -327,8 +313,16 @@ def _mono_products_direct(
     This equals applying E_+ and the pending creations to each state
     apart: both are creation operators, so they commute, and E_+ is
     linear.  The E_+ orders p run over the same range for every state of
-    one e1, as the output weight wt a + wt b + e1 + p must lie in
-    [base, wmax], which depends on e1 alone.
+    one e1, as the total z-exponent e1 + p = -n - 1 must lie in [base_e,
+    top_e], which depends on e1 alone.
+
+    This is the one place that applies the grading contract wt(a_(n) b) =
+    wt a + wt b - n - 1: the output of mode n has weight wt a + wt b + e
+    at z-exponent e = -n - 1, and that weight is at least base = N (ca +
+    cb)^2, the weight of the output's charge.  So a mode n >= lo has
+    e <= top_e = -lo - 1 and e >= base_e = base - wt a - wt b, and a pair
+    with top_e < base_e, which is lo >= wt a + wt b - base, has no mode
+    n >= lo: its entry is (1, {}).
 
     Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
@@ -340,25 +334,25 @@ def _mono_products_direct(
     class of cycle type lambda in S_|lambda| (Macdonald, Symmetric
     Functions and Hall Polynomials, I.2), and |lambda|! divides F!.
     An E_- order q is at most the Fock weight of a stage-1 state, which
-    is at most that of b.  An E_+ order p is at most fmax: by the grading
-    contract an output monomial has weight base + its Fock weight <=
-    wmax, and p is part of that Fock weight.  So a final entry is its
-    rational times (F!)^2, and its J-basis coefficient is entry / (F!)^2
-    times sqrt(2N)^d, d = len(out) - len(a) - len(b).  With sqrt(2N)^d =
-    (2N)^{floor(d/2)} sqrt(2N)^{d & 1}, the even part goes into the ints:
-    each entry is multiplied by (2N)^{floor(d/2) - low} and den = (F!)^2
-    (2N)^{-low}, low = min(0, every floor(d/2) of the pair); one gcd pass
-    then reduces the pair.
+    is at most that of b.  An E_+ order p is at most fmax = top_e -
+    base_e: the output's Fock weight is e - base_e <= fmax, and p is part
+    of that Fock weight.  So a final entry is its rational times (F!)^2,
+    and its J-basis coefficient is entry / (F!)^2 times sqrt(2N)^d, d =
+    len(out) - len(a) - len(b).  With sqrt(2N)^d = (2N)^{floor(d/2)}
+    sqrt(2N)^{d & 1}, the even part goes into the ints: each entry is
+    multiplied by (2N)^{floor(d/2) - low} and den = (F!)^2 (2N)^{-low},
+    low = min(0, every floor(d/2) of the pair); one gcd pass then reduces
+    the pair.
     """
     n_lat = ctx.N
     two_n = 2 * n_lat
     ca, cb = amono.charge, bmono.charge
     ctot = ca + cb
-    base = n_lat * ctot * ctot
-    fmax = wmax - base
+    base_e = n_lat * ctot * ctot - amono.weight(n_lat) - bmono.weight(n_lat)
+    top_e = -lo - 1
+    fmax = top_e - base_e
     if fmax < 0:
         return 1, {}
-    wa, wb = amono.weight(n_lat), bmono.weight(n_lat)
 
     # stage 1: one mode choice per alpha-factor of a; every state has charge
     # cb, so the dicts are keyed on bare partitions
@@ -410,12 +404,10 @@ def _mono_products_direct(
     # has charge ctot, so the states are keyed on partitions too
     zshift = 2 * n_lat * ca * cb
     scale = factorial(max(fmax, -sum(bmono.partition)))
-    base_e = base - wa - wb
-    top_e = wmax - wa - wb
     merged: dict = {}
     for (zexp, pend), vec in entries.items():
         vfock = max((-sum(lam) for lam in vec), default=0)
-        # orders q with e1 > top_e leave no E_+ order p >= 0 within wmax
+        # orders q with e1 > top_e leave no E_+ order p >= 0 with n >= lo
         for q in range(max(0, zexp + zshift - top_e), vfock + 1):
             e1 = zexp - q + zshift
             acc: dict = {}
@@ -437,7 +429,7 @@ def _mono_products_direct(
         state = [(lam, c) for lam, c in state.items() if c]
         if not state:
             continue
-        # output weight wa + wb - n - 1 = wa + wb + e1 + p must lie in [base, wmax]
+        # the z-exponent e1 + p = -n - 1 must lie in [base_e, top_e]
         for p in range(max(0, base_e - e1), top_e - e1 + 1):
             block = result.setdefault(-(e1 + p) - 1, {})
             mult = scale // factorial(p)
@@ -496,12 +488,10 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
     """All modes a_(n) b with n >= lo, as {n: Vector}.
 
     Shares one cache entry per monomial pair, so it is the right call in
-    loops that sweep many modes of the same vectors.  A pair am, bm is
-    read from its kernel entry bounded at wt am + wt bm - lo - 1, the
-    output weight of its mode lo by the grading contract: the kernel's
-    bound only truncates, so that entry holds exactly the pair's modes
-    n >= lo.  A pair whose bound is negative has no such mode and is
-    skipped.
+    loops that sweep many modes of the same vectors.  Every pair am, bm
+    is read from its kernel entry at the same lo, which holds exactly the
+    pair's modes n >= lo; the kernel applies the grading contract, so a
+    pair with no such mode reads as an empty entry.
 
     Each output entry is summed in integers and canonicalized once.  Let f
     be the factor of a monomial pair, (dp, blocks) its kernel entry and
@@ -518,15 +508,11 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
-    n_lat = ctx.N
-    b_terms = [(bm, cbv, bm.weight(n_lat)) for bm, cbv in b.terms.items()]
-    pairs = []
-    for am, cav in a.terms.items():
-        top = am.weight(n_lat) - lo - 1
-        for bm, cbv, wb in b_terms:
-            if top + wb >= 0:
-                lab = len(am.partition) + len(bm.partition)
-                pairs.append((cav * cbv, lab, *_mono_products(ctx, am, bm, top + wb)))
+    pairs = [
+        (cav * cbv, len(am.partition) + len(bm.partition), *_mono_products(ctx, am, bm, lo))
+        for am, cav in a.terms.items()
+        for bm, cbv in b.terms.items()
+    ]
     deg, root = ctx.degree, ctx.sqrt_2n()
     den = lcm(*{f.den * dp for f, _, dp, _ in pairs})
     acc: dict = {}

@@ -19,6 +19,7 @@ from voa.state_space import (
     vector_to_json,
     weight4_primary,
 )
+from voa.vertex_engine import vertex_mode
 
 
 def run(capsys, *argv):
@@ -353,6 +354,24 @@ def test_pinned_output(capsys, pin):
     code, out = run(capsys, *pin["argv"])
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin["sha256"]
+
+
+def test_mode_reads_one_window(capsys, monkeypatch):
+    # the two-weight operands give 4 pairs of homogeneous components, and the
+    # product and its weight check still come from one vertex_mode read
+    (pin,) = [pin for pin in PINS if pin["id"] == "mode-two-weights"]
+    calls = []
+
+    def counting(a, n, b):
+        calls.append(n)
+        return vertex_mode(a, n, b)
+
+    monkeypatch.setattr(cli, "vertex_mode", counting)
+    code, out = run(capsys, *pin["argv"])
+    assert code == 0
+    assert calls == [-1]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pin["sha256"]
+    assert json.loads(out)["weight_check"] is True
 
 
 SL2_TEXT = """\

@@ -13,6 +13,7 @@ from voa.state_space import (
     BasisMonomial,
     GradedSubspace,
     Vector,
+    _mk_mono,
     apply_flip,
     apply_torus,
     charge_pair_vector,
@@ -31,7 +32,6 @@ from voa.state_space import (
     weight4_primary,
 )
 from voa.structure_analysis import fixed_point_subspace
-from voa.vertex_engine import _mk_mono
 
 
 def _partition_count_oracle(n: int) -> int:
@@ -76,6 +76,22 @@ def test_monomial_rejects_malformed_partitions():
         with pytest.raises(ValueError):
             BasisMonomial(partition, 0)
     assert BasisMonomial((-3, -1, -1), -2).partition == (-3, -1, -1)
+
+
+def test_set_up_constructors_leave_the_intern_cache_cold():
+    # a fresh process that only builds inputs starts its timed engine call
+    # with every engine cache empty, _mk_mono included
+    _mk_mono.cache_clear()
+    ctx = Context(N=3)
+    conformal_vector(ctx)
+    charge_pair_vector(ctx, 1, -ctx.one())
+    split_virasoro_vector(Context(N=2, conductor=8), 1, 8)
+    Vector.monomial(ctx, (-2, -1), 1)
+    weight4_primary(ctx)
+    assert _mk_mono.cache_info().currsize == 0
+    # the flip interns its output monomials
+    (m,) = apply_flip(Vector.monomial(ctx, (-2, -1), 1)).terms
+    assert m is _mk_mono((-2, -1), -1)
 
 
 def test_interned_monomial_equals_validated_one():

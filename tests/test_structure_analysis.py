@@ -664,6 +664,13 @@ def test_omega_constraint_solution_circle_conductor_eight():
         b = ctx.zeta(k) * Fraction(1, 4)
         residuals = omega_residuals(ctx, Fraction(1, 2), b)
         assert all(r.is_zero() for r in residuals), k
+    # the report carries the circle as one row per k at conductor 8 only
+    circle = [f"a = 1/2, b = zeta_8^{k}/4 solves" for k in range(8)]
+    report = solve_omega_constraint(ctx)
+    assert report.verdict
+    assert [r.get("relation") for r in report.rows[-8:]] == circle
+    assert all(r["ok"] for r in report.rows[-8:])
+    assert not any("zeta_8" in str(r) for r in solve_omega_constraint(Context(N=2)).rows)
 
 
 def test_omega_constraint_rejects_off_circle_points():

@@ -489,11 +489,11 @@ def test_vertex_mode_is_bilinear_across_components():
         assert vertex_mode(a, n, b) == expect, n
 
 
-def _kernel_scalars(ctx, am, bm, wmax):
-    # the kernel's integer entries decoded by their documented meaning:
-    # num/den * sqrt(2N)^r, r = (len out - len a - len b) & 1, each Scalar
-    # built by ctx.scalar and not by engine code
-    den, blocks = _mono_products(ctx, am, bm, wmax)
+def _kernel_scalars(ctx, am, bm, lo):
+    # the kernel's integer entries for the modes n >= lo, decoded by their
+    # documented meaning: num/den * sqrt(2N)^r, r = (len out - len a - len b)
+    # & 1, each Scalar built by ctx.scalar and not by engine code
+    den, blocks = _mono_products(ctx, am, bm, lo)
     lab = len(am.partition) + len(bm.partition)
     return {
         n: {
@@ -506,17 +506,12 @@ def _kernel_scalars(ctx, am, bm, wmax):
     }
 
 
-def _pair_bound(ctx, am, bm, lo):
-    # the output weight of the pair's mode lo, wt(a_(n) b) = wt a + wt b - n - 1
-    return am.weight(ctx.N) + bm.weight(ctx.N) - lo - 1
-
-
 def _window_by_pairs(a, b, lo):
     # the per-pair Scalar sum: sum over monomial pairs of f * Vector(block)
     ctx = a.ctx
     acc = {}
     for (am, ca), (bm, cb) in product(a.terms.items(), b.terms.items()):
-        for n, block in _kernel_scalars(ctx, am, bm, _pair_bound(ctx, am, bm, lo)).items():
+        for n, block in _kernel_scalars(ctx, am, bm, lo).items():
             acc[n] = acc.get(n, Vector.zero(ctx)) + Vector(ctx, block).scale(ca * cb)
     return {n: v for n, v in acc.items() if not v.is_zero()}
 
@@ -567,7 +562,7 @@ def test_vertex_window_drops_cancelled_entries(n_lat, conductor):
     assert got == _window_by_pairs(a, b, -3)
     cancelled = BasisMonomial((-1,), 1)
     (jm,), (em,) = j.terms, ep.terms
-    assert cancelled in _kernel_scalars(ctx, jm, em, 4)[-1]
+    assert cancelled in _kernel_scalars(ctx, jm, em, -3)[-1]
     assert cancelled not in got[-1].terms
     assert (0 in got) == (n_lat != 1)
 
@@ -586,20 +581,20 @@ def test_single_unit_pair_window_does_not_share_the_cache():
     ctx = Context(3)
     a, b = charged_vacuum(ctx, 1), mono(ctx, (-1,), -1)
     (am,), (bm,) = a.terms, b.terms
-    cached = _mono_products(ctx, am, bm, 5)
+    cached = _mono_products(ctx, am, bm, 1)
     before = (cached[0], {n: dict(block) for n, block in cached[1].items()})
-    # the window from mode 1 reads the pair at output weight 3 + 4 - 1 - 1 = 5
+    # the window from mode 1 reads the pair's kernel entry at lo = 1
     win = vertex_window(a, b, lo=1)
     original = {n: Vector(ctx, v.terms) for n, v in win.items()}
     assert original == {
-        n: Vector(ctx, block) for n, block in _kernel_scalars(ctx, am, bm, 5).items()
+        n: Vector(ctx, block) for n, block in _kernel_scalars(ctx, am, bm, 1).items()
     }
     for v in win.values():
         first = next(iter(v.terms))
         v.terms[first] = ctx.from_fraction(7)
         v.terms[BasisMonomial((-9,), 4)] = ctx.one()
     assert vertex_window(a, b, lo=1) == original
-    assert _mono_products(ctx, am, bm, 5) is cached
+    assert _mono_products(ctx, am, bm, 1) is cached
     assert cached == before
 
 
@@ -612,10 +607,9 @@ def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conducto
     seen = {0: 0, 1: 0}
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        wmax = a.weight() + b.weight() + 2
-        den, blocks = _mono_products(ctx, am, bm, wmax)
+        den, blocks = _mono_products(ctx, am, bm, -3)
         assert type(den) is int and den > 0, (am, bm)
-        for n, block in _kernel_scalars(ctx, am, bm, wmax).items():
+        for n, block in _kernel_scalars(ctx, am, bm, -3).items():
             for out, c in block.items():
                 assert type(blocks[n][out]) is int, (am, bm, out)
                 odd = (len(out.partition) - len(am.partition) - len(bm.partition)) % 2
@@ -638,7 +632,7 @@ def test_kernel_outputs_are_interned_and_valid(n_lat, conductor):
     shared = 0
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        for block in _kernel_scalars(ctx, am, bm, a.weight() + b.weight() + 2).values():
+        for block in _kernel_scalars(ctx, am, bm, -3).values():
             for m in block:
                 assert BasisMonomial(m.partition, m.charge) == m
                 assert m is _mk_mono(m.partition, m.charge)
@@ -658,8 +652,7 @@ def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor)
     flipped = 0
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        wmax = a.weight() + b.weight() + 2
-        den, blocks = _mono_products(ctx, am, bm, wmax)
+        den, blocks = _mono_products(ctx, am, bm, -3)
         nums = [num for block in blocks.values() for num in block.values()]
         assert den > 0 and gcd(den, *nums) == 1, (am, bm)
         assert all(blocks.values()) and all(nums), (am, bm)
@@ -668,7 +661,7 @@ def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor)
                 ctx,
                 BasisMonomial(am.partition, -am.charge),
                 BasisMonomial(bm.partition, -bm.charge),
-                wmax,
+                -3,
             )
             lab = len(am.partition) + len(bm.partition)
             assert (den, blocks) == (
@@ -685,7 +678,7 @@ def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor)
             ), (am, bm)
             flipped += 1
         win = vertex_window(a, b, lo=-3)
-        assert {n: v.terms for n, v in win.items()} == _kernel_scalars(ctx, am, bm, wmax)
+        assert {n: v.terms for n, v in win.items()} == _kernel_scalars(ctx, am, bm, -3)
     assert flipped
 
 
@@ -699,7 +692,7 @@ def _window_keys(ctx, a, b, lo):
         (n, m.partition, m.charge): m
         for am in a.terms
         for bm in b.terms
-        for n, block in _kernel_scalars(ctx, am, bm, _pair_bound(ctx, am, bm, lo)).items()
+        for n, block in _kernel_scalars(ctx, am, bm, lo).items()
         for m in block
     }
 
@@ -746,11 +739,10 @@ def test_flipped_kernel_entries_match_direct_computation(n_lat, conductor):
         (am,), (bm,) = a.terms, b.terms
         if _canonical(am, bm):
             continue
-        wa, wb = a.weight(), b.weight()
-        for wmax in range(wa + wb - 1, wa + wb + 3):
-            assert _mono_products(ctx, am, bm, wmax) == _mono_products_direct(
-                ctx, am, bm, wmax
-            ), (am, bm, wmax)
+        for lo in range(-3, 1):
+            assert _mono_products(ctx, am, bm, lo) == _mono_products_direct(
+                ctx, am, bm, lo
+            ), (am, bm, lo)
             flipped += 1
     assert flipped
 
@@ -865,9 +857,9 @@ def test_vertex_window_computes_only_canonical_keys(monkeypatch):
     ctx = Context(3)
     computed = []
 
-    def counting(ctx_, am, bm, wmax):
-        computed.append((am, bm, wmax))
-        return _mono_products_direct(ctx_, am, bm, wmax)
+    def counting(ctx_, am, bm, lo):
+        computed.append((am, bm, lo))
+        return _mono_products_direct(ctx_, am, bm, lo)
 
     monkeypatch.setattr(vertex_engine, "_mono_products_direct", counting)
     _mono_products.cache_clear()
@@ -884,22 +876,46 @@ def test_vertex_window_computes_only_canonical_keys(monkeypatch):
 
 @pytest.mark.parametrize("n_lat, conductor", [(1, 8), (3, 4)])
 def test_kernel_window_bound_only_truncates(n_lat, conductor):
-    # a bound w keeps exactly the modes of a wider window whose output weight
-    # is <= w, also below the Fock weight of b, where that Fock weight and not
-    # w sets the common denominator of the kernel's integer terms; the
-    # cached den depends on that bound too, so decoded values are compared
+    # an entry at lo keeps exactly the modes n >= lo of a wider entry, also
+    # where the kernel's E_+ order bound fmax = wt a + wt b - lo - 1 - N (ca +
+    # cb)^2 is below the Fock weight of b, so that Fock weight and not fmax
+    # sets the common denominator of the kernel's integer terms; the cached
+    # den depends on lo too, so decoded values are compared
     ctx = Context(n_lat, conductor)
     below_fock = 0
     for a, b in _unit_pairs(ctx, max_weight=2):
         (am,), (bm,) = a.terms, b.terms
         wa, wb = a.weight(), b.weight()
         base = n_lat * (am.charge + bm.charge) ** 2
-        full = _kernel_scalars(ctx, am, bm, wa + wb + 4)
-        for w in range(max(0, wa + wb - 3), wa + wb + 4):
-            expect = {n: block for n, block in full.items() if wa + wb - n - 1 <= w}
-            assert _kernel_scalars(ctx, am, bm, w) == expect, (am, bm, w)
-            below_fock += w - base < -sum(bm.partition)
+        full = _kernel_scalars(ctx, am, bm, -5)
+        for lo in range(-4, min(wa + wb, 3)):
+            expect = {n: block for n, block in full.items() if n >= lo}
+            assert _kernel_scalars(ctx, am, bm, lo) == expect, (am, bm, lo)
+            below_fock += wa + wb - lo - 1 - base < -sum(bm.partition)
     assert below_fock
+
+
+@pytest.mark.parametrize("n_lat, conductor", [(1, 8), (3, 4)])
+def test_pair_with_no_mode_from_lo_reads_empty(n_lat, conductor):
+    # a nonzero a_(n) b has weight wt a + wt b - n - 1 >= 0, so a pair has no
+    # mode n >= wt a + wt b: its kernel entry is (1, {}), canonical or
+    # flipped, and its window is empty; one mode lower can be nonzero
+    ctx = Context(n_lat, conductor)
+    tight = 0
+    for a, b in _unit_pairs(ctx, max_weight=2):
+        (am,), (bm,) = a.terms, b.terms
+        top = a.weight() + b.weight()
+        for lo in (top, top + 1, top + 5):
+            assert _mono_products(ctx, am, bm, lo) == (1, {}), (am, bm, lo)
+            assert vertex_window(a, b, lo=lo) == {}, (am, bm, lo)
+        tight += top - 1 in vertex_window(a, b, lo=top - 1)
+    assert tight
+    # in a window of several pairs, those with no mode from lo add nothing:
+    # vacuum_(n) vacuum = 0 for n >= 0, while nu_(0) nu = L_{-1} nu
+    mixed = vacuum(ctx) + conformal_vector(ctx)
+    got = vertex_window(mixed, mixed, lo=0)
+    assert got and got == _window_by_pairs(mixed, mixed, 0)
+    assert got[0] == virasoro_apply(-1, conformal_vector(ctx))
 
 
 def test_locality_orders():
