@@ -64,10 +64,11 @@ __all__ = [
 ]
 
 # closure budgets: members admitted, and wall seconds checked once per
-# worklist member.  300 s is about a hundred times the c = 1/2 character's
-# closure at cutoff 8, which never reaches its fixed-point bound: 3.21 s of
-# one process's CPU on a 2-core host with Python 3.11.7, whose speed drifts
-# by up to 2x (5.4-6.0 s in a slow phase)
+# weight on the strong path and once per worklist member.  300 s is about
+# a hundred times a closure that falls back to the worklist, e^{2 alpha} at
+# N = 2, cutoff 8 (a check lands above the cutoff): 2.5-3.6 s of one
+# process's CPU on a 2-core host with Python 3.11.7, whose speed drifts by
+# up to 2x
 MAX_CLOSURE_MEMBERS = 4000
 MAX_CLOSURE_SECONDS = 300.0
 
@@ -223,7 +224,12 @@ def virasoro_character(c, h, max_weight: int) -> list:
     descendants, while h = m*m loses one singular vector at weight
     (m+1)*(m+1).  Central charge 1/2 is supported for h = 0 only and is
     computed structurally, as the graded dimensions of the subalgebra
-    generated by a split conformal vector.
+    generated by a split conformal vector omega.  That closure takes the
+    strong path with S = {omega}: its checks, pct(omega) = omega,
+    L_1 omega = 0 and omega_(j) omega for j <= 3, land at weight <= 3,
+    so every max_weight >= 3 is decided without a fallback, and the cost
+    grows with the rank of W (max_weight 16 took about 15 s on a 2-core
+    host).
     """
     c = Fraction(c)
     h = Fraction(h)
@@ -376,19 +382,139 @@ def _closure_bound(ctx: Context, generators, cutoff: int) -> list:
     ]
 
 
+def _check_members(count: int) -> None:
+    if count > MAX_CLOSURE_MEMBERS:
+        raise ClosureBudgetError(
+            f"subalgebra closure exceeded its member budget of {MAX_CLOSURE_MEMBERS}"
+        )
+
+
+def _check_time(start: float) -> None:
+    if monotonic() - start > MAX_CLOSURE_SECONDS:
+        raise ClosureBudgetError(
+            f"subalgebra closure exceeded its time budget of {MAX_CLOSURE_SECONDS:g} s"
+        )
+
+
+def _strongly_generated_span(ctx: Context, strong, cutoff: int, start: float) -> dict:
+    """Per-weight EchelonSpans of W, the span of every s1_(-k1) ... sr_(-kr)|0>
+    with s_i in strong and k_i >= 1, at weights 0..cutoff.
+
+    W_0 is the vacuum line, and W = C|0> + sum over s and k >= 1 of
+    s_(-k) W.  s_(-k) raises weight by wt s + k - 1 >= 1, so W_w is
+    finished once every lower weight is: the weights are swept upwards,
+    and each basis row v of W_w takes one window of each s, from the mode
+    that lands at weight cutoff, whose modes n <= -1 are inserted.
+    """
+    spans = {w: EchelonSpan(ctx) for w in range(max(cutoff, 0) + 1)}  # W_0 even below cutoff 0
+    spans[0].insert(vacuum(ctx))
+    members = 1
+    weighted = [(s, s.weight()) for s in strong]
+    for w in range(cutoff + 1):
+        _check_time(start)
+        for v in spans[w].vectors():
+            for s, ws in weighted:
+                if ws + w > cutoff:
+                    continue
+                for n, u in vertex_window(s, v, lo=ws + w - 1 - cutoff).items():
+                    if n < 0 and spans[ws + w - n - 1].insert(u) is not None:
+                        members += 1
+                        _check_members(members)
+    return spans
+
+
+def _strong_closure(ctx: Context, generators, cutoff: int, start: float):
+    """The closure's per-weight EchelonSpans by certified strong
+    generation, or None when the worklist must answer instead: when a
+    generator component lies above the cutoff, or a nonzero check s_(j) t
+    does (see close_subalgebra)."""
+    strong = []
+    for g in generators:
+        for w, comp in g.weight_components().items():
+            if w > cutoff:
+                return None
+            if w:
+                strong.append(comp)
+    checks: list = []  # vectors that must lie in W, for every s, t in strong[:checked]
+    checked = 0
+    while True:
+        for i in range(checked, len(strong)):
+            s = strong[i]
+            checks += [pct(s), virasoro_apply(1, s)]
+            for t in strong[: i + 1]:
+                checks += vertex_window(s, t, lo=0).values()
+        checked = len(strong)
+        checks = [c for c in checks if not c.is_zero()]
+        if any(c.weight() > cutoff for c in checks):
+            return None
+        spans = _strongly_generated_span(ctx, strong, cutoff, start)
+        missing = [c for c in checks if not spans[c.weight()].contains(c)]
+        if not missing:
+            return spans
+        checks = missing  # W only grows, so the other checks still hold
+        # grow strong by the lowest missing weight only: a higher missing
+        # vector may lie in the next W, and its own checks could land above
+        # the cutoff and force a needless fallback
+        low = min(c.weight() for c in missing)
+        for c in missing:
+            if c.weight() == low and spans[low].insert(c) is not None:
+                strong.append(c)
+
+
 def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     """Smallest graded span containing the generators that is closed under
     all modes, PCT, and L_1, reported at weights 0..cutoff.
 
-    Everything is split into weight components first; the worklist then
-    keeps adding PCT images, L_1 images, and every product a_(n) b that
-    lands at weight <= cutoff, until the per-weight ranks stop growing
-    or every weight <= cutoff reaches its fixed-point bound (below).
-    Products of pool vectors of any two weights are considered, so
-    generator components above the cutoff still contribute.  A closure
-    that grows past MAX_CLOSURE_MEMBERS members, or that is still running
-    after MAX_CLOSURE_SECONDS when it takes up its next worklist member,
-    raises ClosureBudgetError.
+    Everything is split into weight components first.  The closure is
+    built by certified strong generation when it can be (below), and
+    otherwise by a worklist.  A closure that grows past
+    MAX_CLOSURE_MEMBERS members, or that is still running after
+    MAX_CLOSURE_SECONDS, raises ClosureBudgetError; the strong path
+    counts every row it inserts into W as a member and checks the time
+    once per weight, the worklist once per member it takes up.
+
+    The strong path.  S starts as the positive-weight components of the
+    generators, and W is the span of s1_(-k1) ... sr_(-kr)|0> for s_i in
+    S and k_i >= 1 (_strongly_generated_span).  The checks are pct(s),
+    L_1 s and s_(j) t for s, t in S and j >= 0.  When every check lies
+    in W, W is returned; otherwise the missing checks of the lowest
+    missing weight join S and W is built again.
+    - W is a vertex subalgebra when every s_(j) t, j >= 0, lies in W
+      (strong generation, Kac, Vertex Algebras for Beginners, ch. 4).
+      By induction on total weight: the commutator formula gives
+      s_(m) t_(-k) w = t_(-k) s_(m) w + sum_j C(m, j) (s_(j) t)_(m-k-j) w
+      for m >= 0, both terms of lower total weight, and the iterate
+      formula writes the modes of x = s_(-k) x' through modes of s and of
+      x'.  Only s_(j) t with t no later than s in S is read: W is
+      L_{-1}-stable, since [L_{-1}, s_(n)] = -n s_(n-1) and L_{-1}|0> = 0,
+      so skew symmetry puts each t_(j) s in W as well.
+    - W is then PCT- and L_1-stable: PCT is an antilinear automorphism,
+      so pct(s_(n) v) = pct(s)_(n) pct(v), and [L_1, s_(n)] =
+      (L_{-1} s)_(n+2) + 2 (L_0 s)_(n+1) + (L_1 s)_(n), with L_1|0> = 0.
+    - A negative mode of s raises weight by at least 1, so W is exact up
+      to the cutoff, and a check s_(j) t of weight wt s + wt t - j - 1 <=
+      cutoff is decided there.
+    Why W equals the worklist's span at weights <= cutoff.  Every vector
+    that builds W, and every check that joins S, is a product, PCT image
+    or L_1 image of vectors in the worklist's span that lands at weight
+    <= cutoff, which the worklist also takes: so W lies in its span.
+    Conversely W contains the vacuum and the generators and is stable
+    under every worklist step, so the span lies in W.  Both paths keep
+    reduced echelon bases over the canonical monomial order, which the
+    span determines, so the bases are byte-identical.
+    The guard.  The worklist answers with the closure under steps that
+    land at weight <= cutoff, which can be smaller than the generated
+    subalgebra, and it multiplies generator components of any weight.
+    So the strong path hands over to the worklist when a generator
+    component lies above the cutoff, or when a nonzero check lands above
+    it: W above the cutoff is not built, so neither case can be decided,
+    and raising the cutoff could give a larger span than the worklist's.
+
+    The worklist keeps adding PCT images, L_1 images, and every product
+    a_(n) b that lands at weight <= cutoff, until the per-weight ranks
+    stop growing or every weight <= cutoff reaches its fixed-point bound
+    (below).  Products of pool vectors of any two weights are considered,
+    so generator components above the cutoff still contribute.
 
     Each unordered pair of members is multiplied once, the later member a
     on the left.  By skew symmetry b_(n) a = sum_j (-1)^(n+j+1)
@@ -421,6 +547,17 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     spans' rows, which nothing else holds.
     """
     generators = list(generators)
+    start = monotonic()
+    spans = _strong_closure(ctx, generators, cutoff, start)
+    if spans is None:
+        spans = _worklist_closure(ctx, generators, cutoff, start)
+    bases = {w: spans[w].vectors() for w in sorted(spans) if w <= cutoff and spans[w].rank}
+    return GradedSubspace(ctx, cutoff, bases)
+
+
+def _worklist_closure(ctx: Context, generators, cutoff: int, start: float) -> dict:
+    """The closure's per-weight EchelonSpans by the worklist with its
+    fixed-point stop rule (see close_subalgebra)."""
     bound = _closure_bound(ctx, generators, cutoff)
     spans: dict = {}
     members: list = []
@@ -437,23 +574,16 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
             row = span.insert(comp)
             if row is not None:
                 members.append(row)
-                if len(members) > MAX_CLOSURE_MEMBERS:
-                    raise ClosureBudgetError(
-                        f"subalgebra closure exceeded its member budget of {MAX_CLOSURE_MEMBERS}"
-                    )
+                _check_members(len(members))
                 if w <= cutoff and span.rank == bound[w]:
                     open_weights -= 1
 
-    start = monotonic()
     admit(vacuum(ctx))
     for g in generators:
         admit(g)
     i = 0
     while open_weights and i < len(members):
-        if monotonic() - start > MAX_CLOSURE_SECONDS:
-            raise ClosureBudgetError(
-                f"subalgebra closure exceeded its time budget of {MAX_CLOSURE_SECONDS:g} s"
-            )
+        _check_time(start)
         x = members[i]
         admit(pct(x))
         admit(virasoro_apply(1, x))
@@ -466,8 +596,7 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
             for n in sorted(window):
                 admit(window[n])
         i += 1
-    bases = {w: spans[w].vectors() for w in sorted(spans) if w <= cutoff and spans[w].rank}
-    return GradedSubspace(ctx, cutoff, bases)
+    return spans
 
 
 def project_conformal(sub: GradedSubspace) -> Vector:

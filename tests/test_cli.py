@@ -342,10 +342,12 @@ def test_close_charged_vacua_generate_everything(capsys):
 # verify all at the verify_all workload's cutoff 4, and at conductor 8, where
 # sqrt 2 folds into Q(zeta_8); the N = 1 axiom leg, which neither verify all
 # (N = 2) nor the axioms workload (N = 3) runs; a mode product whose operands
-# have two weights each; the conductor-400 fixed points of Z100; and two
-# closures, of e_plus, which stops at its fixed-point bound, and of nu, which
-# stays below it; and three text-format runs, whose reports, vector terms and
-# basis monomials are lists of rows.
+# have two weights each; the conductor-400 fixed points of Z100; closures of
+# nu and of e_plus, whose cutoff-8 digest and the c = 1/2 character to weight
+# 9 were read off the worklist closure, while e_plus at cutoff 10 and the
+# character to weight 16 are beyond the worklist's reach (CI gives each pin
+# 60 s); and three text-format runs, whose reports, vector terms and basis
+# monomials are lists of rows.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 from fractions import Fraction
 from itertools import product
+from time import monotonic
 
 import pytest
 
@@ -282,6 +283,11 @@ def test_close_subalgebra_generator_corollary_matches_flip_fixed_points():
     assert closed.dims() == [1, 0, 1, 2, 4, 5, 9, 12, 19]
 
 
+def _worklist_only(monkeypatch):
+    # the strong path declines every closure, so the worklist answers
+    monkeypatch.setattr(structure_analysis, "_strong_closure", lambda *args: None)
+
+
 def test_close_subalgebra_member_budget(monkeypatch):
     monkeypatch.setattr(structure_analysis, "MAX_CLOSURE_MEMBERS", 3)
     ctx = Context(N=5)
@@ -290,11 +296,25 @@ def test_close_subalgebra_member_budget(monkeypatch):
 
 
 def test_close_subalgebra_time_budget(monkeypatch):
-    # checked once per worklist member: a zero budget stops the closure as it
-    # takes up its first member, before any product is formed
+    # checked once per weight on the strong path: a zero budget stops the
+    # closure at weight 0, before any product is formed
     monkeypatch.setattr(structure_analysis, "MAX_CLOSURE_SECONDS", 0.0)
     ctx = Context(N=6)
     with pytest.raises(structure_analysis.ClosureBudgetError, match="time budget"):
+        close_subalgebra(ctx, [conformal_vector(ctx)], 5)
+
+
+@pytest.mark.parametrize(
+    "budget, value, message",
+    [("MAX_CLOSURE_MEMBERS", 3, "member budget of 3"), ("MAX_CLOSURE_SECONDS", 0.0, "time budget")],
+)
+def test_worklist_closure_keeps_both_budgets(monkeypatch, budget, value, message):
+    # the time is checked once per worklist member: a zero budget stops the
+    # closure as it takes up its first member
+    _worklist_only(monkeypatch)
+    monkeypatch.setattr(structure_analysis, budget, value)
+    ctx = Context(N=5)
+    with pytest.raises(structure_analysis.ClosureBudgetError, match=message):
         close_subalgebra(ctx, [conformal_vector(ctx)], 5)
 
 
@@ -346,6 +366,7 @@ BOUND_CASES = {
 def test_closure_stopped_at_its_bound_matches_the_full_closure(
     monkeypatch, n_lat, gens, cutoff, group, reaches
 ):
+    _worklist_only(monkeypatch)
     ctx = Context(N=n_lat)
     generators = gens(ctx)
     bound = structure_analysis._closure_bound(ctx, generators, cutoff)
@@ -362,6 +383,7 @@ def test_closure_stopped_at_its_bound_matches_the_full_closure(
 @pytest.mark.parametrize("phase", [1, -1])
 def test_closure_stopped_at_its_bound_makes_fewer_windows(monkeypatch, phase):
     # the closure workload's inputs: nu and e_+ + b e_- at N = 3, cutoff 7
+    _worklist_only(monkeypatch)
     ctx = Context(N=3)
     generators = [conformal_vector(ctx), charge_pair_vector(ctx, 1, phase)]
     calls = []
@@ -378,6 +400,122 @@ def test_closure_stopped_at_its_bound_makes_fewer_windows(monkeypatch, phase):
     assert early_calls < len(calls) - early_calls
     for w in range(8):
         assert early.weight_basis(w) == full.weight_basis(w), w
+
+
+def _closure_bytes(sub):
+    return [
+        json.dumps([vector_to_json(v) for v in sub.weight_basis(w)]) for w in range(sub.cutoff + 1)
+    ]
+
+
+def _closure_sha256(sub):
+    data = {str(w): [vector_to_json(v) for v in sub.weight_basis(w)] for w in range(sub.cutoff + 1)}
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _j2(ctx):
+    return Vector.monomial(ctx, (-2,), 0)
+
+
+# (N, generators, cutoff) that the strong path closes
+STRONG_CASES = {
+    "closure workload b = 1": (3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1)], 7),
+    "closure workload b = -1": (3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1, -1)], 7),
+    "criterion 9": (3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1)], 8),
+    "e+ N1 4": (1, lambda c: [charged_vacuum(c, 1)], 4),
+    "e+ N1 6": (1, lambda c: [charged_vacuum(c, 1)], 6),
+    "e+ N2 6": (2, lambda c: [charged_vacuum(c, 1)], 6),
+    "e+ N3 6": (3, lambda c: [charged_vacuum(c, 1)], 6),
+    "nu N3 5": (3, lambda c: [conformal_vector(c)], 5),
+    "nu N3 7": (3, lambda c: [conformal_vector(c)], 7),
+    "c = 1/2 6": (2, lambda c: [split_virasoro_vector(c)], 6),
+    # the s_(j) t checks put J, at weight 1, into S: without them W misses it
+    "e^alpha N3 5": (3, lambda c: [charged_vacuum(c, 1)], 5),
+    "e+ + e- N4 8": (4, lambda c: [charge_pair_vector(c, 1)], 8),
+    "J_-2 N1 6": (1, lambda c: [_j2(c)], 6),
+    "e+ + J_-2 N2 6": (2, lambda c: [charged_vacuum(c, 1) + _j2(c)], 6),
+    "pair with phase i N3 7": (3, lambda c: [charge_pair_vector(c, 1, c.i())], 7),
+    "J_-2 J_-1 N2 6": (2, lambda c: [Vector.monomial(c, (-2, -1), 0)], 6),
+    "no generators below weight 0": (2, lambda c: [], -1),
+}
+
+
+@pytest.mark.parametrize("n_lat, gens, cutoff", STRONG_CASES.values(), ids=STRONG_CASES.keys())
+def test_strong_closure_matches_the_worklist(monkeypatch, n_lat, gens, cutoff):
+    ctx = Context(N=n_lat)
+    assert structure_analysis._strong_closure(ctx, gens(ctx), cutoff, monotonic()) is not None
+    strong = close_subalgebra(ctx, gens(ctx), cutoff)
+    _worklist_only(monkeypatch)
+    assert _closure_bytes(strong) == _closure_bytes(close_subalgebra(ctx, gens(ctx), cutoff))
+
+
+# the worklist's digests of closures it takes 5-16 s per case to build, read
+# off the worklist alone with _closure_sha256; the strong path takes under 0.5 s
+WORKLIST_DIGESTS = {
+    "e+ N1 8": (
+        1, lambda c: [charged_vacuum(c, 1)], 8,
+        "1e3a7b6b1ae30f62df3497b6cb1e7ed5452363fc043bfe7b9ba13d1b39788a00",
+    ),
+    "e+ N2 8": (
+        2, lambda c: [charged_vacuum(c, 1)], 8,
+        "af75d5ca4ce1c532a45339ce1036228110f14cfbb2d36e744d6862f32f63a97c",
+    ),
+    "e+ N3 8": (
+        3, lambda c: [charged_vacuum(c, 1)], 8,
+        "8d710dd50c4847390cac206ea8967508fe5f9c393dbed40c7c295b97ce77dbe0",
+    ),
+    "c = 1/2 8": (
+        2, lambda c: [split_virasoro_vector(c)], 8,
+        "601759c28c3553ebcac1d93f81c8c472a656cb7dafb34f5ced6d3566831e1a5a",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "n_lat, gens, cutoff, digest", WORKLIST_DIGESTS.values(), ids=WORKLIST_DIGESTS.keys()
+)
+def test_strong_closure_matches_the_worklist_digest(n_lat, gens, cutoff, digest):
+    ctx = Context(N=n_lat)
+    assert structure_analysis._strong_closure(ctx, gens(ctx), cutoff, monotonic()) is not None
+    assert _closure_sha256(close_subalgebra(ctx, gens(ctx), cutoff)) == digest
+
+
+FALLBACK_CASES = {
+    # S grows to weights {2, 3, 4}, and 4_(0) 4 lands at weight 7
+    "a check above the cutoff": (
+        3, lambda c: [conformal_vector(c), charge_pair_vector(c, 1)], 6
+    ),
+    "a generator above the cutoff": (2, lambda c: [charged_vacuum(c, 2)], 7),
+}
+
+
+@pytest.mark.parametrize("n_lat, gens, cutoff", FALLBACK_CASES.values(), ids=FALLBACK_CASES.keys())
+def test_closure_falls_back_to_the_worklist(monkeypatch, n_lat, gens, cutoff):
+    ctx = Context(N=n_lat)
+    assert structure_analysis._strong_closure(ctx, gens(ctx), cutoff, monotonic()) is None
+    closed = close_subalgebra(ctx, gens(ctx), cutoff)
+    _worklist_only(monkeypatch)
+    assert _closure_bytes(closed) == _closure_bytes(close_subalgebra(ctx, gens(ctx), cutoff))
+
+
+def test_character_c_half_matches_the_ising_product():
+    # independent oracle (Rocha-Caridi 1985): the vacuum character of
+    # L(1/2, 0) is the integer-power part of prod_{k >= 0} (1 + q^{k + 1/2});
+    # coeffs[e] counts the power q^{e/2}
+    cut = 12
+    coeffs = [1] + [0] * (2 * cut)
+    for odd in range(1, 2 * cut + 1, 2):
+        for e in range(2 * cut, odd - 1, -1):
+            coeffs[e] += coeffs[e - odd]
+    assert virasoro_character(Fraction(1, 2), 0, cut) == coeffs[::2]
+
+
+def test_closure_of_e_plus_is_the_whole_space():
+    ctx = Context(N=1)
+    closed = close_subalgebra(ctx, [charged_vacuum(ctx, 1)], 10)
+    whole = fixed_point_subspace(ctx, "Z1", 10)
+    for w in range(11):
+        assert closed.weight_basis(w) == whole.weight_basis(w), w
 
 
 def test_project_conformal_recovers_generators():
