@@ -396,33 +396,6 @@ def _check_time(start: float) -> None:
         )
 
 
-def _strongly_generated_span(ctx: Context, strong, cutoff: int, start: float) -> dict:
-    """Per-weight EchelonSpans of W, the span of every s1_(-k1) ... sr_(-kr)|0>
-    with s_i in strong and k_i >= 1, at weights 0..cutoff.
-
-    W_0 is the vacuum line, and W = C|0> + sum over s and k >= 1 of
-    s_(-k) W.  s_(-k) raises weight by wt s + k - 1 >= 1, so W_w is
-    finished once every lower weight is: the weights are swept upwards,
-    and each basis row v of W_w takes one window of each s, from the mode
-    that lands at weight cutoff, whose modes n <= -1 are inserted.
-    """
-    spans = {w: EchelonSpan(ctx) for w in range(max(cutoff, 0) + 1)}  # W_0 even below cutoff 0
-    spans[0].insert(vacuum(ctx))
-    members = 1
-    weighted = [(s, s.weight()) for s in strong]
-    for w in range(cutoff + 1):
-        _check_time(start)
-        for v in spans[w].vectors():
-            for s, ws in weighted:
-                if ws + w > cutoff:
-                    continue
-                for n, u in vertex_window(s, v, lo=ws + w - 1 - cutoff).items():
-                    if n < 0 and spans[ws + w - n - 1].insert(u) is not None:
-                        members += 1
-                        _check_members(members)
-    return spans
-
-
 def _strong_closure(ctx: Context, generators, cutoff: int, start: float):
     """The closure's per-weight EchelonSpans by certified strong
     generation, or None when the worklist must answer instead: when a
@@ -435,6 +408,10 @@ def _strong_closure(ctx: Context, generators, cutoff: int, start: float):
                 return None
             if w:
                 strong.append(comp)
+    spans = {w: EchelonSpan(ctx) for w in range(max(cutoff, 0) + 1)}  # W_0 even below cutoff 0
+    spans[0].insert(vacuum(ctx))
+    members = 1
+    met: dict = {}  # (weight, pivot) -> how many of strong that row of W has met
     checks: list = []  # vectors that must lie in W, for every s, t in strong[:checked]
     checked = 0
     while True:
@@ -447,7 +424,18 @@ def _strong_closure(ctx: Context, generators, cutoff: int, start: float):
         checks = [c for c in checks if not c.is_zero()]
         if any(c.weight() > cutoff for c in checks):
             return None
-        spans = _strongly_generated_span(ctx, strong, cutoff, start)
+        for w in range(cutoff + 1):
+            _check_time(start)
+            for pivot, v in spans[w].rows.items():
+                for s in strong[met.get((w, pivot), 0):]:
+                    ws = s.weight()
+                    if ws + w > cutoff:
+                        continue
+                    for n, u in vertex_window(s, v, lo=ws + w - 1 - cutoff).items():
+                        if n < 0 and spans[ws + w - n - 1].insert(u) is not None:
+                            members += 1
+                            _check_members(members)
+                met[w, pivot] = len(strong)
         missing = [c for c in checks if not spans[c.weight()].contains(c)]
         if not missing:
             return spans
@@ -459,6 +447,8 @@ def _strong_closure(ctx: Context, generators, cutoff: int, start: float):
         for c in missing:
             if c.weight() == low and spans[low].insert(c) is not None:
                 strong.append(c)
+                members += 1
+                _check_members(members)
 
 
 def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
@@ -471,14 +461,21 @@ def close_subalgebra(ctx: Context, generators, cutoff: int) -> GradedSubspace:
     MAX_CLOSURE_MEMBERS members, or that is still running after
     MAX_CLOSURE_SECONDS, raises ClosureBudgetError; the strong path
     counts every row it inserts into W as a member and checks the time
-    once per weight, the worklist once per member it takes up.
+    once per weight of each sweep, the worklist once per member it
+    takes up.
 
     The strong path.  S starts as the positive-weight components of the
     generators, and W is the span of s1_(-k1) ... sr_(-kr)|0> for s_i in
-    S and k_i >= 1 (_strongly_generated_span).  The checks are pct(s),
-    L_1 s and s_(j) t for s, t in S and j >= 0.  When every check lies
-    in W, W is returned; otherwise the missing checks of the lowest
-    missing weight join S and W is built again.
+    S and k_i >= 1, made once from the vacuum line W_0 and only grown.  A
+    sweep goes up through the weights: each row v of W_w takes one window
+    of each s it has not met, from the mode that lands at weight cutoff,
+    and its modes n <= -1 are inserted.  s_(-k) raises weight by wt s +
+    k - 1 >= 1, so W_w is finished before the sweep reaches it.  A row,
+    known by weight and pivot, keeps its count of met s when an insert
+    rewrites it to p - c r: the new row r meets every s.  The checks are
+    pct(s), L_1 s and s_(j) t for s, t in S and j >= 0.  When every check
+    lies in W, W is returned; otherwise the missing checks of the lowest
+    missing weight join S and W, and the next sweep starts at weight 0.
     - W is a vertex subalgebra when every s_(j) t, j >= 0, lies in W
       (strong generation, Kac, Vertex Algebras for Beginners, ch. 4).
       By induction on total weight: the commutator formula gives

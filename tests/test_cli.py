@@ -346,7 +346,10 @@ def test_close_charged_vacua_generate_everything(capsys):
 # nu and of e_plus, whose cutoff-8 digest and the c = 1/2 character to weight
 # 9 were read off the worklist closure, while e_plus at cutoff 10 and the
 # character to weight 16 are beyond the worklist's reach (CI gives each pin
-# 60 s); and three text-format runs, whose reports, vector terms and basis
+# 60 s); two closures that the strong path hands to the worklist: nu with
+# e_+ + e_- at cutoff 6, whose S grows to weight 4 and whose check 4_(0) 4
+# lands at weight 7, and e^{2 alpha} at N = 2, a generator above cutoff 7;
+# and three text-format runs, whose reports, vector terms and basis
 # monomials are lists of rows.
 PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text(encoding="utf-8"))
 

@@ -297,7 +297,8 @@ def test_close_subalgebra_member_budget(monkeypatch):
 
 def test_close_subalgebra_time_budget(monkeypatch):
     # checked once per weight on the strong path: a zero budget stops the
-    # closure at weight 0, before any product is formed
+    # closure at weight 0, after the checks s_(j) t but before W takes any
+    # product
     monkeypatch.setattr(structure_analysis, "MAX_CLOSURE_SECONDS", 0.0)
     ctx = Context(N=6)
     with pytest.raises(structure_analysis.ClosureBudgetError, match="time budget"):
@@ -478,6 +479,24 @@ def test_strong_closure_matches_the_worklist_digest(n_lat, gens, cutoff, digest)
     ctx = Context(N=n_lat)
     assert structure_analysis._strong_closure(ctx, gens(ctx), cutoff, monotonic()) is not None
     assert _closure_sha256(close_subalgebra(ctx, gens(ctx), cutoff)) == digest
+
+
+def test_strong_closure_windows_each_row_once_per_generator(monkeypatch):
+    # W is made once and only grows, and a row of W is windowed only with the
+    # elements of S it has not met: e_+ at N = 1, cutoff 8 closes with
+    # S = {e_+, e_-, J}, so it makes at most 3 rank(W) build windows (lo < 0;
+    # the checks read lo = 0)
+    ctx = Context(N=1)
+    build = []
+
+    def counting_window(*args, **kwargs):
+        build.append(kwargs["lo"] < 0)
+        return vertex_window(*args, **kwargs)
+
+    monkeypatch.setattr(structure_analysis, "vertex_window", counting_window)
+    closed = close_subalgebra(ctx, [charged_vacuum(ctx, 1)], 8)
+    assert closed.total_dim() == 181
+    assert sum(build) <= 3 * closed.total_dim()
 
 
 FALLBACK_CASES = {
