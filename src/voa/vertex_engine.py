@@ -28,7 +28,16 @@ The kernel's cache keeps it so: one int per entry over one denominator
 per monomial pair, every even power of sqrt(2N) folded into those ints,
 and the odd power left to the reader.  E_+ and E_- exist only as the
 kernel's alpha-basis tables _eplus_pairs and _eminus_pairs, whose
-weights are ints, scaled by the factorial of their order.
+weights are ints, scaled by the factorial of their order.  The kernel
+applies E_- by its recurrence, _eminus_series: E = exp(sum_j s_j w^j)
+has q E_q = sum_j j s_j E_{q-j}, so q! E_q on a state comes from the
+lower orders by one alpha_j each, with the same ints as the table.
+
+The kernel's first stage makes no creation choice whose z-exponent the
+later factors and E_- can no longer bring down into the window: they
+lower it by at most the sum of the later k_j + 1 plus the parts they
+can still remove (_mono_products_direct has the proof), so every state
+it drops lands only at modes below the window.
 
 The kernel's second stage expands E_+ once per z-exponent, not once per
 intermediate state.  A stage-1 state carries pending creation modes of
@@ -89,8 +98,11 @@ lowest mode, vertex_window hands that mode to the kernel unchanged, and
 the kernel alone turns it into z-exponent bounds by the grading
 contract.  vertex_window is the only place where a Scalar meets the
 cached ints: it sums every output entry as integer numerators over one
-common denominator of the window and builds the entry's Scalar once,
-through Context.from_ints.
+common denominator of the window and builds the entry's Scalar once.
+When every pair factor is rational and sqrt(2N) is not in Q(zeta_n) or
+is an int, an entry is one [rat, rad] int pair whose Scalar takes one
+gcd; any other window sums 2 phi(n) ints per entry and builds its
+Scalar through Context.from_ints.
 """
 
 from __future__ import annotations
@@ -98,7 +110,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .scalars import Context, ContextMismatchError
+from .scalars import Context, ContextMismatchError, Scalar
 from .state_space import (
     BasisMonomial,
     Vector,
@@ -257,6 +269,37 @@ def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
     return cur
 
 
+def _eminus_series(k: int, vec: dict, top: int, norm: int) -> list:
+    """[T_0, ..., T_top], T_q = q! E_q vec for the z^{-q} coefficient E_q of
+    E_-(k alpha, z), on a {partition: int} dict at one charge; norm as in
+    _apply_annihilators (2N for alpha).  T_q is sum_lambda w_lambda
+    alpha_lambda vec over the pairs (lambda, w_lambda) of _eminus_pairs(k, q).
+
+    Built by the recurrence of the exponential instead of one alpha_lambda
+    per partition: E = exp(sum_{j>0} s_j w^j) in w = z^{-1}, s_j = -k
+    alpha_j / j, gives d/dw E = (sum_j j s_j w^{j-1}) E, so q E_q =
+    sum_{j=1..q} -k alpha_j E_{q-j} (the alpha_j commute), and times
+    (q - 1)!:
+
+        T_q = sum_{j=1..q} -k (q-1)!/(q-j)! alpha_j T_{q-j},   T_0 = vec.
+
+    Every weight is an int.  For k = 0, T_q = 0 for q > 0.
+    """
+    series = [vec]
+    for q in range(1, top + 1):
+        acc: dict = {}
+        if k:
+            w = -k  # -k (q-1)!/(q-j)!, starting at j = 1
+            for j in range(1, q + 1):
+                for lam, c in _apply_annihilators((j,), series[q - j], norm).items():
+                    add = c * w
+                    prev = acc.get(lam)
+                    acc[lam] = add if prev is None else prev + add
+                w *= q - j
+        series.append(acc)
+    return series
+
+
 def _field_coeff(k: int, m: int) -> int:
     """Coefficient of J_m z^{-m-k-1} in the k-th divided-power derivative of J(z)."""
     if m >= 0:
@@ -306,10 +349,11 @@ def _mono_products_direct(
     Returns (den, {n: {monomial: num}}) as _mono_products does.  Stage 1
     enumerates, per J-factor of a, the annihilation-mode and creation-mode
     choices (merged on equal z-exponent and pending-creation multiset).
-    Stage 2 applies E_- and the z^{(a|b)} shift from z^{alpha_0} at b's
-    original charge to every stage-1 state, merges the state's pending
-    creations into each partition, and sums the results into one state
-    per z-exponent e1; then it expands E_+ once per e1 over that sum.
+    Stage 2 applies E_- (through _eminus_series, its recurrence) and the
+    z^{(a|b)} shift from z^{alpha_0} at b's original charge to every
+    stage-1 state, merges the state's pending creations into each
+    partition, and sums the results into one state per z-exponent e1;
+    then it expands E_+ once per e1 over that sum.
     This equals applying E_+ and the pending creations to each state
     apart: both are creation operators, so they commute, and E_+ is
     linear.  The E_+ orders p run over the same range for every state of
@@ -324,15 +368,34 @@ def _mono_products_direct(
     with top_e < base_e, which is lo >= wt a + wt b - base, has no mode
     n >= lo: its entry is (1, {}).
 
+    Stage 1 makes no creation choice that cannot reach e <= top_e.  A
+    factor d^{(k)} alpha(z) moves the z-exponent by s - k - 1 >= 0 for
+    its creation mode -s (s > k), by -k - 1 for alpha_0 and by -s - k - 1
+    for the annihilation mode s, which removes a part s of the state's
+    partition lambda; E_- of order q moves it by -q and removes parts of
+    lambda summing to q; zshift = 2N ca cb is a constant, and E_+ moves it
+    by p >= 0.  Pending creations sit left of every annihilator, so they
+    are never removed.  After this factor's creation mode -s a state
+    therefore ends at e >= zexp + s - k - 1 - rem - lift + zshift, where
+    rem is the sum of k_j + 1 over a's later factors and lift the largest
+    weight that can still leave lambda: its whole Fock weight when ca !=
+    0 (E_- can remove any parts), and else, E_-(0) being the identity, the
+    sum of its `left` largest parts, one for each later factor (0 with
+    none left).  So a creation s > top_e - zshift - zexp + k + 1 + rem +
+    lift has every descendant at e > top_e, which is n < lo, and is not
+    made: the kept entries, den and gcd are those of the full expansion.
+
     Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
-    coefficients (+-k)^{len lambda}/z_lambda.  Both tables are read scaled
-    by F!, F = max(fmax, Fock weight of b): _eplus_pairs and _eminus_pairs
-    hold them times order!, and each is multiplied by F!/order!.  Every
-    such weight is an integer for an order at most F: z_lambda divides
-    |lambda|!, since |lambda|!/z_lambda is the size of the conjugacy
-    class of cycle type lambda in S_|lambda| (Macdonald, Symmetric
-    Functions and Hall Polynomials, I.2), and |lambda|! divides F!.
+    coefficients (+-k)^{len lambda}/z_lambda.  Both are read scaled by F!,
+    F = max(fmax, Fock weight of b): _eplus_pairs holds E_+ times order!,
+    _eminus_series gives T_q = q! E_q on a state, and each is multiplied
+    by F!/order!.  Every such weight is an integer for an order at most F
+    (T_q has the weights q! (-k)^{len lambda}/z_lambda of _eminus_pairs):
+    z_lambda divides |lambda|!, since |lambda|!/z_lambda is the size of
+    the conjugacy class of cycle type lambda in S_|lambda| (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.2), and |lambda|! divides
+    F!.
     An E_- order q is at most the Fock weight of a stage-1 state, which
     is at most that of b.  An E_+ order p is at most fmax = top_e -
     base_e: the output's Fock weight is e - base_e <= fmax, and p is part
@@ -356,10 +419,16 @@ def _mono_products_direct(
 
     # stage 1: one mode choice per alpha-factor of a; every state has charge
     # cb, so the dicts are keyed on bare partitions
+    zshift = 2 * n_lat * ca * cb
     entries: dict = {(0, ()): {bmono.partition: 1}}
     top = -min(bmono.partition, default=0)
-    for part in amono.partition:
+    aparts = amono.partition
+    for i, part in enumerate(aparts):
         k = -part - 1
+        # the later factors lower the z-exponent by at most rem plus the
+        # parts they remove; left of them can remove one part each
+        left = len(aparts) - i - 1
+        rem = -sum(aparts[i + 1 :])
         new: dict = {}
         # this factor's field coefficients, once per part: ann[s] at the
         # annihilation mode s <= top (no state has a part above b's
@@ -391,8 +460,17 @@ def _mono_products_direct(
             for s in sizes:
                 img = _apply_annihilators((s,), vec, two_n)
                 put((zexp - s - k - 1, pend), img, ann[s])
-            # creation choices: modes -k-1, -k-2, ... within the Fock budget
-            for s in range(k + 1, fmax - pend_sum + 1):
+            # creation choices: modes -k-1, -k-2, ... within the Fock budget,
+            # and low enough that the later factors and E_- can still bring
+            # the z-exponent down to top_e by removing at most lift
+            if ca:
+                lift = max(-sum(lam) for lam in vec)
+            elif left:
+                lift = max(-sum(lam[:left]) for lam in vec)
+            else:
+                lift = 0
+            cap = min(fmax - pend_sum, top_e - zshift - zexp + k + 1 + rem + lift)
+            for s in range(k + 1, cap + 1):
                 put((zexp + s - k - 1, tuple(sorted(pend + (-s,)))), vec, cre[s])
         entries = {key: {m: c for m, c in vec.items() if c} for key, vec in new.items()}
         entries = {key: vec for key, vec in entries.items() if vec}
@@ -402,26 +480,24 @@ def _mono_products_direct(
     # stage 2: E_- and the pending creations into one state per z-exponent
     # e1, then one E_+ pass per e1; weights scaled by F!, and every output
     # has charge ctot, so the states are keyed on partitions too
-    zshift = 2 * n_lat * ca * cb
     scale = factorial(max(fmax, -sum(bmono.partition)))
     merged: dict = {}
     for (zexp, pend), vec in entries.items():
-        vfock = max((-sum(lam) for lam in vec), default=0)
-        # orders q with e1 > top_e leave no E_+ order p >= 0 with n >= lo
-        for q in range(max(0, zexp + zshift - top_e), vfock + 1):
-            e1 = zexp - q + zshift
-            acc: dict = {}
+        # E_-(0 alpha) is the identity, and E_- of order q removes q from
+        # the Fock weight; orders q with e1 > top_e leave no E_+ order
+        # p >= 0 with n >= lo
+        qtop = max(-sum(lam) for lam in vec) if ca else 0
+        qlo = max(0, zexp + zshift - top_e)
+        if qlo > qtop:
+            continue
+        series = _eminus_series(ca, vec, qtop, two_n)
+        for q in range(qlo, qtop + 1):
             mult = scale // factorial(q)
-            for modes, w in _eminus_pairs(ca, q):
-                w *= mult
-                for lam, c in _apply_annihilators(modes, vec, two_n).items():
-                    add = c * w
-                    prev = acc.get(lam)
-                    acc[lam] = add if prev is None else prev + add
-            state = merged.setdefault(e1, {})
-            for lam, c in acc.items():
+            state = merged.setdefault(zexp - q + zshift, {})
+            for lam, c in series[q].items():
                 if pend:
                     lam = tuple(sorted(lam + pend))
+                c *= mult
                 prev = state.get(lam)
                 state[lam] = c if prev is None else prev + c
     result: dict = {}
@@ -496,14 +572,26 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
     Each output entry is summed in integers and canonicalized once.  Let f
     be the factor of a monomial pair, (dp, blocks) its kernel entry and
     num/dp sqrt(2N)^r an entry of its blocks (see _mono_products).  An
-    output entry is a list of 2 phi(n) integer numerators, rat then rad,
-    over den, the lcm of every f.den * dp in the window.  A kernel entry
-    adds num den/(f.den dp) times the numerators of f over f.den when
-    r = 0, and of f sqrt(2N) over f.den when r = 1.  f sqrt(2N) is one
-    Scalar product per pair, made only for a pair with an odd entry, so a
-    radical that folds into Q(zeta_n) takes the same path; its canonical
-    den divides f.den.  ctx.from_ints then builds each entry's Scalar;
-    entries that cancel are dropped, and so are modes left empty.
+    output entry is a list of 2 deg integer numerators, rat at slots
+    0..deg-1 then rad, over den, the lcm of every f.den * dp in the
+    window; a kernel entry adds num den/(f.den dp) times the numerators
+    of f over f.den when r = 0, and of f sqrt(2N) over f.den when r = 1.
+    There are two layouts, chosen by the window's input alone:
+
+    - two ints (deg = 1) when every f is rational, p/f.den, and ctx.fold
+      is None or one int s (2N = s^2).  An even entry adds num den/(f.den
+      dp) p to rat, an odd one the same to rad, or p s to rat when
+      sqrt(2N) = s.  Each entry's Scalar is (rat, rad) over den after one
+      gcd, with no reduction mod Phi_n and no fold left to make;
+    - 2 phi(n) ints (deg = phi(n)) for every other window.  f sqrt(2N) is
+      one Scalar product per pair, made only for a pair with an odd
+      entry, so a radical that folds into Q(zeta_n) takes the same path;
+      its canonical den divides f.den.  ctx.from_ints builds each
+      entry's Scalar.
+
+    Both are the canonical form of the same value, so the two give the
+    same bytes.  Entries that cancel are dropped, and so are modes left
+    empty.
     """
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
@@ -513,13 +601,25 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
         for am, cav in a.terms.items()
         for bm, cbv in b.terms.items()
     ]
-    deg, root = ctx.degree, ctx.sqrt_2n()
+    fold = ctx.fold
+    # the two-int layout is the general one at deg = 1
+    rational = (fold is None or len(fold) == 1) and all(
+        not f.rad_num and len(f.rat_num) <= 1 for f, _, _, _ in pairs
+    )
+    deg, root = (1, None) if rational else (ctx.degree, ctx.sqrt_2n())
     den = lcm(*{f.den * dp for f, _, dp, _ in pairs})
     acc: dict = {}
     for f, lab, dp, prod in pairs:
         scale = den // (f.den * dp)
-        even = _nonzero_slots(f.rat_num, f.rad_num, deg)
-        odd = None
+        if rational:
+            even = [(0, x) for x in f.rat_num]
+            if fold is None:
+                odd = [(1, x) for x in f.rat_num]
+            else:
+                odd = [(0, x * fold[0]) for x in f.rat_num]
+        else:
+            even = _nonzero_slots(f.rat_num, f.rad_num, deg)
+            odd = None
         for n, block in prod.items():
             dst = acc.get(n)
             if dst is None:
@@ -543,9 +643,17 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
     for n, entries in acc.items():
         terms = {}
         for mono, nums in entries.items():
-            c = ctx.from_ints(nums[:deg], nums[deg:], den)
-            if not c.is_zero():
-                terms[mono] = c
+            if rational:
+                rat, rad = nums
+                if not (rat or rad):
+                    continue
+                g = gcd(den, rat, rad)
+                c = Scalar(ctx, (rat // g,) if rat else (), (rad // g,) if rad else (), den // g)
+            else:
+                c = ctx.from_ints(nums[:deg], nums[deg:], den)
+                if c.is_zero():
+                    continue
+            terms[mono] = c
         if terms:
             out[n] = raw_vector(ctx, terms)
     return out

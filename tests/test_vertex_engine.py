@@ -21,6 +21,7 @@ from voa.state_space import (
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
+    partitions_of,
     vacuum,
     vector_to_json,
     weight4_primary,
@@ -28,6 +29,7 @@ from voa.state_space import (
 from voa.vertex_engine import (
     _apply_annihilators,
     _eminus_pairs,
+    _eminus_series,
     _eplus_pairs,
     _mk_mono,
     _mono_products,
@@ -222,6 +224,32 @@ def test_eminus_action_on_conformal_vector():
     assert coefficient(1, 3) == {}
     # negative charge flips the middle sign
     assert coefficient(-1, 1) == {BasisMonomial((-1,), 1): 1}
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+def test_eminus_series_matches_partition_sum(n_lat):
+    # T_q = q! E_q vec by the recurrence equals sum_lambda w_lambda alpha_lambda
+    # vec over the partitions of q, on every partition of weight <= 7 and on
+    # one vector that mixes them all
+    norm = 2 * n_lat
+    rng = random.Random(n_lat)
+    singles = [{tuple(-p for p in lam): 1} for w in range(8) for lam in partitions_of(w)]
+    assert len(singles) == 45
+    mixed = {lam: rng.randint(-9, 9) or 1 for one in singles for lam in one}
+    checks = 0
+    for k in range(-3, 4):
+        for vec in singles + [mixed]:
+            series = _eminus_series(k, vec, 7, norm)
+            assert len(series) == 8 and series[0] is vec
+            for q in range(8):
+                expect: dict = {}
+                for modes, w in _eminus_pairs(k, q):
+                    for lam, c in _apply_annihilators(modes, vec, norm).items():
+                        expect[lam] = expect.get(lam, 0) + w * c
+                got = {lam: c for lam, c in series[q].items() if c}
+                assert got == {lam: c for lam, c in expect.items() if c}, (k, vec, q)
+                checks += 1
+    assert checks == 7 * 46 * 8
 
 
 # ------------------------------------------------------------- vertex modes
@@ -575,6 +603,92 @@ def test_vertex_window_single_pair_with_non_unit_factor(n_lat, conductor):
     lo = a.weight() + b.weight() - 6  # the modes of output weight <= 5
     got = vertex_window(a, b, lo=lo)
     assert got and got == _window_by_pairs(a, b, lo)
+
+
+# where sqrt(2N) is not in Q(zeta_n) or is an int there (2N = 4), a window
+# whose factors are all rational sums one [rat, rad] int pair per entry; at
+# (1, 8) sqrt 2 folds to a cyclotomic number, so every window takes the
+# 2 phi(n) layout
+RATIONAL_FOLD_CONTEXTS = [(3, 4), (3, 8), (2, 4), (2, 8)]
+
+
+def _from_ints_calls(monkeypatch, a, b, lo):
+    # the window and the number of Context.from_ints calls it made; the
+    # two-int layout builds its Scalars without from_ints
+    calls = []
+    original = Context.from_ints
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Context, "from_ints", counting)
+        win = vertex_window(a, b, lo=lo)
+    return win, len(calls)
+
+
+def _assert_same_bytes(got, expect):
+    assert {str(n): vector_to_json(v) for n, v in got.items()} == {
+        str(n): vector_to_json(v) for n, v in expect.items()
+    }
+
+
+def _rational_operands(ctx):
+    third = Fraction(1, 3)
+    a = (
+        mono(ctx, (-1,), 0).scale(Fraction(-7, 4))
+        + charged_vacuum(ctx, 1).scale(third)
+        + mono(ctx, (-2, -1), -1).scale(6)
+        + mono(ctx, (-1,), 1).scale(Fraction(-5, 2))
+    )
+    b = (
+        vacuum(ctx).scale(2)
+        + mono(ctx, (-1, -1), 0).scale(Fraction(3, 10))
+        + charged_vacuum(ctx, -1).scale(Fraction(-1, 2))
+        + mono(ctx, (-2,), 1).scale(third)
+    )
+    return a, b
+
+
+@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS + [(1, 8)])
+def test_rational_factor_window_matches_per_pair_sum(monkeypatch, n_lat, conductor):
+    ctx = Context(n_lat, conductor)
+    a, b = _rational_operands(ctx)
+    two_int = (n_lat, conductor) != (1, 8)
+    for lo in (-1, -3, -5, -7):
+        got, calls = _from_ints_calls(monkeypatch, a, b, lo)
+        assert got
+        _assert_same_bytes(got, _window_by_pairs(a, b, lo))
+        entries = sum(len(v.terms) for v in got.values())
+        assert (calls == 0) if two_int else (calls >= entries), lo
+
+
+@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS)
+def test_one_zeta_factor_keeps_the_general_layout(monkeypatch, n_lat, conductor):
+    ctx = Context(n_lat, conductor)
+    a, b = _rational_operands(ctx)
+    a = a + mono(ctx, (-3,), 0).scale(ctx.zeta())
+    got, calls = _from_ints_calls(monkeypatch, a, b, -4)
+    _assert_same_bytes(got, _window_by_pairs(a, b, -4))
+    assert calls >= sum(len(v.terms) for v in got.values())
+
+
+@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS + [(1, 8)])
+def test_rational_window_drops_a_mode_that_cancels(monkeypatch, n_lat, conductor):
+    # J_(0) e^a = sqrt(2N) e^a and, by skew symmetry, (e^a)_(0) J = -sqrt(2N)
+    # e^a, the only entries of mode 0 in (J + e^a)_(0) (J + e^a): the entry
+    # cancels and the mode is dropped, beside modes that survive
+    ctx = Context(n_lat, conductor)
+    j, ep = mono(ctx, (-1,), 0), charged_vacuum(ctx, 1)
+    (jm,), (em,) = j.terms, ep.terms
+    assert 0 in _kernel_scalars(ctx, jm, em, -2) and 0 in _kernel_scalars(ctx, em, jm, -2)
+    for scale in (1, Fraction(-2, 3)):
+        a = (j + ep).scale(scale)
+        got, calls = _from_ints_calls(monkeypatch, a, j + ep, -2)
+        assert 0 not in got and -1 in got, scale
+        _assert_same_bytes(got, _window_by_pairs(a, j + ep, -2))
+        assert (calls == 0) == ((n_lat, conductor) != (1, 8))
 
 
 def test_single_unit_pair_window_does_not_share_the_cache():
