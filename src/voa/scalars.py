@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 
 class ContextMismatchError(ValueError):
@@ -185,30 +185,31 @@ def _pinv_mod(a, n: int) -> tuple:
     return adj, norm
 
 
-def _squarefree_split(m: int) -> tuple:
-    """m = s^2 * d with d squarefree; returns (s, d)."""
-    s, d, k = 1, m, 2
-    while k * k <= d:
-        while d % (k * k) == 0:
-            d //= k * k
-            s *= k
-        k += 1
-    return s, d
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _sqrt_fold(n: int, two_n: int):
     """sqrt(two_n) in Q(zeta_n) as an integer polynomial mod Phi_n, or None.
+
+    With two_n = s^2 d, d squarefree, sqrt(d) lies in Q(zeta_n) iff m | n,
+    m = d for d = 1 mod 4 and m = 4d otherwise, so only the squarefree
+    divisors d of n with m | n can fold, and each is tested with one isqrt
+    of two_n / d; no factoring of two_n is needed, however large.  At most
+    one d passes, the squarefree part of two_n.
 
     Built from quadratic Gauss sums: for odd m, sum over a mod m of
     zeta_m^{a^2} equals sqrt(m) when m = 1 mod 4 and i*sqrt(m) when
     m = 3 mod 4; sqrt(2) = zeta_8 - zeta_8^3.
     """
-    s, d = _squarefree_split(two_n)
-    if d == 1:
-        return (s,)
-    m = d if d % 4 == 1 else 4 * d
-    if n % m:
+    for d in _divisors(n):
+        q, r = divmod(two_n, d)
+        s = isqrt(q)
+        if (
+            not r
+            and s * s == q
+            and n % (d if d % 4 == 1 else 4 * d) == 0
+            and all(d % (p * p) for p in range(2, isqrt(d) + 1))
+        ):
+            break
+    else:
         return None
     root = (s,)
     e = d

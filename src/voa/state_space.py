@@ -34,7 +34,7 @@ from types import MappingProxyType
 from .scalars import Context, ContextMismatchError, Scalar, json_int, scalar_from_json
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def partitions_of(n: int) -> tuple:
     """All partitions of n as descending tuples of positive parts."""
     if n < 0:

@@ -19,19 +19,23 @@ charge of the right input (before the e_alpha shift).
 Mode products of basis monomials run in the unnormalized alpha-basis
 alpha_{n_1}...alpha_{n_s} e^{k alpha}, where every structure constant of
 the lattice vertex operator is rational (Frenkel-Lepowsky-Meurman 1988).
-The only denominators are the z_lambda of the E_+- tables, and F!/z_lambda
-is an integer for every partition lambda of size at most F, so with both
-tables scaled by F! each term is a Python int over the common denominator
-(F!)^2.  As J = alpha / sqrt(2N), the J-basis coefficient of an output
-monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}.
+The only denominators are the z_lambda of the E_+- weights, and
+F!/z_lambda is an integer for every partition lambda of size at most F,
+so with both exponentials scaled by F! each term is a Python int over
+the common denominator (F!)^2.  As J = alpha / sqrt(2N), the J-basis
+coefficient of an output monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}.
 The kernel's cache keeps it so: one int per entry over one denominator
 per monomial pair, every even power of sqrt(2N) folded into those ints,
-and the odd power left to the reader.  E_+ and E_- exist only as the
-kernel's alpha-basis tables _eplus_pairs and _eminus_pairs, whose
-weights are ints, scaled by the factorial of their order.  The kernel
-applies E_- by its recurrence, _eminus_series: E = exp(sum_j s_j w^j)
-has q E_q = sum_j j s_j E_{q-j}, so q! E_q on a state comes from the
-lower orders by one alpha_j each, with the same ints as the table.
+and the odd power left to the reader.
+
+E_+ and E_- have one formula, _exp_series: E = exp(sum_j s_j w^j) has
+q E_q = sum_j j s_j E_{q-j}, so T_q = q! E_q on a state comes from the
+lower orders by one alpha_{+-j} each, in ints.  The kernel applies E_-
+to each stage-2 state by it, and reads E_+ from _eplus_pairs, the
+series on the vacuum, cached as (creation partition, int) pairs.  Every
+step of the series, of the kernel's first stage and of the Heisenberg
+action is _alpha_terms, alpha_j on a {partition: int} dict, the one
+code that removes (j > 0) or adds (j < 0) a part.
 
 The kernel's first stage makes no creation choice whose z-exponent the
 later factors and E_- can no longer bring down into the window: they
@@ -78,7 +82,8 @@ entry costs only speed.
 The Heisenberg and Virasoro actions are the free-boson module action.
 J_k removes a part (k > 0), adds one (k < 0), or is charge * sqrt(2N)
 (k = 0), and _heis_terms is its one implementation on {partition: coeff}
-dicts at one charge.  The Virasoro modes are the Sugawara sums
+dicts at one charge: _alpha_terms at norm 1, plus J_0.  The Virasoro
+modes are the Sugawara sums
 
     L_m = (1/2) sum_j :J_j J_{m-j}:    (Frenkel-Lepowsky-Meurman 1988),
 
@@ -116,23 +121,40 @@ from .state_space import (
     Vector,
     _flip_terms,
     _mk_mono,
-    partitions_of,
     raw_vector,
-    z_lambda,
 )
+
+
+def _alpha_terms(j: int, vec: dict, norm: int) -> dict:
+    """alpha_j, j != 0, on a {partition: coefficient} dict at one fixed
+    charge; the result is keyed on partitions too, and a caller that needs
+    monomials re-attaches the charge with _mk_mono.  This is the only code
+    in the package that adds or removes a single part.
+
+    For j > 0 it removes a part j, times count * j * norm, count being the
+    number of parts j; norm is the squared norm of the Heisenberg
+    generator, 1 for J ([J_m, J_{-m}] = m) and 2N for alpha.  For j < 0 it
+    adds the part j by a sorted merge, times 1.  Removing or adding one
+    part is injective, so no two terms of the image meet.
+    """
+    out: dict = {}
+    for lam, c in vec.items():
+        if j < 0:
+            out[tuple(sorted(lam + (j,)))] = c
+        elif cnt := lam.count(-j):
+            parts = list(lam)
+            parts.remove(-j)
+            out[tuple(parts)] = c * (cnt * j * norm)
+    return out
 
 
 def _heis_terms(k: int, terms: dict, charge: int) -> tuple:
     """J_k on a {partition: coefficient} dict at one charge, as (image,
     radical): J_k maps sum c lam to the image, times sqrt(2N) when radical
-    is True.  J_k removes a part through _apply_annihilators for k > 0 and
-    adds the part k by a sorted merge for k < 0; J_0 = charge * sqrt(2N)
-    multiplies by the charge and marks the image radical.  Removing or
-    adding one part is injective, so no two terms of the image meet."""
-    if k > 0:
-        return _apply_annihilators((k,), terms, 1), False
-    if k < 0:
-        return {tuple(sorted(lam + (k,))): c for lam, c in terms.items()}, False
+    is True.  J_k for k != 0 is _alpha_terms at norm 1; J_0 = charge *
+    sqrt(2N) multiplies by the charge and marks the image radical."""
+    if k:
+        return _alpha_terms(k, terms, 1), False
     if not charge:
         return {}, False
     return {lam: c * charge for lam, c in terms.items()}, True
@@ -219,80 +241,38 @@ def virasoro_apply(m: int, v: Vector) -> Vector:
 @lru_cache(maxsize=4096)
 def _eplus_pairs(k: int, m: int) -> tuple:
     """z^m coefficient of E_+(k alpha, z) times m!, as (creation partition,
-    int) pairs.
+    int) pairs in ascending order of the partition.
 
-    In the alpha-basis E_+ = exp(sum_{j>0} k alpha_{-j} z^j / j), so the
-    weight of a partition lambda of m is k^{len(lambda)}/z_lambda, and
-    m!/z_lambda is an integer (see _mono_products_direct).  These are the
-    pairs of _eminus_pairs(-k, m) with every mode negated.
+    It is _exp_series(k, -1) on the vacuum: in the alpha-basis E_+ =
+    exp(sum_{j>0} k alpha_{-j} z^j / j), so the weight of a partition
+    lambda of m is m! k^{len(lambda)}/z_lambda, an integer (see
+    _mono_products_direct).  Adding a part ignores the norm.
     """
-    return tuple((tuple(-p for p in parts), w) for parts, w in _eminus_pairs(-k, m))
+    return tuple(sorted(_exp_series(k, -1, {(): 1}, m, 1)[m].items()))
 
 
-@lru_cache(maxsize=4096)
-def _eminus_pairs(k: int, q: int) -> tuple:
-    """z^{-q} coefficient of E_-(k alpha, z) times q!, as (annihilator modes,
-    int) pairs: the weight of lambda is (-k)^{len(lambda)} q!/z_lambda."""
-    if k == 0 and q:
-        return ()
-    size = factorial(q)
-    return tuple(
-        (parts, (-k) ** len(parts) * (size // z_lambda(parts))) for parts in partitions_of(q)
-    )
+def _exp_series(c: int, sign: int, vec: dict, top: int, norm: int) -> list:
+    """[T_0, ..., T_top], T_q = q! E_q vec for the coefficient E_q of w^q
+    in E = exp(sum_{j>0} c alpha_{sign j} w^j / j), on a {partition: int}
+    dict at one charge; norm as in _alpha_terms (2N for alpha).
 
+    E_-(k alpha, z) is (c, sign) = (-k, 1) with w = z^{-1}, and E_+(k
+    alpha, z) is (k, -1) with w = z.  The alpha_{sign j} commute, so d/dw
+    E = (sum_j c alpha_{sign j} w^{j-1}) E gives q E_q = sum_{j=1..q} c
+    alpha_{sign j} E_{q-j}, and times (q - 1)!:
 
-def _apply_annihilators(modes, vec: dict, norm: int) -> dict:
-    """Apply a product of positive-mode factors to a {partition: coefficient}
-    dict at one fixed charge; the result is keyed on partitions too, and a
-    caller that needs monomials re-attaches the charge with _mk_mono.  This
-    is the only code in the package that removes a part from a partition.
+        T_q = sum_{j=1..q} c (q-1)!/(q-j)! alpha_{sign j} T_{q-j},   T_0 = vec.
 
-    norm is the squared norm of the Heisenberg generator: 1 for J, whose
-    modes satisfy [J_m, J_{-m}] = m, and 2N for alpha.
-    """
-    cur = vec
-    for m in modes:
-        nxt: dict = {}
-        for lam, c in cur.items():
-            cnt = lam.count(-m)
-            if not cnt:
-                continue
-            parts = list(lam)
-            parts.remove(-m)
-            new = tuple(parts)
-            add = c * (cnt * m * norm)
-            prev = nxt.get(new)
-            nxt[new] = add if prev is None else prev + add
-        if not nxt:
-            return {}
-        cur = nxt
-    return cur
-
-
-def _eminus_series(k: int, vec: dict, top: int, norm: int) -> list:
-    """[T_0, ..., T_top], T_q = q! E_q vec for the z^{-q} coefficient E_q of
-    E_-(k alpha, z), on a {partition: int} dict at one charge; norm as in
-    _apply_annihilators (2N for alpha).  T_q is sum_lambda w_lambda
-    alpha_lambda vec over the pairs (lambda, w_lambda) of _eminus_pairs(k, q).
-
-    Built by the recurrence of the exponential instead of one alpha_lambda
-    per partition: E = exp(sum_{j>0} s_j w^j) in w = z^{-1}, s_j = -k
-    alpha_j / j, gives d/dw E = (sum_j j s_j w^{j-1}) E, so q E_q =
-    sum_{j=1..q} -k alpha_j E_{q-j} (the alpha_j commute), and times
-    (q - 1)!:
-
-        T_q = sum_{j=1..q} -k (q-1)!/(q-j)! alpha_j T_{q-j},   T_0 = vec.
-
-    Every weight is an int.  For k = 0, T_q = 0 for q > 0.
+    Every weight is an int.  For c = 0, T_q = 0 for q > 0.
     """
     series = [vec]
     for q in range(1, top + 1):
         acc: dict = {}
-        if k:
-            w = -k  # -k (q-1)!/(q-j)!, starting at j = 1
+        if c:
+            w = c  # c (q-1)!/(q-j)!, starting at j = 1
             for j in range(1, q + 1):
-                for lam, c in _apply_annihilators((j,), series[q - j], norm).items():
-                    add = c * w
+                for lam, x in _alpha_terms(sign * j, series[q - j], norm).items():
+                    add = x * w
                     prev = acc.get(lam)
                     acc[lam] = add if prev is None else prev + add
                 w *= q - j
@@ -348,12 +328,12 @@ def _mono_products_direct(
 
     Returns (den, {n: {monomial: num}}) as _mono_products does.  Stage 1
     enumerates, per J-factor of a, the annihilation-mode and creation-mode
-    choices (merged on equal z-exponent and pending-creation multiset).
-    Stage 2 applies E_- (through _eminus_series, its recurrence) and the
-    z^{(a|b)} shift from z^{alpha_0} at b's original charge to every
-    stage-1 state, merges the state's pending creations into each
-    partition, and sums the results into one state per z-exponent e1;
-    then it expands E_+ once per e1 over that sum.
+    choices (merged on equal z-exponent and pending-creation multiset),
+    each one _alpha_terms step.  Stage 2 applies E_- (through _exp_series,
+    its recurrence) and the z^{(a|b)} shift from z^{alpha_0} at b's
+    original charge to every stage-1 state, merges the state's pending
+    creations into each partition, and sums the results into one state
+    per z-exponent e1; then it expands E_+ once per e1 over that sum.
     This equals applying E_+ and the pending creations to each state
     apart: both are creation operators, so they commute, and E_+ is
     linear.  The E_+ orders p run over the same range for every state of
@@ -388,10 +368,10 @@ def _mono_products_direct(
     Works in the alpha-basis, one int per term: [alpha_m, alpha_n] =
     2N m delta_{m,-n}, alpha_0 = 2N k on charge k, and E_+-(k alpha) have
     coefficients (+-k)^{len lambda}/z_lambda.  Both are read scaled by F!,
-    F = max(fmax, Fock weight of b): _eplus_pairs holds E_+ times order!,
-    _eminus_series gives T_q = q! E_q on a state, and each is multiplied
-    by F!/order!.  Every such weight is an integer for an order at most F
-    (T_q has the weights q! (-k)^{len lambda}/z_lambda of _eminus_pairs):
+    F = max(fmax, Fock weight of b): _exp_series gives T_q = q! E_q, on
+    a state for E_- and on the vacuum for E_+ (_eplus_pairs), and each is
+    multiplied by F!/order!.  Every such weight is an integer for an order
+    at most F (T_q has the weights q! (+-k)^{len lambda}/z_lambda):
     z_lambda divides |lambda|!, since |lambda|!/z_lambda is the size of
     the conjugacy class of cycle type lambda in S_|lambda| (Macdonald,
     Symmetric Functions and Hall Polynomials, I.2), and |lambda|! divides
@@ -458,8 +438,7 @@ def _mono_products_direct(
                 put((zexp - k - 1, pend), vec, zero_mode)
             sizes = sorted({-p for lam in vec for p in lam})
             for s in sizes:
-                img = _apply_annihilators((s,), vec, two_n)
-                put((zexp - s - k - 1, pend), img, ann[s])
+                put((zexp - s - k - 1, pend), _alpha_terms(s, vec, two_n), ann[s])
             # creation choices: modes -k-1, -k-2, ... within the Fock budget,
             # and low enough that the later factors and E_- can still bring
             # the z-exponent down to top_e by removing at most lift
@@ -471,7 +450,8 @@ def _mono_products_direct(
                 lift = 0
             cap = min(fmax - pend_sum, top_e - zshift - zexp + k + 1 + rem + lift)
             for s in range(k + 1, cap + 1):
-                put((zexp + s - k - 1, tuple(sorted(pend + (-s,)))), vec, cre[s])
+                (grown,) = _alpha_terms(-s, {pend: 1}, two_n)
+                put((zexp + s - k - 1, grown), vec, cre[s])
         entries = {key: {m: c for m, c in vec.items() if c} for key, vec in new.items()}
         entries = {key: vec for key, vec in entries.items() if vec}
         if not entries:
@@ -490,7 +470,7 @@ def _mono_products_direct(
         qlo = max(0, zexp + zshift - top_e)
         if qlo > qtop:
             continue
-        series = _eminus_series(ca, vec, qtop, two_n)
+        series = _exp_series(-ca, 1, vec, qtop, two_n)
         for q in range(qlo, qtop + 1):
             mult = scale // factorial(q)
             state = merged.setdefault(zexp - q + zshift, {})

@@ -3,6 +3,7 @@
 import hashlib
 import json
 from pathlib import Path
+from time import monotonic
 
 import pytest
 
@@ -66,6 +67,23 @@ def test_mode_creation_axiom(capsys):
     assert data["weight_check"] is True
     ctx = Context(2)
     assert vector_from_json(data["result"], ctx) == conformal_vector(ctx)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mode", "--n", "0", "--a", "vac", "--b", "vac"],
+        ["verify", "axioms", "--cutoff", "1"],
+    ],
+    ids=["mode", "axioms"],
+)
+def test_huge_lattice_runs_quickly(capsys, argv):
+    # 2N = 2 (10^20 + 39) is never factored: the fold tries the conductor's
+    # squarefree divisors only
+    start = monotonic()
+    code, _ = run(capsys, *argv, "--N", "100000000000000000039")
+    assert code == 0
+    assert monotonic() - start < 5
 
 
 def test_mode_reports_a_failed_weight_check(capsys, monkeypatch):

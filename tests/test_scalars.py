@@ -15,6 +15,7 @@ from voa.scalars import (
     ContextMismatchError,
     Scalar,
     _cyclotomic,
+    _sqrt_fold,
     scalar_from_json,
 )
 
@@ -123,6 +124,44 @@ def test_folded_radical_is_the_positive_root(conductor, n_lat):
     z = cmath.exp(2j * cmath.pi / conductor)
     val = sum(complex(c) * z**k for k, c in enumerate(r.rat))
     assert abs(val - (2 * n_lat) ** 0.5) < 1e-9
+
+
+def _squarefree_split_by_trial_division(m):
+    """m = s^2 d with d squarefree, by trial division up to sqrt(m)."""
+    s, d, k = 1, m, 2
+    while k * k <= d:
+        while d % (k * k) == 0:
+            d //= k * k
+            s *= k
+        k += 1
+    return s, d
+
+
+def test_fold_matches_factoring_reference():
+    # the fold tests only the squarefree divisors of the conductor; the
+    # reference factors 2N and folds sqrt(d) iff (d or 4d) divides n
+    folded = 0
+    for conductor in range(4, MAX_CONDUCTOR + 1, 4):
+        for n_lat in range(1, 301):
+            s, d = _squarefree_split_by_trial_division(2 * n_lat)
+            fold = _sqrt_fold(conductor, 2 * n_lat)
+            if conductor % (d if d % 4 == 1 else 4 * d):
+                assert fold is None, (conductor, n_lat)
+            else:
+                assert fold == tuple(s * c for c in _sqrt_fold(conductor, d)), (conductor, n_lat)
+                folded += 1
+    assert folded == 2957
+
+
+@pytest.mark.parametrize("conductor,d", [(8, 2), (24, 6)])
+def test_fold_of_a_huge_lattice(conductor, d):
+    # 2N = d t^2 folds to t sqrt(d) with no factoring of 2N
+    t = 10**30 + 57
+    ctx = Context(N=d * t * t // 2, conductor=conductor)
+    assert ctx.fold == tuple(t * c for c in _sqrt_fold(conductor, d))
+    r = ctx.sqrt_2n()
+    assert not r.rad and (r * r).as_fraction() == d * t * t
+    assert Context(N=10**20 + 39, conductor=conductor).fold is None
 
 
 def _random_scalar(ctx, rng, allow_zero=True):

@@ -1,7 +1,9 @@
 """Structure analysis: primaries, characters, fixed points, closure, certificates."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 from itertools import product
 from time import monotonic
@@ -32,7 +34,6 @@ from voa.structure_analysis import (
     CertificateRefused,
     _bracket_cases,
     _identity_row,
-    _omega_system,
     _unit_pool,
     _virasoro_table,
     axiom_report,
@@ -50,11 +51,8 @@ from voa.structure_analysis import (
     virasoro_character,
 )
 from voa.vertex_engine import (
-    _eminus_pairs,
-    _eplus_pairs,
     _mk_mono,
     _mono_products,
-    _virasoro_mono,
     heis_apply,
     vertex_mode,
     vertex_window,
@@ -564,18 +562,30 @@ def test_cached_fixed_points_cannot_be_mutated():
     assert fixed_point_subspace(Context(N=1), "T", 4).dims() == [1, 1, 2, 3, 5]
 
 
+# lru_caches whose key domain is bounded whatever the input, with the reason
+BOUNDED_KEY_CACHES = {
+    "voa.scalars._cyclotomic": "keyed on the divisors of a conductor <= MAX_CONDUCTOR",
+}
+
+
 def test_input_keyed_caches_are_bounded():
-    caches = (
-        _mk_mono,
-        _mono_products,
-        _virasoro_mono,
-        _eplus_pairs,
-        _eminus_pairs,
-        enumerate_basis,
-        _omega_system,
-    )
-    for cached in caches:
-        assert cached.cache_info().maxsize is not None, cached.__name__
+    # every lru_cache defined in a voa module, found by scanning the modules
+    import voa
+
+    caches = {}
+    for info in pkgutil.iter_modules(voa.__path__):
+        module = importlib.import_module(f"voa.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{module.__name__}.{name}"] = value
+    assert {"voa.vertex_engine._mono_products", "voa.scalars._sqrt_fold"} <= caches.keys()
+    assert BOUNDED_KEY_CACHES.keys() <= caches.keys()
+    unbounded = [
+        name
+        for name, cached in caches.items()
+        if cached.cache_info().maxsize is None and name not in BOUNDED_KEY_CACHES
+    ]
+    assert not unbounded
 
 
 @pytest.mark.parametrize(

@@ -21,16 +21,17 @@ from voa.state_space import (
     charged_vacuum,
     conformal_vector,
     enumerate_basis,
+    inner_product,
     partitions_of,
     vacuum,
     vector_to_json,
     weight4_primary,
+    z_lambda,
 )
 from voa.vertex_engine import (
-    _apply_annihilators,
-    _eminus_pairs,
-    _eminus_series,
+    _alpha_terms,
     _eplus_pairs,
+    _exp_series,
     _mk_mono,
     _mono_products,
     _mono_products_direct,
@@ -173,6 +174,28 @@ def test_virasoro_heisenberg_mixed_commutator():
 # ------------------------------------------------------- exponential factors
 
 
+def _eminus_pairs(k, q):
+    """The partition formula for the z^{-q} coefficient of E_-(k alpha, z)
+    times q!, as (annihilator modes, int) pairs: the weight of lambda is
+    (-k)^{len(lambda)} q!/z_lambda.  It is the oracle for both exponentials,
+    as E_+(k alpha, z) has the weights k^{len(lambda)}/z_lambda on the
+    negated modes."""
+    if k == 0 and q:
+        return ()
+    return tuple(
+        (parts, (-k) ** len(parts) * (factorial(q) // z_lambda(parts)))
+        for parts in partitions_of(q)
+    )
+
+
+def _alpha_product(modes, vec, norm):
+    """alpha_{m_1} ... alpha_{m_s} on a {partition: coefficient} dict, one
+    _alpha_terms step per mode."""
+    for m in modes:
+        vec = _alpha_terms(m, vec, norm)
+    return vec
+
+
 def _weights(table, k, order):
     """The (modes, weight) pairs of an E_+- table, each int weight read as
     the Fraction it stands for: the table holds weights times order!."""
@@ -213,7 +236,7 @@ def test_eminus_action_on_conformal_vector():
     def coefficient(k, q):
         acc: dict = {}
         for modes, f in _weights(_eminus_pairs, k, q):
-            for part, c in _apply_annihilators(modes, carrier, 4).items():
+            for part, c in _alpha_product(modes, carrier, 4).items():
                 m = BasisMonomial(part, 1)
                 acc[m] = acc.get(m, 0) + f * c
         return {m: c for m, c in acc.items() if c}
@@ -239,17 +262,47 @@ def test_eminus_series_matches_partition_sum(n_lat):
     checks = 0
     for k in range(-3, 4):
         for vec in singles + [mixed]:
-            series = _eminus_series(k, vec, 7, norm)
+            series = _exp_series(-k, 1, vec, 7, norm)
             assert len(series) == 8 and series[0] is vec
             for q in range(8):
                 expect: dict = {}
                 for modes, w in _eminus_pairs(k, q):
-                    for lam, c in _apply_annihilators(modes, vec, norm).items():
+                    for lam, c in _alpha_product(modes, vec, norm).items():
                         expect[lam] = expect.get(lam, 0) + w * c
                 got = {lam: c for lam, c in series[q].items() if c}
                 assert got == {lam: c for lam, c in expect.items() if c}, (k, vec, q)
                 checks += 1
     assert checks == 7 * 46 * 8
+
+
+def test_eplus_pairs_match_partition_formula():
+    # E_+(k alpha, z) is the recurrence on the vacuum; the partition formula
+    # gives the same pairs in the same order, the modes of E_- negated
+    for k in range(-3, 4):
+        for m in range(8):
+            expect = tuple(
+                (tuple(-p for p in parts), w) for parts, w in _eminus_pairs(-k, m)
+            )
+            assert _eplus_pairs(k, m) == expect, (k, m)
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+def test_heisenberg_modes_are_adjoint(n_lat):
+    # <J_{-j} u, v> = <u, J_j v> on unit vectors, with the monomial norms
+    # z_lambda of inner_product: ties the step's count * j * norm to z_lambda
+    ctx = Context(N=n_lat)
+    units = basis_vectors(ctx, 6)
+    checks = 0
+    for j in range(1, 5):
+        raised = [heis_apply(-j, u) for u in units]
+        lowered = [heis_apply(j, v) for v in units]
+        for u, ju in zip(units, raised):
+            for v, jv in zip(units, lowered):
+                lhs = inner_product(ju, v)
+                assert lhs == inner_product(u, jv), (j, u, v)
+                checks += not lhs.is_zero()
+    # the pairings that are not zero on both sides
+    assert checks
 
 
 # ------------------------------------------------------------- vertex modes
