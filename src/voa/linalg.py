@@ -1,16 +1,20 @@
-"""Exact dense linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field, on one elimination engine.
 
-Everything here is plain Gaussian elimination on small matrices (a few
-hundred entries at most) whose entries are field Scalars; exactness is
-the point, not asymptotics.  Kernel bases come out in reduced echelon
-form with respect to the supplied column order, so identical inputs give
-byte-identical outputs.
+EchelonSpan is incremental Gauss-Jordan elimination on sparse Vectors
+whose keys order themselves: basis monomials in their canonical tuple
+order, matrix column indices, or operator_kernel's graph keys.  rank,
+solve and operator_kernel all run on it.  A span's rows are the unique
+reduced echelon basis of the span over its key order, so identical
+inputs give byte-identical outputs.  Kernel bases are reduced echelon
+over the reversed domain order: each kernel vector has coefficient one
+at the last domain vector it uses, which no other kernel vector uses,
+and the vectors are listed by that index, ascending.
 """
 
 from __future__ import annotations
 
-from .scalars import Context, Scalar
-from .state_space import BasisMonomial, Vector
+from .scalars import Context
+from .state_space import Vector, raw_vector
 
 
 def coordinate_rows(vectors, monomials) -> list:
@@ -23,109 +27,16 @@ def support_monomials(vectors) -> list:
     monos = set()
     for v in vectors:
         monos.update(v.terms)
-    return sorted(monos, key=BasisMonomial.sort_key)
-
-
-def rref(rows, ncols: int):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rowr = rows[r]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rowr)]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
-
-
-def kernel_basis(rows, ncols: int, ctx: Context) -> list:
-    """Null space of the matrix, reduced-echelon over the column order."""
-    red, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    zero, one = ctx.zero(), ctx.one()
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
-        out.append(vec)
-    return out
-
-
-def solve(rows, rhs, ncols: int, ctx: Context):
-    """One solution of A x = rhs with free variables zero, or None."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, ncols)
-    nres = len(pivots)
-    for row in red[nres:]:
-        if not row[ncols].is_zero():
-            return None
-    vec = [ctx.zero()] * ncols
-    for r, p in enumerate(pivots):
-        vec[p] = red[r][ncols]
-    return vec
-
-
-def determinant(rows, ctx: Context) -> Scalar:
-    n = len(rows)
-    if n == 0:
-        return ctx.one()
-    rows = [list(r) for r in rows]
-    det = ctx.one()
-    for col in range(n):
-        pr = None
-        for i in range(col, n):
-            if not rows[i][col].is_zero():
-                pr = i
-                break
-        if pr is None:
-            return ctx.zero()
-        if pr != col:
-            rows[col], rows[pr] = rows[pr], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for i in range(col + 1, n):
-            if not rows[i][col].is_zero():
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
-
-
-def leading_principal_minors(rows, ctx: Context) -> list:
-    return [
-        determinant([r[: k + 1] for r in rows[: k + 1]], ctx)
-        for k in range(len(rows))
-    ]
+    return sorted(monos)
 
 
 class EchelonSpan:
     """Incremental reduced echelon basis for a span of sparse vectors.
 
-    Pivot monomials follow the canonical order; stored rows have pivot
-    coefficient one and contain no other pivot, so membership reduction
-    is a single pass.
+    Each stored row has coefficient one at its pivot, its minimum key,
+    and no row holds another row's pivot.  So reducing v by the span is
+    v - sum v[p] row_p over the pivots p among v's own terms, in any
+    order.
     """
 
     def __init__(self, ctx: Context):
@@ -137,15 +48,12 @@ class EchelonSpan:
         return len(self.rows)
 
     def reduce(self, v: Vector) -> Vector:
-        hits = [m for m in v.terms if m in self.rows]
-        if not hits:
-            return v
-        cur = v
-        for mono in sorted(hits, key=BasisMonomial.sort_key):
-            c = cur.terms.get(mono)
-            if c is not None and not c.is_zero():
-                cur = cur - self.rows[mono].scale(c)
-        return cur
+        out = v
+        for key, c in v.terms.items():
+            row = self.rows.get(key)
+            if row is not None:
+                out = out + row.scale(-c)
+        return out
 
     def contains(self, v: Vector) -> bool:
         return self.reduce(v).is_zero()
@@ -155,12 +63,12 @@ class EchelonSpan:
         r = self.reduce(v)
         if r.is_zero():
             return None
-        pivot = min(r.terms, key=BasisMonomial.sort_key)
+        pivot = min(r.terms)
         row = r.scale(r.terms[pivot].inverse())
         for p, existing in list(self.rows.items()):
             c = existing.terms.get(pivot)
-            if c is not None and not c.is_zero():
-                self.rows[p] = existing - row.scale(c)
+            if c is not None:
+                self.rows[p] = existing + row.scale(-c)
         self.rows[pivot] = row
         return row
 
@@ -169,36 +77,63 @@ class EchelonSpan:
         return self.insert(v) is not None
 
     def vectors(self) -> list:
-        """Basis rows ordered by pivot monomial."""
-        return [self.rows[p] for p in sorted(self.rows, key=BasisMonomial.sort_key)]
+        """Basis rows ordered by pivot."""
+        return [self.rows[p] for p in sorted(self.rows)]
+
+
+def _row_span(ctx: Context, rows) -> EchelonSpan:
+    """The span of matrix rows, each entered as a Vector keyed by column index."""
+    span = EchelonSpan(ctx)
+    for row in rows:
+        span.insert(Vector(ctx, dict(enumerate(row))))
+    return span
+
+
+def rank(rows, ncols: int) -> int:
+    """Rank of the first ncols columns; the context is read off the entries."""
+    rows = [row[:ncols] for row in rows]
+    ctx = next((x.ctx for row in rows for x in row), None)
+    return 0 if ctx is None else _row_span(ctx, rows).rank
+
+
+def solve(rows, rhs, ncols: int, ctx: Context):
+    """One solution of A x = rhs with free variables zero, or None.
+
+    rhs enters each row at column ncols, so a row pivoted there means
+    the system has no solution."""
+    span = _row_span(ctx, [list(row[:ncols]) + [b] for row, b in zip(rows, rhs)])
+    if ncols in span.rows:
+        return None
+    x = [ctx.zero()] * ncols
+    for p, row in span.rows.items():
+        x[p] = row.coeff(ncols)
+    return x
 
 
 def operator_kernel(ctx: Context, domain, operators) -> list:
     """Joint kernel of linear maps on the span of an independent domain list.
 
-    Finds the combinations sum_i x_i domain[i] killed by every operator;
-    the result is in reduced echelon form with respect to the domain
-    order, so it is deterministic.
+    Each domain vector d_i enters one EchelonSpan as its graph: op_j(d_i)
+    at keys (0, j, monomial) and 1 at (1, -i).  Every image key sorts
+    before every domain key, so the rows pivoted at a domain key are the
+    kernel's reduced echelon basis over the reversed domain order; they
+    are returned as combinations of the domain, by ascending pivot index
+    i, so identical inputs give byte-identical outputs.
     """
     domain = list(domain)
-    if not domain:
-        return []
-    images = [[op(v) for op in operators] for v in domain]
-    col_monos = [
-        support_monomials([imgs[j] for imgs in images]) for j in range(len(operators))
-    ]
-    # constraint matrix: one row per (operator, monomial) coordinate,
-    # one column per domain vector
-    mat = []
-    for j, monos in enumerate(col_monos):
-        for m in monos:
-            mat.append([images[i][j].coeff(m) for i in range(len(domain))])
-    coeff_sets = kernel_basis(mat, len(domain), ctx)
+    span = EchelonSpan(ctx)
+    one = ctx.one()
+    for i, d in enumerate(domain):
+        graph = {(0, j, m): c for j, op in enumerate(operators) for m, c in op(d).terms.items()}
+        graph[(1, -i)] = one
+        span.insert(raw_vector(ctx, graph))
     out = []
-    for coeffs in coeff_sets:
+    for pivot in sorted((p for p in span.rows if p[0]), reverse=True):
+        row = span.rows[pivot]
         acc = Vector.zero(ctx)
-        for c, v in zip(coeffs, domain):
-            if not c.is_zero():
-                acc = acc + v.scale(c)
+        for i, d in enumerate(domain):
+            c = row.terms.get((1, -i))
+            if c is not None:
+                acc = acc + d.scale(c)
         out.append(acc)
     return out

@@ -200,13 +200,17 @@ def _unit_pool(ctx: Context, cutoff: int) -> list:
 
 
 def quasi_primary_basis(ctx: Context, weight: int, ambient=None) -> list:
-    """Reduced echelon basis of the weight subspace killed by L_1."""
+    """Basis of the weight subspace killed by L_1, as operator_kernel
+    returns it: reduced echelon over the reversed order of the domain,
+    the ambient's weight basis or else the canonically ordered unit
+    vectors."""
     domain = ambient.weight_basis(weight) if ambient is not None else _unit_vectors(ctx, weight)
     return operator_kernel(ctx, domain, [lambda v: virasoro_apply(1, v)])
 
 
 def primary_basis(ctx: Context, weight: int, ambient=None) -> list:
-    """Reduced echelon basis of the vectors killed by every L_n, n > 0.
+    """Basis of the vectors killed by every L_n, n > 0, in the domain
+    convention of quasi_primary_basis.
 
     L_1 and L_2 generate the whole raising half, so their joint kernel
     is the full primary subspace.
@@ -269,7 +273,7 @@ def _fixed_representative(mono: BasisMonomial, k: int, flipped: bool) -> bool:
     k = 0 means the whole torus: charge 0 only.  Under a flip, charge
     c > 0 lies in the pair of -c, and a charge-0 monomial is fixed when
     len lambda is even."""
-    lam, c = mono
+    c, lam = mono
     return not ((c % k if k else c) or flipped and (c > 0 or c == 0 and len(lam) % 2))
 
 
@@ -317,10 +321,10 @@ def fixed_point_subspace(ctx: Context, group: str, cutoff: int, t=None) -> Grade
         for mono in enumerate_basis(ctx, w):
             if not _fixed_representative(mono, k, flipped):
                 continue
-            lam, c = mono
+            c, lam = mono
             terms = {mono: 1}
             if flipped and c:
-                terms[BasisMonomial(lam, -c)] = (-1) ** len(lam) * twist ** -c
+                terms[BasisMonomial(-c, lam)] = (-1) ** len(lam) * twist ** -c
             basis_by_weight.setdefault(w, []).append(Vector(ctx, terms))
     return GradedSubspace(ctx, cutoff, basis_by_weight)
 
@@ -361,7 +365,7 @@ def _closure_bound(ctx: Context, generators, cutoff: int) -> list:
             if first is None:
                 return False
             g, lam = first
-            up, down = g.coeff(BasisMonomial(lam, k)), g.coeff(BasisMonomial(lam, -k))
+            up, down = g.coeff(BasisMonomial(k, lam)), g.coeff(BasisMonomial(-k, lam))
             if up.is_zero() or down.is_zero():
                 return False
             u = down / up * (-1) ** len(lam)
@@ -695,7 +699,7 @@ def _omega_system(ctx: Context) -> tuple:
             prev = slot.get(xe, ctx.zero())
             slot[xe] = prev - coeff * 2
     polys = []
-    for mono in sorted(poly_by_mono, key=BasisMonomial.sort_key):
+    for mono in sorted(poly_by_mono):
         terms = tuple(
             (e, s) for e, s in sorted(poly_by_mono[mono].items()) if not s.is_zero()
         )
@@ -970,8 +974,8 @@ def lemma_weight4_report(ctx: Context) -> CheckReport:
     lm2 = Vector(
         ctx,
         {
-            BasisMonomial((-1, -1, -1, -1), 0): Fraction(1, 4),
-            BasisMonomial((-3, -1), 0): 1,
+            BasisMonomial(0, (-1, -1, -1, -1)): Fraction(1, 4),
+            BasisMonomial(0, (-3, -1)): 1,
         },
     )
     rows.append(
@@ -983,8 +987,8 @@ def lemma_weight4_report(ctx: Context) -> CheckReport:
     lm4 = Vector(
         ctx,
         {
-            BasisMonomial((-2, -2), 0): Fraction(1, 2),
-            BasisMonomial((-3, -1), 0): 1,
+            BasisMonomial(0, (-2, -2)): Fraction(1, 2),
+            BasisMonomial(0, (-3, -1)): 1,
         },
     )
     rows.append(
@@ -1023,9 +1027,9 @@ def mode_prop_report(conductor: int = 4) -> CheckReport:
         vg = Vector(
             ctx,
             {
-                BasisMonomial((-1, -1, -1, -1), 0): Fraction(gsq * gsq, 12),
-                BasisMonomial((-3, -1), 0): Fraction(2 * gsq, 3),
-                BasisMonomial((-2, -2), 0): Fraction(gsq, 4),
+                BasisMonomial(0, (-1, -1, -1, -1)): Fraction(gsq * gsq, 12),
+                BasisMonomial(0, (-3, -1)): Fraction(2 * gsq, 3),
+                BasisMonomial(0, (-2, -2)): Fraction(gsq, 4),
             },
         )
         for b_name, b in (("1", ctx.one()), ("i", ctx.i())):

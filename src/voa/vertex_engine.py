@@ -73,7 +73,7 @@ Inside the kernel every state of a stage has one charge (b's in stage 1,
 a's plus b's in the output blocks), so its dicts are keyed on bare
 partition tuples and compare in C.  A BasisMonomial is built only for a
 final block entry, by state_space._mk_mono, the interning constructor:
-one object per (partition, charge) for as long as its bounded cache
+one object per (charge, partition) for as long as its bounded cache
 keeps it, shared by the kernel, _flip_terms, _virasoro_mono and
 heis_apply, so the dict lookups of vertex_window and Vector.__add__ on
 engine outputs hit on identity.  Equality stays by value; an evicted
@@ -175,7 +175,7 @@ def heis_apply(m: int, v: Vector) -> Vector:
             root = ctx.sqrt_2n()
             img = {lam: c * root for lam, c in img.items()}
         for lam, c in img.items():
-            out[_mk_mono(lam, charge)] = c
+            out[_mk_mono(charge, lam)] = c
     return raw_vector(ctx, out)
 
 
@@ -187,7 +187,7 @@ def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
     No entry is zero."""
     if mono.charge < 0:
         # L_m commutes with phi, since nu = (1/2) J_{-1}^2 vacuum is phi-fixed
-        img = _virasoro_mono(ctx, m, _mk_mono(mono.partition, -mono.charge))
+        img = _virasoro_mono(ctx, m, _mk_mono(-mono.charge, mono.partition))
         return raw_vector(ctx, _flip_terms(img.terms, len(mono.partition)))
     if m == 0:
         w = mono.weight(ctx.N)
@@ -218,7 +218,7 @@ def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
     return raw_vector(
         ctx,
         {
-            _mk_mono(lam, charge): ctx.from_ints((rat,), (rad,), 2)
+            _mk_mono(charge, lam): ctx.from_ints((rat,), (rad,), 2)
             for lam, (rat, rad) in sums.items()
         },
     )
@@ -315,7 +315,7 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, lo:
     if ca > 0 or (ca == 0 and cb >= 0):
         return _mono_products_direct(ctx, amono, bmono, lo)
     den, canon = _mono_products(
-        ctx, _mk_mono(amono.partition, -ca), _mk_mono(bmono.partition, -cb), lo
+        ctx, _mk_mono(-ca, amono.partition), _mk_mono(-cb, bmono.partition), lo
     )
     lab = len(amono.partition) + len(bmono.partition)
     return den, {n: _flip_terms(block, lab) for n, block in canon.items()}
@@ -518,7 +518,7 @@ def _mono_products_direct(
     den = scale * scale * two_n**-low
     g = gcd(den, *(c for block in blocks.values() for c in block.values()))
     return den // g, {
-        n: {_mk_mono(lam, ctot): c // g for lam, c in block.items()}
+        n: {_mk_mono(ctot, lam): c // g for lam, c in block.items()}
         for n, block in blocks.items()
     }
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import pytest
 
@@ -62,20 +66,20 @@ def test_partition_enumeration_matches_recurrence():
 
 def test_monomial_validation_and_weight():
     with pytest.raises(ValueError):
-        BasisMonomial((1,), 0)
+        BasisMonomial(0, (1,))
     with pytest.raises(ValueError):
-        BasisMonomial((-1, -3), 0)
-    m = BasisMonomial((-3, -1), 2)
+        BasisMonomial(0, (-1, -3))
+    m = BasisMonomial(2, (-3, -1))
     assert m.weight(1) == 8
     assert m.weight(2) == 12
-    assert BasisMonomial((), 1).weight(5) == 5
+    assert BasisMonomial(1, ()).weight(5) == 5
 
 
 def test_monomial_rejects_malformed_partitions():
     for partition in ((0,), (-1, 0), (2, -1), (-1, -2), (-1, -3, -2)):
         with pytest.raises(ValueError):
-            BasisMonomial(partition, 0)
-    assert BasisMonomial((-3, -1, -1), -2).partition == (-3, -1, -1)
+            BasisMonomial(0, partition)
+    assert BasisMonomial(-2, (-3, -1, -1)).partition == (-3, -1, -1)
 
 
 def test_set_up_constructors_leave_the_intern_cache_cold():
@@ -91,32 +95,44 @@ def test_set_up_constructors_leave_the_intern_cache_cold():
     assert _mk_mono.cache_info().currsize == 0
     # the flip interns its output monomials
     (m,) = apply_flip(Vector.monomial(ctx, (-2, -1), 1)).terms
-    assert m is _mk_mono((-2, -1), -1)
+    assert m is _mk_mono(-1, (-2, -1))
 
 
 def test_interned_monomial_equals_validated_one():
-    for partition, charge in (((), 0), ((-1,), 3), ((-4, -2, -2, -1), -1)):
-        fast = _mk_mono(partition, charge)
-        checked = BasisMonomial(partition, charge)
+    for charge, partition in ((0, ()), (3, (-1,)), (-1, (-4, -2, -2, -1))):
+        fast = _mk_mono(charge, partition)
+        checked = BasisMonomial(charge, partition)
         assert type(fast) is BasisMonomial
         assert fast == checked and hash(fast) == hash(checked)
-        assert (fast.partition, fast.charge) == (partition, charge)
-        # a monomial is the tuple of its fields
-        assert fast == (partition, charge) and hash(fast) == hash((partition, charge))
+        assert (fast.charge, fast.partition) == (charge, partition)
+        # a monomial is the tuple of its fields, charge first
+        assert fast == (charge, partition) and hash(fast) == hash((charge, partition))
 
 
-def test_monomial_order_is_sort_key_not_tuple_order():
-    # at N = 1, weight 1, tuple order puts ((), 1) before ((-1,), 0), but
-    # the canonical (charge, partition) order puts charge 0 first
+def test_monomial_copies_and_pickles_as_itself():
+    for mono in (BasisMonomial(0, ()), BasisMonomial(-2, (-3, -1, -1)), _mk_mono(1, (-1,))):
+        twins = [copy.copy(mono), copy.deepcopy(mono)]
+        twins += [pickle.loads(pickle.dumps(mono, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is BasisMonomial
+            assert twin == mono and hash(twin) == hash(mono)
+            assert (twin.charge, twin.partition) == (mono.charge, mono.partition)
+        assert mono == (mono.charge, mono.partition)
+
+
+def test_monomial_order_is_tuple_order():
+    # charge first, then partition: at N = 1, weight 1, the charge-0 J_{-1}
+    # sits between the charged vacua, and a plain sort is canonical
     ctx = Context(N=1)
-    basis = enumerate_basis(ctx, 1)
-    assert list(basis) == sorted(basis, key=BasisMonomial.sort_key)
-    assert list(basis) != sorted(basis)
-    assert [(m.partition, m.charge) for m in basis] == [((), -1), ((-1,), 0), ((), 1)]
+    assert [tuple(m) for m in enumerate_basis(ctx, 1)] == [(-1, ()), (0, (-1,)), (1, ())]
+    for n_lat in (1, 2, 3, 5):
+        for w in range(9):
+            basis = enumerate_basis(Context(N=n_lat), w)
+            assert list(basis) == sorted(basis), (n_lat, w)
     v = Vector.monomial(ctx, (), 1) + Vector.monomial(ctx, (-1,), 0)
     terms = vector_to_json(v)["terms"]
-    assert [(t["partition"], t["charge"]) for t in terms] == [([-1], 0), ([], 1)]
-    assert [m for m, _ in v.items()] != sorted(v.terms)
+    assert [(t["charge"], t["partition"]) for t in terms] == [(0, [-1]), (1, [])]
+    assert [m for m, _ in v.items()] == sorted(v.terms)
 
 
 def test_enumerate_basis_small_cases():
@@ -188,8 +204,8 @@ def test_split_virasoro_vectors():
     assert w0.weight() == 2
     # the angle pi/2 vector carries phase i on the positive charge
     wq = split_virasoro_vector(ctx, 1, 4)
-    assert wq.coeff(BasisMonomial((), 1)) == ctx.i() * Fraction(1, 4)
-    assert wq.coeff(BasisMonomial((), -1)) == -ctx.i() * Fraction(1, 4)
+    assert wq.coeff(BasisMonomial(1, ())) == ctx.i() * Fraction(1, 4)
+    assert wq.coeff(BasisMonomial(-1, ())) == -ctx.i() * Fraction(1, 4)
     with pytest.raises(ValueError):
         split_virasoro_vector(Context(N=3))
 
@@ -247,9 +263,9 @@ def test_torus_phases():
     ctx = Context(N=2)
     v = Vector.monomial(ctx, (), 1) + Vector.monomial(ctx, (-1,), -2) + vacuum(ctx)
     g = apply_torus(v, 1, 4)
-    assert g.coeff(BasisMonomial((), 1)) == ctx.i()
-    assert g.coeff(BasisMonomial((-1,), -2)) == ctx.from_fraction(-1)
-    assert g.coeff(BasisMonomial((), 0)) == ctx.one()
+    assert g.coeff(BasisMonomial(1, ())) == ctx.i()
+    assert g.coeff(BasisMonomial(-2, (-1,))) == ctx.from_fraction(-1)
+    assert g.coeff(BasisMonomial(0, ())) == ctx.one()
 
 
 def test_inner_product_norms():
@@ -310,27 +326,34 @@ def test_gram_matrix_examples():
     ]
 
 
+def _diagonal(g) -> list:
+    """The diagonal of a Gram matrix, after checking that it has no other entry."""
+    assert all(x.is_zero() for i, row in enumerate(g) for j, x in enumerate(row) if i != j)
+    return [row[i].as_fraction() for i, row in enumerate(g)]
+
+
 @pytest.mark.parametrize("n_lat", [1, 2, 3, 5])
 def test_gram_positive_definite(n_lat):
+    # distinct monomials are orthogonal, so the Gram matrix is diagonal and
+    # positive definite exactly when its diagonal is positive
     ctx = Context(N=n_lat)
     for w in range(7):
-        g = gram_matrix(ctx, w)
-        if not g:
-            continue
-        for minor in linalg.leading_principal_minors(g, ctx):
-            assert minor.as_fraction() > 0
+        assert all(d > 0 for d in _diagonal(gram_matrix(ctx, w))), w
 
 
 def test_gram_matrix_of_a_subspace_is_positive_definite():
-    # the scalar product restricted to the flip-fixed subspace of V_{L_4}
+    # the scalar product restricted to the flip-fixed subspace of V_{L_4};
+    # D1's rows have disjoint supports, so its Gram matrix is diagonal too
     ctx = Context(N=2)
     d1 = fixed_point_subspace(ctx, "D1", 4)
     for w in range(5):
         g = gram_matrix(ctx, w, subspace=d1)
         assert len(g) == len(d1.weight_basis(w))
-        minors = [m.as_fraction() for m in linalg.leading_principal_minors(g, ctx)]
-        assert all(m > 0 for m in minors), (w, minors)
-    assert minors == [4, 16, 48, 384, 9216]
+        diagonal = _diagonal(g)
+        assert all(d > 0 for d in diagonal), (w, diagonal)
+    assert diagonal == [4, 4, 3, 8, 24]
+    # the leading principal minors of a diagonal matrix
+    assert list(accumulate(diagonal, mul)) == [4, 16, 48, 384, 9216]
 
 
 def test_graded_subspace_dims():
@@ -385,31 +408,31 @@ def test_vector_json_canonical_numbers():
     }
 
 
-def test_linalg_rref_kernel_solve():
+def test_linalg_rank_kernel_solve():
     ctx = Context(N=1)
     s = ctx.from_fraction
     rows = [[s(1), s(2), s(3)], [s(2), s(4), s(6)], [s(1), s(0), s(1)]]
-    red, pivots = linalg.rref(rows, 3)
-    assert pivots == [0, 1]
     assert linalg.rank(rows, 3) == 2
-    ker = linalg.kernel_basis(rows, 3, ctx)
-    assert len(ker) == 1
-    for row in rows:
-        acc = ctx.zero()
-        for c, x in zip(row, ker[0]):
-            acc = acc + c * x
-        assert acc.is_zero()
+    assert linalg.rank([], 3) == linalg.rank([[s(0), s(0)]], 2) == 0
+    # the same matrix as a map on the charged vacua e^{k alpha}, k = 0, 1, 2,
+    # to J_{-1-r}; the kernel vector has coefficient one at its last vector
+    domain = [charged_vacuum(ctx, k) for k in range(3)]
+
+    def apply(v):
+        x = [v.coeff(BasisMonomial(k, ())) for k in range(3)]
+        images = (sum((a * b for a, b in zip(row, x)), ctx.zero()) for row in rows)
+        return Vector(ctx, {BasisMonomial(0, (-1 - r,)): y for r, y in enumerate(images)})
+
+    ker = linalg.operator_kernel(ctx, domain, [apply])
+    assert ker == [domain[2] - domain[1] - domain[0]]
 
     sol = linalg.solve([[s(2), s(0)], [s(0), s(4)]], [s(6), s(2)], 2, ctx)
     assert [x.as_fraction() for x in sol] == [3, Fraction(1, 2)]
     assert linalg.solve([[s(1), s(1)], [s(1), s(1)]], [s(0), s(1)], 2, ctx) is None
-
-    det = linalg.determinant([[s(2), s(1)], [s(1), s(1)]], ctx)
-    assert det.as_fraction() == 1
-    # a row swap flips the sign; a singular matrix and the empty one
-    assert linalg.determinant([[s(0), s(1)], [s(1), s(0)]], ctx).as_fraction() == -1
-    assert linalg.determinant([[s(1), s(2)], [s(2), s(4)]], ctx).is_zero()
-    assert linalg.determinant([], ctx).is_one()
+    # free variables are zero, and with no rows every variable is free
+    sol = linalg.solve([[s(1), s(1), s(2)]], [s(5)], 3, ctx)
+    assert [x.as_fraction() for x in sol] == [5, 0, 0]
+    assert [x.as_fraction() for x in linalg.solve([], [], 2, ctx)] == [0, 0]
 
 
 def test_echelon_span_membership():
@@ -432,6 +455,36 @@ def test_echelon_span_membership():
 
     vecs = basis([v1 + v2, v2, v1.scale(5)])
     assert vecs == basis([v2.scale(2), v1 + v2, v1])
+
+
+@pytest.mark.parametrize("n_lat,conductor", [(1, 4), (2, 8), (3, 12)])
+def test_echelon_span_invariant(n_lat, conductor):
+    # every row has coefficient one at its pivot, its minimum key, and no
+    # row holds another row's pivot; reduce relies on the second
+    ctx = Context(N=n_lat, conductor=conductor)
+    rng = random.Random(71 + n_lat)
+    span = linalg.EchelonSpan(ctx)
+    inserted = []
+
+    def combination():
+        picks = rng.sample(inserted, min(3, len(inserted)))
+        return sum((u.scale(rng.randint(-2, 2)) for u in picks), Vector.zero(ctx))
+
+    for step in range(40):
+        v = combination() if inserted and step % 3 == 0 else _random_vector(ctx, rng, 3)
+        before, new = span.rank, not span.contains(v)
+        assert span.add(v) == new and span.rank == before + new
+        inserted.append(v)
+        for p, row in span.rows.items():
+            assert p == min(row.terms) and row.terms[p].is_one()
+            assert not any(q in row.terms for q in span.rows if q != p)
+        assert all(span.contains(u) for u in inserted)
+        # contains agrees with the rank of the span with the probe added
+        probe = combination() if step % 2 else _random_vector(ctx, rng, 3)
+        grown = linalg.EchelonSpan(ctx)
+        for u in [probe] + inserted[::-1]:
+            grown.add(u)
+        assert span.contains(probe) == (grown.rank == span.rank)
 
 
 def test_operator_kernel_simple():

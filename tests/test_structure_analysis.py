@@ -546,6 +546,33 @@ def test_project_conformal_recovers_generators():
     assert project_conformal(empty).is_zero()
 
 
+def _sha256(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_virasoro_kernels_and_projection_digests():
+    # bytes recorded before linalg's kernels moved onto EchelonSpan: a
+    # kernel basis is reduced echelon over the reversed domain order, so
+    # these pin each returned vector, not only the span
+    data = {}
+    for n_lat in (1, 2, 3, 5):
+        ctx = Context(N=n_lat)
+        for w in range(1, 6):
+            data[f"qp-N{n_lat}-w{w}"] = [vector_to_json(v) for v in quasi_primary_basis(ctx, w)]
+            data[f"pr-N{n_lat}-w{w}"] = [vector_to_json(v) for v in primary_basis(ctx, w)]
+    ctx = Context(N=2)
+    for group in ("D1", "T"):
+        ambient = fixed_point_subspace(ctx, group, 5)
+        for w in range(1, 6):
+            qp = quasi_primary_basis(ctx, w, ambient)
+            data[f"qp-{group}-w{w}"] = [vector_to_json(v) for v in qp]
+            data[f"pr-{group}-w{w}"] = [vector_to_json(v) for v in primary_basis(ctx, w, ambient)]
+    assert _sha256(data) == "be6f0d296c8f472ca9ba6547cfc7a356b7751a59578a4cd575b1759e626026ab"
+    gens = ([conformal_vector(ctx)], [split_virasoro_vector(ctx)], [])
+    projected = [vector_to_json(project_conformal(close_subalgebra(ctx, g, 4))) for g in gens]
+    assert _sha256(projected) == "2d9658a5dc7c9acb94912b4b4e2119089258bfe7a8bdbc4f9256fe2546814058"
+
+
 def test_fixed_points_torus_is_charge_zero_fock_space():
     for n_lat in (1, 2, 3):
         fixed = fixed_point_subspace(Context(N=n_lat), "T", 6)
@@ -689,6 +716,28 @@ def test_fixed_points_match_elimination_reference():
                 if kind in ("Dinf", "D"):
                     assert apply_torus(apply_flip(apply_torus(v, -p, q)), p, q) == v
     assert cases == 258
+
+
+def test_fixed_point_kernels_digest():
+    # the raw operator_kernel bases of A - id behind the elimination
+    # reference, once per (context, group): the angle only rotates them
+    seen = set()
+    data = []
+    for ctx, group, _ in _fixed_point_grid():
+        if (ctx, group) in seen:
+            continue
+        seen.add((ctx, group))
+        kind, k = structure_analysis._parse_group(group)
+        ops = []
+        if k:
+            ops.append(lambda v, k=k: apply_torus(v, 1, k) - v)
+        if kind in ("Dinf", "D"):
+            ops.append(lambda v: apply_flip(v) - v)
+        for w in range(7):
+            domain = [Vector(ctx, {m: 1}) for m in enumerate_basis(ctx, w) if k or m.charge == 0]
+            data.append([vector_to_json(v) for v in operator_kernel(ctx, domain, ops)])
+    assert len(seen) == 120
+    assert _sha256(data) == "d1506a08eb64184411bd86096f15fbd40d73c3307083efac74e060de5010d29d"
 
 
 def test_closure_of_nu_and_charge_pair_is_the_flip_fixed_basis():

@@ -130,15 +130,15 @@ def test_weight4_related_descendants():
     assert virasoro_apply(-2, nu) == Vector(
         ctx,
         {
-            BasisMonomial((-1, -1, -1, -1), 0): Fraction(1, 4),
-            BasisMonomial((-3, -1), 0): 1,
+            BasisMonomial(0, (-1, -1, -1, -1)): Fraction(1, 4),
+            BasisMonomial(0, (-3, -1)): 1,
         },
     )
     assert virasoro_apply(-4, vacuum(ctx)) == Vector(
         ctx,
         {
-            BasisMonomial((-2, -2), 0): Fraction(1, 2),
-            BasisMonomial((-3, -1), 0): 1,
+            BasisMonomial(0, (-2, -2)): Fraction(1, 2),
+            BasisMonomial(0, (-3, -1)): 1,
         },
     )
 
@@ -237,16 +237,16 @@ def test_eminus_action_on_conformal_vector():
         acc: dict = {}
         for modes, f in _weights(_eminus_pairs, k, q):
             for part, c in _alpha_product(modes, carrier, 4).items():
-                m = BasisMonomial(part, 1)
+                m = BasisMonomial(1, part)
                 acc[m] = acc.get(m, 0) + f * c
         return {m: c for m, c in acc.items() if c}
 
-    assert coefficient(1, 0) == {BasisMonomial((-1, -1), 1): Fraction(1, 8)}
-    assert coefficient(1, 1) == {BasisMonomial((-1,), 1): -1}
-    assert coefficient(1, 2) == {BasisMonomial((), 1): 2}
+    assert coefficient(1, 0) == {BasisMonomial(1, (-1, -1)): Fraction(1, 8)}
+    assert coefficient(1, 1) == {BasisMonomial(1, (-1,)): -1}
+    assert coefficient(1, 2) == {BasisMonomial(1, ()): 2}
     assert coefficient(1, 3) == {}
     # negative charge flips the middle sign
-    assert coefficient(-1, 1) == {BasisMonomial((-1,), 1): 1}
+    assert coefficient(-1, 1) == {BasisMonomial(1, (-1,)): 1}
 
 
 @pytest.mark.parametrize("n_lat", [1, 2, 3])
@@ -383,9 +383,9 @@ def test_charge_pair_mode_gives_quartic_vector():
         vg = Vector(
             ctx,
             {
-                BasisMonomial((-1, -1, -1, -1), 0): Fraction(gsq * gsq, 12),
-                BasisMonomial((-3, -1), 0): Fraction(2 * gsq, 3),
-                BasisMonomial((-2, -2), 0): Fraction(gsq, 4),
+                BasisMonomial(0, (-1, -1, -1, -1)): Fraction(gsq * gsq, 12),
+                BasisMonomial(0, (-3, -1)): Fraction(2 * gsq, 3),
+                BasisMonomial(0, (-2, -2)): Fraction(gsq, 4),
             },
         )
         assert got == vg.scale(b), (n_lat, b_name)
@@ -641,7 +641,7 @@ def test_vertex_window_drops_cancelled_entries(n_lat, conductor):
     b = ep + j.scale(Fraction(1, 2 * n_lat - 1))
     got = vertex_window(a, b, lo=-3)
     assert got == _window_by_pairs(a, b, -3)
-    cancelled = BasisMonomial((-1,), 1)
+    cancelled = BasisMonomial(1, (-1,))
     (jm,), (em,) = j.terms, ep.terms
     assert cancelled in _kernel_scalars(ctx, jm, em, -3)[-1]
     assert cancelled not in got[-1].terms
@@ -759,7 +759,7 @@ def test_single_unit_pair_window_does_not_share_the_cache():
     for v in win.values():
         first = next(iter(v.terms))
         v.terms[first] = ctx.from_fraction(7)
-        v.terms[BasisMonomial((-9,), 4)] = ctx.one()
+        v.terms[BasisMonomial(4, (-9,))] = ctx.one()
     assert vertex_window(a, b, lo=1) == original
     assert _mono_products(ctx, am, bm, 1) is cached
     assert cached == before
@@ -801,9 +801,9 @@ def test_kernel_outputs_are_interned_and_valid(n_lat, conductor):
         (am,), (bm,) = a.terms, b.terms
         for block in _kernel_scalars(ctx, am, bm, -3).values():
             for m in block:
-                assert BasisMonomial(m.partition, m.charge) == m
-                assert m is _mk_mono(m.partition, m.charge)
-                key = (m.partition, m.charge)
+                assert BasisMonomial(m.charge, m.partition) == m
+                assert m is _mk_mono(m.charge, m.partition)
+                key = (m.charge, m.partition)
                 shared += key in seen
                 assert seen.setdefault(key, m) is m
     assert shared
@@ -826,8 +826,8 @@ def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor)
         if not _canonical(am, bm):
             partner = _mono_products(
                 ctx,
-                BasisMonomial(am.partition, -am.charge),
-                BasisMonomial(bm.partition, -bm.charge),
+                BasisMonomial(-am.charge, am.partition),
+                BasisMonomial(-bm.charge, bm.partition),
                 -3,
             )
             lab = len(am.partition) + len(bm.partition)
@@ -835,7 +835,7 @@ def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor)
                 partner[0],
                 {
                     n: {
-                        BasisMonomial(m.partition, -m.charge): (
+                        BasisMonomial(-m.charge, m.partition): (
                             -num if (len(m.partition) - lab) & 1 else num
                         )
                         for m, num in block.items()
@@ -1011,7 +1011,7 @@ def test_virasoro_apply_hands_out_no_cached_vector():
             checked += 1
             for x in first.terms:
                 first.terms[x] = ctx.one()
-            first.terms[_mk_mono((-5,), 0)] = ctx.one()
+            first.terms[_mk_mono(0, (-5,))] = ctx.one()
             assert virasoro_apply(m, v).terms == want, (v, m)
             first.terms.clear()
             assert virasoro_apply(m, v).terms == want, (v, m)
