@@ -181,11 +181,9 @@ class Vector:
     __mul__ = __rmul__
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Vector)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
+        if not isinstance(other, Vector):
+            return NotImplemented
+        return self.ctx == other.ctx and self.terms == other.terms
 
     def weights(self) -> set:
         return {m.weight(self.ctx.N) for m in self.terms}

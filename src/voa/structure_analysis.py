@@ -36,7 +36,14 @@ from .state_space import (
     vector_to_json,
     weight4_primary,
 )
-from .vertex_engine import heis_apply, vertex_mode, vertex_window, virasoro_apply
+from .vertex_engine import (
+    WindowSum,
+    heis_apply,
+    vertex_mode,
+    vertex_window,
+    virasoro_apply,
+    window_sums,
+)
 
 __all__ = [
     "CertificateRefused",
@@ -121,19 +128,26 @@ class CertificateRefused(Exception):
         self.defect = defect
 
 
+def _as_vector(side) -> Vector:
+    return side.vector() if isinstance(side, WindowSum) else side
+
+
 def _identity_row(relation: str, cases) -> dict:
     """Report row for an identity checked on each case (lhs, rhs) or
     (lhs, rhs, (v, m, n)).
 
-    A failing row also names its first failing case: the defect lhs - rhs,
-    and, when the case carries one, a witness with the basis vector v and
-    the modes m, n.  A passing row has no defect or witness key.
+    Each side is a Vector or a WindowSum, which compares in ints, so a
+    case that holds on WindowSums builds no Scalar.  A failing row also
+    names its first failing case, and only that case builds Vectors: the
+    defect lhs - rhs, and, when the case carries one, a witness with the
+    basis vector v and the modes m, n.  A passing row has no defect or
+    witness key.
     """
     checked, defect, witness = 0, None, None
     for lhs, rhs, *case in cases:
         checked += 1
         if defect is None and lhs != rhs:
-            defect = lhs - rhs
+            defect = _as_vector(lhs) - _as_vector(rhs)
             witness = case[0] if case else None
     row = {"relation": relation, "checked": checked, "ok": defect is None}
     if defect is not None:
@@ -158,6 +172,12 @@ def _bracket_cases(x, y, pool, pairs):
     of them.  Second-level tables are built only for the modes that
     pairs reads, once over their union when x is y, and one vector's
     tables are released before the next vector's are built.
+
+    First-level tables are Vectors, as they feed windows and right sides.
+    Second-level tables feed only the commutator, so when both x and y
+    have an ints table (_virasoro_table) they are read through it, and the
+    commutator is a WindowSum that compares in ints; otherwise it is a
+    Vector.
     """
     pairs = tuple(pairs)
     if not pairs:
@@ -168,14 +188,16 @@ def _bracket_cases(x, y, pool, pairs):
         x_modes = y_modes = x_modes | y_modes
     x_lo, y_lo = min(x_modes), min(y_modes)
     base_lo = min(x_lo, *(m + n for m, n in pairs))
+    ints = hasattr(x, "ints") and hasattr(y, "ints")
+    x2, y2 = (x.ints, y.ints) if ints else (x, y)
     for v in pool:
-        zero = Vector.zero(v.ctx)
+        zero = WindowSum(v.ctx) if ints else Vector.zero(v.ctx)
         xv = x(v, base_lo)
-        y_after_x = {m: y(u, y_lo) for m, u in xv.items() if m in x_modes}
+        y_after_x = {m: y2(u, y_lo) for m, u in xv.items() if m in x_modes}
         x_after_y = (
             y_after_x
             if x is y
-            else {n: x(u, x_lo) for n, u in y(v, y_lo).items() if n in y_modes}
+            else {n: x2(u, x_lo) for n, u in y(v, y_lo).items() if n in y_modes}
         )
         for m, n in pairs:
             lhs = x_after_y.get(n, {}).get(m, zero) - y_after_x.get(m, {}).get(n, zero)
@@ -186,8 +208,18 @@ def _bracket_cases(x, y, pool, pairs):
 def _virasoro_table(omega: Vector):
     """Mode table of omega's field, keyed by Virasoro index: omega_(n) acts
     as L_{n-1}.  Called as table(v, lo), it holds every nonzero L_k v
-    with k >= lo: the window from omega_(lo+1)."""
-    return lambda v, lo: {n - 1: u for n, u in vertex_window(omega, v, lo=lo + 1).items()}
+    with k >= lo: the window from omega_(lo+1).  table.ints(v, lo) holds
+    the same modes as WindowSums of the same integer window, with no
+    Scalar built."""
+
+    def table(v: Vector, lo: int) -> dict:
+        return {n - 1: u for n, u in vertex_window(omega, v, lo=lo + 1).items()}
+
+    def ints(v: Vector, lo: int) -> dict:
+        return {n - 1: u for n, u in window_sums(omega, v, lo=lo + 1).items()}
+
+    table.ints = ints
+    return table
 
 
 def _unit_vectors(ctx: Context, weight: int) -> list:
@@ -632,7 +664,11 @@ def certify_virasoro_vector(
     A certificate is a report with one row: the number of basis vectors
     and of relations checked.  No window is bounded globally: each mode
     table is bounded per vector at the lowest mode read from it (L_0 for
-    omega's own table; see _bracket_cases for the others).
+    omega's own table; see _bracket_cases for the others).  A bracket's
+    left side is a WindowSum, compared in ints with the right side
+    (m - n) L_{m+n} v plus its central term, so a relation that holds
+    builds no Scalar for its second-level windows; only a refused one
+    builds its defect as a Vector.
     """
     ctx = omega.ctx
     c = Fraction(central_charge)
@@ -641,10 +677,10 @@ def certify_virasoro_vector(
     zero = Vector.zero(ctx)
     counter = [0]
 
-    def demand(lhs: Vector, rhs: Vector, relation: str) -> None:
+    def demand(lhs, rhs: Vector, relation: str) -> None:
         counter[0] += 1
         if lhs != rhs:
-            raise CertificateRefused(relation, lhs - rhs)
+            raise CertificateRefused(relation, _as_vector(lhs) - rhs)
 
     table = _virasoro_table(omega)
     own = table(omega, 0)
@@ -845,13 +881,19 @@ def sl2_zero_mode_check(ctx: Context | None = None, cutoff: int = 4) -> CheckRep
     )
     rows.append({"relation": "weight-one basis orthonormal", "ok": ortho})
 
+    empty = WindowSum(ctx)
+
+    def zero_mode(a: Vector, u: Vector) -> WindowSum:
+        return window_sums(a, u, lo=0).get(0, empty)
+
     def operator_cases():
-        # one pass per vector: its three zero-mode images and their nine images
+        # one pass per vector: its three zero-mode images, as Vectors, and
+        # their nine images, compared in ints
         for v in _unit_pool(ctx, cutoff):
             once = {q: vertex_mode(b, 0, v) for q, b in named.items()}
-            twice = {(p, q): vertex_mode(named[p], 0, once[q]) for p, q in br}
+            twice = {(p, q): zero_mode(named[p], once[q]) for p, q in br}
             for p, q in br:
-                yield twice[p, q] - twice[q, p], vertex_mode(br[p, q], 0, v), (v, 0, 0)
+                yield twice[p, q] - twice[q, p], zero_mode(br[p, q], v), (v, 0, 0)
 
     rows.append(_identity_row("[a_(0), b_(0)] = (a_(0) b)_(0)", operator_cases()))
     return CheckReport("sl2-zero-modes", {"N": ctx.N, "cutoff": cutoff}, rows)
@@ -919,13 +961,15 @@ def axiom_report(ctx: Context, cutoff: int, mode_range: int = 4) -> CheckReport:
             yield window.get(-1, zero), a
 
     def translation():
+        # both windows compare in ints
+        empty = WindowSum(ctx)
         for a in small:
             shifted_a = virasoro_apply(-1, a)
             for b in pool:
-                shifted = vertex_window(shifted_a, b, lo=-mode_range)
-                plain = vertex_window(a, b, lo=-mode_range - 1)
+                shifted = window_sums(shifted_a, b, lo=-mode_range)
+                plain = window_sums(a, b, lo=-mode_range - 1)
                 for n in modes:
-                    yield shifted.get(n, zero), plain.get(n - 1, zero).scale(-n)
+                    yield shifted.get(n, empty), plain.get(n - 1, empty).scale(-n)
 
     # both tables build exactly the modes that pairs reads and ignore lo;
     # no check here reads x_{m+n} v from the x-table

@@ -101,13 +101,18 @@ Everything is computed exactly; mode products of basis monomial pairs
 are cached per lowest mode, in ints.  Callers address a window by its
 lowest mode, vertex_window hands that mode to the kernel unchanged, and
 the kernel alone turns it into z-exponent bounds by the grading
-contract.  vertex_window is the only place where a Scalar meets the
-cached ints: it sums every output entry as integer numerators over one
-common denominator of the window and builds the entry's Scalar once.
-When every pair factor is rational and sqrt(2N) is not in Q(zeta_n) or
-is an int, an entry is one [rat, rad] int pair whose Scalar takes one
-gcd; any other window sums 2 phi(n) ints per entry and builds its
-Scalar through Context.from_ints.
+contract.  _window_ints is the one accumulator of the cached ints: it
+sums every output entry of a window as integer numerators over one
+common denominator, and builds no Scalar.  vertex_window builds each
+entry's Scalar from those ints once (_block_vector); window_sums hands
+the same ints to the identity checks as WindowSums, which compare with a
+Vector or with each other by cross-multiplying, so a check that holds
+builds no Scalar.  When every pair factor is rational and sqrt(2N) is
+not in Q(zeta_n) or is an int, an entry is one [rat, rad] int pair (one
+int when sqrt(2N) is an int) whose Scalar takes one gcd; any other
+window sums phi(n) ints per entry where sqrt(2N) lies in Q(zeta_n) and
+2 phi(n) where it does not, and builds its Scalar through
+Context.from_ints.
 """
 
 from __future__ import annotations
@@ -540,39 +545,18 @@ def _nonzero_slots(rat, rad, deg: int) -> list:
     ]
 
 
-def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
-    """All modes a_(n) b with n >= lo, as {n: Vector}.
+def _layout_degree(ctx: Context, width: int) -> int:
+    """deg of a window layout of width slots: width itself when sqrt(2N)
+    folds into Q(zeta_n), which leaves no rad half, else width // 2."""
+    return width if ctx.fold is not None else width // 2
 
-    Shares one cache entry per monomial pair, so it is the right call in
-    loops that sweep many modes of the same vectors.  Every pair am, bm
-    is read from its kernel entry at the same lo, which holds exactly the
-    pair's modes n >= lo; the kernel applies the grading contract, so a
-    pair with no such mode reads as an empty entry.
 
-    Each output entry is summed in integers and canonicalized once.  Let f
-    be the factor of a monomial pair, (dp, blocks) its kernel entry and
-    num/dp sqrt(2N)^r an entry of its blocks (see _mono_products).  An
-    output entry is a list of 2 deg integer numerators, rat at slots
-    0..deg-1 then rad, over den, the lcm of every f.den * dp in the
-    window; a kernel entry adds num den/(f.den dp) times the numerators
-    of f over f.den when r = 0, and of f sqrt(2N) over f.den when r = 1.
-    There are two layouts, chosen by the window's input alone:
-
-    - two ints (deg = 1) when every f is rational, p/f.den, and ctx.fold
-      is None or one int s (2N = s^2).  An even entry adds num den/(f.den
-      dp) p to rat, an odd one the same to rad, or p s to rat when
-      sqrt(2N) = s.  Each entry's Scalar is (rat, rad) over den after one
-      gcd, with no reduction mod Phi_n and no fold left to make;
-    - 2 phi(n) ints (deg = phi(n)) for every other window.  f sqrt(2N) is
-      one Scalar product per pair, made only for a pair with an odd
-      entry, so a radical that folds into Q(zeta_n) takes the same path;
-      its canonical den divides f.den.  ctx.from_ints builds each
-      entry's Scalar.
-
-    Both are the canonical form of the same value, so the two give the
-    same bytes.  Entries that cancel are dropped, and so are modes left
-    empty.
-    """
+def _window_ints(a: Vector, b: Vector, lo: int) -> tuple:
+    """All modes a_(n) b with n >= lo as (den, width, {n: {monomial:
+    nums}}), in ints: the coefficient of a monomial is nums over den in the
+    layout of vertex_window, whose docstring has the rules.  An entry
+    whose terms cancel stays, all zero.  This is the one accumulator of
+    the engine's windows, and it builds no Scalar."""
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
@@ -587,6 +571,7 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
         not f.rad_num and len(f.rat_num) <= 1 for f, _, _, _ in pairs
     )
     deg, root = (1, None) if rational else (ctx.degree, ctx.sqrt_2n())
+    width = deg if fold is not None else 2 * deg
     den = lcm(*{f.den * dp for f, _, dp, _ in pairs})
     acc: dict = {}
     for f, lab, dp, prod in pairs:
@@ -616,27 +601,162 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
                 k = num * scale
                 nums = dst.get(mono)
                 if nums is None:
-                    nums = dst[mono] = [0] * (2 * deg)
+                    nums = dst[mono] = [0] * width
                 for i, x in slots:
                     nums[i] += k * x
+    return den, width, acc
+
+
+def _block_vector(ctx: Context, den: int, width: int, block: dict) -> Vector:
+    """The Vector of one mode of an integer window: each nonzero entry's
+    Scalar is built once, with one gcd in the two-int layout and through
+    Context.from_ints in the other."""
+    deg = _layout_degree(ctx, width)
+    terms = {}
+    for mono, nums in block.items():
+        if deg == 1:
+            rat = nums[0]
+            rad = nums[1] if width == 2 else 0
+            if not (rat or rad):
+                continue
+            g = gcd(den, rat, rad)
+            terms[mono] = Scalar(
+                ctx, (rat // g,) if rat else (), (rad // g,) if rad else (), den // g
+            )
+        elif any(nums):
+            terms[mono] = ctx.from_ints(nums[:deg], nums[deg:], den)
+    return raw_vector(ctx, terms)
+
+
+def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
+    """All modes a_(n) b with n >= lo, as {n: Vector}.
+
+    Shares one cache entry per monomial pair, so it is the right call in
+    loops that sweep many modes of the same vectors.  Every pair am, bm
+    is read from its kernel entry at the same lo, which holds exactly the
+    pair's modes n >= lo; the kernel applies the grading contract, so a
+    pair with no such mode reads as an empty entry.
+
+    Each output entry is summed in integers by _window_ints and
+    canonicalized once by _block_vector.  Let f be the factor of a
+    monomial pair, (dp, blocks) its kernel entry and num/dp sqrt(2N)^r an
+    entry of its blocks (see _mono_products).  An output entry is a list
+    of width integer numerators over den, the lcm of every f.den * dp in
+    the window: rat at slots 0..deg-1, then rad at slots deg..2 deg-1.  A
+    kernel entry adds num den/(f.den dp) times the numerators of f over
+    f.den when r = 0, and of f sqrt(2N) over f.den when r = 1.  There are
+    two layouts, chosen by the window's input alone:
+
+    - deg = 1 when every f is rational, p/f.den, and ctx.fold is None or
+      one int s (2N = s^2).  An even entry adds num den/(f.den dp) p to
+      rat, an odd one the same to rad, or p s to rat when sqrt(2N) = s.
+      Each entry's Scalar is (rat, rad) over den after one gcd, with no
+      reduction mod Phi_n and no fold left to make;
+    - deg = phi(n) for every other window.  f sqrt(2N) is one Scalar
+      product per pair, made only for a pair with an odd entry, so a
+      radical that folds into Q(zeta_n) takes the same path; its
+      canonical den divides f.den.  ctx.from_ints builds each entry's
+      Scalar.
+
+    One rule sizes both: width = deg when ctx.fold is not None, since then
+    every radical folds into Q(zeta_n) and the rad half would stay zero,
+    and width = 2 deg otherwise.  Every numerator list lies in the reduced
+    basis {zeta^i, zeta^i sqrt(2N) : i < deg}, so an entry is zero exactly
+    when its ints are.  Both layouts give the canonical form of the same
+    value, so they give the same bytes.  Entries that cancel are dropped,
+    and so are modes left empty.
+    """
+    den, width, blocks = _window_ints(a, b, lo)
+    ctx = a.ctx
     out = {}
-    for n, entries in acc.items():
-        terms = {}
-        for mono, nums in entries.items():
-            if rational:
-                rat, rad = nums
-                if not (rat or rad):
-                    continue
-                g = gcd(den, rat, rad)
-                c = Scalar(ctx, (rat // g,) if rat else (), (rad // g,) if rad else (), den // g)
-            else:
-                c = ctx.from_ints(nums[:deg], nums[deg:], den)
-                if c.is_zero():
-                    continue
-            terms[mono] = c
-        if terms:
-            out[n] = raw_vector(ctx, terms)
+    for n, block in blocks.items():
+        v = _block_vector(ctx, den, width, block)
+        if v.terms:
+            out[n] = v
     return out
+
+
+class WindowSum:
+    """An exact vector sum_i k_i B_i / d_i over modes B_i of integer
+    windows, compared with a Vector or another WindowSum in ints.
+
+    A term (k, d, width, block) is one mode of a _window_ints window: block
+    maps a monomial to its width numerators over d, and k is a nonzero
+    int.  Equality cross-multiplies and builds no Scalar: the terms are
+    summed over the lcm D of their d, each widened to the widest layout
+    (slot i of the rat half stays at i, slot i of the rad half moves to
+    deg + i), and a Vector entry c = (rat_num, rad_num)/c.den matches a
+    summed entry w/D exactly when w c.den == (rat_num, rad_num) D slot by
+    slot.  Both sides lie in the reduced basis of Q(zeta_n)(sqrt(2N)), so
+    no gcd or reduction is needed, and a c too long for the layout is not
+    in its span.  vector() builds the Vector through vertex_window's
+    Scalar path, for a defect that needs one.
+    """
+
+    __slots__ = ("ctx", "terms")
+
+    def __init__(self, ctx: Context, terms=()):
+        self.ctx = ctx
+        self.terms = tuple(terms)
+
+    def scale(self, k: int) -> "WindowSum":
+        return WindowSum(self.ctx, [(k * c, d, w, b) for c, d, w, b in self.terms] if k else ())
+
+    def __sub__(self, other: "WindowSum") -> "WindowSum":
+        return WindowSum(self.ctx, self.terms + other.scale(-1).terms)
+
+    def vector(self) -> Vector:
+        out = Vector.zero(self.ctx)
+        for k, den, width, block in self.terms:
+            out = out + _block_vector(self.ctx, den, width, block).scale(k)
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, WindowSum):
+            return (self - other)._matches({})
+        if isinstance(other, Vector):
+            return self._matches(other.terms)
+        return NotImplemented
+
+    def _matches(self, terms: dict) -> bool:
+        """Whether the sum equals the {monomial: Scalar} terms."""
+        ctx = self.ctx
+        width = max((w for _, _, w, _ in self.terms), default=0)
+        deg = _layout_degree(ctx, width)
+        den = lcm(*(d for _, d, _, _ in self.terms))
+        acc: dict = {}
+        for k, d, w, block in self.terms:
+            f = k * (den // d)
+            half = _layout_degree(ctx, w)
+            shift = deg - half
+            for mono, nums in block.items():
+                dst = acc.get(mono)
+                if dst is None:
+                    dst = acc[mono] = [0] * width
+                for i, x in enumerate(nums):
+                    if x:
+                        dst[i if i < half else i + shift] += f * x
+        for mono, c in terms.items():
+            nums = acc.pop(mono, None)
+            rat, rad = c.rat_num, c.rad_num
+            if nums is None or len(rat) > deg or len(rad) > deg:
+                return False
+            cn = [*rat, *[0] * (deg - len(rat))]
+            if width > deg:
+                cn += [*rad, *[0] * (deg - len(rad))]
+            cd = c.den
+            if any(x * cd != y * den for x, y in zip(nums, cn)):
+                return False
+        return not any(any(nums) for nums in acc.values())
+
+
+def window_sums(a: Vector, b: Vector, *, lo: int) -> dict:
+    """Every mode of the integer window of vertex_window as {n:
+    WindowSum}, with no Scalar built; a mode whose entries all cancel
+    stays, as a zero sum."""
+    den, width, blocks = _window_ints(a, b, lo)
+    ctx = a.ctx
+    return {n: WindowSum(ctx, ((1, den, width, block),)) for n, block in blocks.items()}
 
 
 def virasoro_field_of(omega: Vector, m: int, v: Vector) -> Vector:

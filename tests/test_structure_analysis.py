@@ -29,7 +29,7 @@ from voa.state_space import (
     vector_to_json,
     weight4_primary,
 )
-from voa import structure_analysis
+from voa import structure_analysis, vertex_engine
 from voa.structure_analysis import (
     CertificateRefused,
     _bracket_cases,
@@ -926,8 +926,10 @@ def test_sl2_check_needs_n_one():
 
 
 def test_sl2_operator_row_names_witness_of_broken_zero_mode(monkeypatch):
-    # u -> a_(0) u + u keeps the commutator but adds b_(0) v + v to the right
-    # side, so the row fails on the vacuum whatever order it checks in
+    # u -> a_(0) u + u reaches the zero-mode images of v and the brackets,
+    # which are Vectors; their own zero modes are read in ints, unpatched,
+    # so the defect is p_(0) v - 2 q_(0) v, and the row fails on the first
+    # vector that a zero mode does not kill
     monkeypatch.setattr(
         structure_analysis, "vertex_mode", lambda a, n, b: vertex_mode(a, n, b) + b
     )
@@ -939,6 +941,107 @@ def test_sl2_operator_row_names_witness_of_broken_zero_mode(monkeypatch):
     assert set(row["witness"]) == {"vector", "m", "n"}
     assert (row["witness"]["m"], row["witness"]["n"]) == (0, 0)
     assert row["defect"]["terms"]
+
+
+@pytest.fixture
+def off_by_one(monkeypatch):
+    """Installs a kernel whose entry for one monomial pair has one numerator
+    off by one: the first monomial of the pair's top mode, on every read."""
+    real = vertex_engine._mono_products
+
+    def install(target):
+        def perturbed(ctx, a, b, lo):
+            den, blocks = real(ctx, a, b, lo)
+            if (a, b) != target or not blocks:
+                return den, blocks
+            n = max(blocks)
+            block = dict(blocks[n])
+            block[min(block)] += 1
+            return den, {**blocks, n: block}
+
+        # the pair's flip partner caches its image of the perturbed entry,
+        # so the cache starts and ends empty
+        real.cache_clear()
+        monkeypatch.setattr(vertex_engine, "_mono_products", perturbed)
+
+    yield install
+    real.cache_clear()
+
+
+J1, JJ, EPLUS = _mk_mono(0, (-1,)), _mk_mono(0, (-1, -1)), _mk_mono(1, ())
+
+
+# the failing relation, rows and defects below were recorded while every
+# identity check still built a Scalar per window entry
+def test_perturbed_kernel_refuses_the_half_certificate_on_a_bracket(off_by_one):
+    off_by_one((JJ, J1))
+    omega = split_virasoro_vector(Context(2, 8), 1, 8)
+    with pytest.raises(CertificateRefused) as info:
+        certify_virasoro_vector(omega, Fraction(1, 2), cutoff=3)
+    assert info.value.relation == "[L_0, L_-3] on J(-1)|k=0>"
+    assert _sha256(vector_to_json(info.value.defect)) == (
+        "012193f9896351541a61ef5c92ad5ca879abe09c3515242c58a50d0d240b86e7"
+    )
+
+
+@pytest.mark.parametrize(
+    "target, run, checked, digest",
+    [
+        pytest.param(
+            (J1, J1),
+            lambda: axiom_report(Context(1), 3, 2).rows[1],
+            1125,
+            "220ff677ff3cb4fc0c6e79a1ff4807aebcfe354b919e32944044be3d39d264c8",
+            id="translation",
+        ),
+        pytest.param(
+            (JJ, J1),
+            lambda: verify_w_tensor_split(Context(2), 3, 2).rows[1],
+            275,
+            "e7e36465ccfddbf58fd950921825422041a0cbeb2066f0a19e47d419a1aad46d",
+            id="tensor-split",
+        ),
+        pytest.param(
+            (EPLUS, J1),
+            lambda: sl2_zero_mode_check(Context(1), 2).rows[-1],
+            72,
+            "36fbf441634b79f5589cf799a7c42d25c3e546cf72e4605392e64dac146ec9fc",
+            id="sl2-operator",
+        ),
+    ],
+)
+def test_perturbed_kernel_fails_each_integer_row(off_by_one, target, run, checked, digest):
+    off_by_one(target)
+    row = run()
+    assert row["ok"] is False and row["checked"] == checked
+    assert row["defect"]["terms"]
+    assert _sha256(row) == digest
+
+
+def test_integer_checks_write_through_no_cached_kernel_entry(monkeypatch):
+    # every kernel cache entry that a certificate and an axiom suite read
+    # hashes the same after both run a second time, on cache hits alone
+    real = vertex_engine._mono_products
+    seen = {}
+
+    def recording(ctx, a, b, lo):
+        entry = real(ctx, a, b, lo)
+        seen[id(entry)] = entry
+        return entry
+
+    def run():
+        omega = split_virasoro_vector(Context(2, 8), 1, 8)
+        assert certify_virasoro_vector(omega, Fraction(1, 2), cutoff=4).verdict
+        assert axiom_report(Context(1), 3, 2).verdict
+
+    real.cache_clear()
+    monkeypatch.setattr(vertex_engine, "_mono_products", recording)
+    run()
+    assert len(seen) == real.cache_info().currsize > 0
+    digests = {key: _sha256(repr(entry)) for key, entry in seen.items()}
+    run()
+    assert len(seen) == len(digests)
+    assert {key: _sha256(repr(seen[key])) for key in digests} == digests
 
 
 N1, N2 = Context(N=1), Context(N=2)

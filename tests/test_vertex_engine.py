@@ -29,18 +29,21 @@ from voa.state_space import (
     z_lambda,
 )
 from voa.vertex_engine import (
+    WindowSum,
     _alpha_terms,
     _eplus_pairs,
     _exp_series,
     _mk_mono,
     _mono_products,
     _mono_products_direct,
+    _window_ints,
     find_locality_order,
     heis_apply,
     vertex_mode,
     vertex_window,
     virasoro_apply,
     virasoro_field_of,
+    window_sums,
 )
 
 
@@ -742,6 +745,85 @@ def test_rational_window_drops_a_mode_that_cancels(monkeypatch, n_lat, conductor
         assert 0 not in got and -1 in got, scale
         _assert_same_bytes(got, _window_by_pairs(a, j + ep, -2))
         assert (calls == 0) == ((n_lat, conductor) != (1, 8))
+
+
+def _zeta_operands(ctx):
+    z, root = ctx.zeta(), ctx.sqrt_2n()
+    third = ctx.from_fraction(Fraction(1, 3))
+    a = (
+        mono(ctx, (-1,), 0).scale(z)
+        + charged_vacuum(ctx, 1).scale(root + third)
+        + mono(ctx, (-2, -1), -1).scale(z * z - third)
+    )
+    b = vacuum(ctx).scale(ctx.from_fraction(2) - z**3) + mono(ctx, (-2,), 1).scale(root * third)
+    return a, b
+
+
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS + [(2, 4)])
+def test_window_sums_compare_equal_to_their_window(n_lat, conductor):
+    # a WindowSum equals the Vector of its own window, in both orders, and
+    # no Vector that differs from it in one entry
+    ctx = Context(n_lat, conductor)
+    for a, b in (_rational_operands(ctx), _zeta_operands(ctx)):
+        for lo in (-2, -5):
+            win = vertex_window(a, b, lo=lo)
+            sums = window_sums(a, b, lo=lo)
+            assert win and win.keys() <= sums.keys(), lo
+            for n in sums.keys() - win.keys():
+                assert sums[n] == Vector.zero(ctx), (lo, n)
+            for n, v in win.items():
+                s = sums[n]
+                assert s == v and v == s and not s != v, (lo, n)
+                assert vector_to_json(s.vector()) == vector_to_json(v)
+                assert s.scale(3) - s == s.scale(2) and s - s == Vector.zero(ctx)
+                assert s.scale(0) == Vector.zero(ctx) != s
+                first, c = next(iter(v.terms.items()))
+                for nudge in (ctx.from_ints((1,), (), c.den), ctx.zeta(), ctx.sqrt_2n()):
+                    assert s != v + Vector(ctx, {first: nudge}), (lo, n, nudge)
+                assert s != v + mono(ctx, (-9,), 4), (lo, n)
+    # a mode whose entries all cancel (as in
+    # test_rational_window_drops_a_mode_that_cancels) stays as a zero sum,
+    # where vertex_window drops it
+    j = mono(ctx, (-1,), 0) + charged_vacuum(ctx, 1)
+    assert 0 not in vertex_window(j, j, lo=-2)
+    assert window_sums(j, j, lo=-2)[0] == Vector.zero(ctx)
+
+
+@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS)
+def test_window_sums_compare_across_layouts(n_lat, conductor):
+    # (a + u) - u reads u's zeta factor in the general layout, a alone the
+    # two-int one: the two-int numerators widen into the general layout (rat
+    # slot 0 stays, rad slot 1 moves to phi(n)), and the sums agree
+    ctx = Context(n_lat, conductor)
+    a, b = _rational_operands(ctx)
+    u = mono(ctx, (-3,), 0).scale(ctx.zeta())
+    plain, mixed, extra = (window_sums(x, b, lo=-4) for x in (a, a + u, u))
+    empty = WindowSum(ctx)
+    folds = ctx.fold is not None
+    assert {w for s in plain.values() for _, _, w, _ in s.terms} == {1 if folds else 2}
+    general = ctx.degree if folds else 2 * ctx.degree
+    assert {w for s in mixed.values() for _, _, w, _ in s.terms} == {general}
+    win = vertex_window(a, b, lo=-4)
+    for n in plain.keys() | mixed.keys() | extra.keys():
+        lhs = mixed.get(n, empty) - extra.get(n, empty)
+        assert lhs == plain.get(n, empty) and plain.get(n, empty) == lhs, n
+        assert lhs == win.get(n, Vector.zero(ctx)), n
+        if n in win:
+            # a Vector entry outside the two-int span is not equal to it
+            assert plain[n] != win[n].scale(ctx.zeta()), n
+
+
+@pytest.mark.parametrize(
+    "n_lat, conductor, width", [(2, 8, 4), (2, 4, 2), (1, 8, 4), (3, 4, 4), (3, 8, 8)]
+)
+def test_general_window_layout_width_per_context(n_lat, conductor, width):
+    # phi(n) slots where sqrt(2N) folds into Q(zeta_n), whose rad half would
+    # stay zero, and 2 phi(n) where it does not
+    ctx = Context(n_lat, conductor)
+    a = mono(ctx, (-1,), 0).scale(ctx.zeta()) + charged_vacuum(ctx, 1)
+    den, got, blocks = _window_ints(a, charged_vacuum(ctx, 1) + mono(ctx, (-1,), 0), -2)
+    assert got == width and blocks
+    assert all(len(nums) == width for b in blocks.values() for nums in b.values())
 
 
 def test_single_unit_pair_window_does_not_share_the_cache():
