@@ -242,11 +242,11 @@ def _mk_mono(charge: int, partition: tuple) -> BasisMonomial:
 
 
 def _flip_terms(terms: dict, lab: int) -> dict:
-    """phi-image of the {monomial: coefficient} terms, Scalars or the
-    kernel's ints, of a product of factors with lab J-factors: each
-    monomial's charge negated, its coefficient times
-    (-1)^(len(partition) - lab).  The one statement of the charge flip's
-    sign rule."""
+    """phi-image of the {monomial: coefficient} terms of a product of
+    factors with lab J-factors: each monomial's charge negated, its
+    coefficient times (-1)^(len(partition) - lab).  The one statement of
+    the charge flip's sign rule on terms; the kernel's entries, split by
+    that parity, keep their even part and negate their odd one."""
     return {
         _mk_mono(-m.charge, m.partition): -c if (len(m.partition) - lab) & 1 else c
         for m, c in terms.items()

@@ -164,7 +164,8 @@ def _bracket_cases(x, y, pool, pairs):
     x and y map a vector v and a mode lo to a mode table {mode: image}
     that holds every nonzero image at a mode >= lo; modes below lo may be
     missing.  They are only called on homogeneous nonzero vectors: the
-    pool's unit vectors and the nonempty modes of their tables.  Yields
+    pool's unit vectors and the nonzero images of their tables (a zero
+    image has only zero images, which every table may leave out).  Yields
     (v, m, n, x_m y_n v - y_n x_m v, x-table of v) for each v in pool
     and each (m, n) in pairs.  The x-table of v holds every mode from the
     lowest x-mode and every m + n up, so a caller may read x_{m+n} v from
@@ -173,11 +174,12 @@ def _bracket_cases(x, y, pool, pairs):
     pairs reads, once over their union when x is y, and one vector's
     tables are released before the next vector's are built.
 
-    First-level tables are Vectors, as they feed windows and right sides.
-    Second-level tables feed only the commutator, so when both x and y
-    have an ints table (_virasoro_table) they are read through it, and the
-    commutator is a WindowSum that compares in ints; otherwise it is a
-    Vector.
+    When both x and y have an ints table (_virasoro_table), the x-table
+    and the second-level tables are read through it, so the commutator is
+    a WindowSum that compares in ints, and so is the yielded x-table: its
+    modes' Vectors, which feed the second-level windows, are built from
+    the same integer window.  Otherwise every table is a Vector table and
+    the commutator a Vector.
     """
     pairs = tuple(pairs)
     if not pairs:
@@ -192,12 +194,15 @@ def _bracket_cases(x, y, pool, pairs):
     x2, y2 = (x.ints, y.ints) if ints else (x, y)
     for v in pool:
         zero = WindowSum(v.ctx) if ints else Vector.zero(v.ctx)
-        xv = x(v, base_lo)
-        y_after_x = {m: y2(u, y_lo) for m, u in xv.items() if m in x_modes}
+        xv = x2(v, base_lo)
+        firsts = ((m, _as_vector(u)) for m, u in xv.items() if m in x_modes)
+        y_after_x = {m: y2(u, y_lo) for m, u in firsts if not u.is_zero()}
         x_after_y = (
             y_after_x
             if x is y
-            else {n: x2(u, x_lo) for n, u in y(v, y_lo).items() if n in y_modes}
+            else {
+                n: x2(u, x_lo) for n, u in y(v, y_lo).items() if n in y_modes and not u.is_zero()
+            }
         )
         for m, n in pairs:
             lhs = x_after_y.get(n, {}).get(m, zero) - y_after_x.get(m, {}).get(n, zero)
@@ -664,11 +669,13 @@ def certify_virasoro_vector(
     A certificate is a report with one row: the number of basis vectors
     and of relations checked.  No window is bounded globally: each mode
     table is bounded per vector at the lowest mode read from it (L_0 for
-    omega's own table; see _bracket_cases for the others).  A bracket's
-    left side is a WindowSum, compared in ints with the right side
-    (m - n) L_{m+n} v plus its central term, so a relation that holds
-    builds no Scalar for its second-level windows; only a refused one
-    builds its defect as a Vector.
+    omega's own table; see _bracket_cases for the others).  A bracket
+    is checked in ints: lhs - (m - n) L_{m+n} v is a WindowSum, read with
+    L_{m+n} v from the same integer window as the first-level table that
+    feeds lhs, and it is compared with the central term (c/12) (m^3 - m)
+    v, zero for m + n != 0.  So a relation that holds builds no Scalar for
+    its windows or its right side; only a refused one builds its defect,
+    lhs - (m - n) L_{m+n} v - central term, as a Vector.
     """
     ctx = omega.ctx
     c = Fraction(central_charge)
@@ -691,11 +698,14 @@ def certify_virasoro_vector(
 
     pool = _unit_pool(ctx, cutoff)
     pairs = [(m, n) for m in range(-mode_range + 1, mode_range + 1) for n in range(-mode_range, m)]
+    empty = WindowSum(ctx)
     for v, m, n, lhs, base in _bracket_cases(table, table, pool, pairs):
-        rhs = base.get(m + n, zero).scale(m - n)
-        if m + n == 0:
-            rhs = rhs + v.scale(c * (m**3 - m) / 12)
-        demand(lhs, rhs, f"[L_{m}, L_{n}] on {next(iter(v.terms))}")
+        central = v.scale(c * (m**3 - m) / 12) if m + n == 0 else zero
+        demand(
+            lhs - base.get(m + n, empty).scale(m - n),
+            central,
+            f"[L_{m}, L_{n}] on {next(iter(v.terms))}",
+        )
     params = {
         "central_charge": [c.numerator, c.denominator],
         "cutoff": cutoff,

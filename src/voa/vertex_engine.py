@@ -26,7 +26,8 @@ the common denominator (F!)^2.  As J = alpha / sqrt(2N), the J-basis
 coefficient of an output monomial is that rational times sqrt(2N)^{len(out) - len(a) - len(b)}.
 The kernel's cache keeps it so: one int per entry over one denominator
 per monomial pair, every even power of sqrt(2N) folded into those ints,
-and the odd power left to the reader.
+and the odd power left to the reader, with each mode's entries split by
+that parity into an even and an odd part.
 
 E_+ and E_- have one formula, _exp_series: E = exp(sum_j s_j w^j) has
 q E_q = sum_j j s_j E_{q-j}, so T_q = q! E_q on a state comes from the
@@ -62,8 +63,10 @@ and e_{c alpha} to e_{-c alpha}, as the rank-one cocycle is trivial
 (Frenkel-Lepowsky-Meurman 1988).  On a monomial x with s J-factors
 phi x = (-1)^s xbar, xbar being x with its charge negated, so if
 a_(n) b = sum c_x x then abar_(n) bbar = sum (-1)^{len x - len a - len b}
-c_x xbar.  state_space._flip_terms states that sign rule once, and
-apply_flip is it at zero J-factors.  The kernel computes only
+c_x xbar.  state_space._flip_terms states that sign rule once on
+{monomial: coefficient} terms, and apply_flip is it at zero J-factors;
+the kernel's parity split carries the sign already, so its flip keeps
+the even part and negates the odd one.  The kernel computes only
 charge-canonical pairs (a's charge positive, or zero with b's charge
 nonnegative) and reads every other pair as the image of its canonical
 partner; _virasoro_mono does the same for negative charge, since nu is
@@ -103,15 +106,19 @@ lowest mode, vertex_window hands that mode to the kernel unchanged, and
 the kernel alone turns it into z-exponent bounds by the grading
 contract.  _window_ints is the one accumulator of the cached ints: it
 sums every output entry of a window as integer numerators over one
-common denominator, and builds no Scalar.  vertex_window builds each
-entry's Scalar from those ints once (_block_vector); window_sums hands
-the same ints to the identity checks as WindowSums, which compare with a
-Vector or with each other by cross-multiplying, so a check that holds
-builds no Scalar.  When every pair factor is rational and sqrt(2N) is
-not in Q(zeta_n) or is an int, an entry is one [rat, rad] int pair (one
-int when sqrt(2N) is an int) whose Scalar takes one gcd; any other
-window sums phi(n) ints per entry where sqrt(2N) lies in Q(zeta_n) and
-2 phi(n) where it does not, and builds its Scalar through
+common denominator.  It reads each part of a pair's entry with fixed
+slots, the pair factor's scaled numerators for the even part and those
+of the factor times sqrt(2N) for the odd one, so a factor with one
+nonzero numerator adds one int product per entry; it builds no Scalar
+unless sqrt(2N) folds into Q(zeta_n) as a non-rational.  vertex_window
+builds each entry's Scalar from those ints once (_block_vector);
+window_sums hands the same ints to the identity checks as WindowSums,
+which compare with a Vector or with each other by cross-multiplying, so
+a check that holds builds no Scalar.  When every pair factor is rational
+and sqrt(2N) is not in Q(zeta_n) or is an int, an entry is one [rat,
+rad] int pair (one int when sqrt(2N) is an int) whose Scalar takes one
+gcd; any other window sums phi(n) ints per entry where sqrt(2N) lies in
+Q(zeta_n) and 2 phi(n) where it does not, and builds its Scalar through
 Context.from_ints.
 """
 
@@ -302,28 +309,35 @@ def _mono_products(ctx: Context, amono: BasisMonomial, bmono: BasisMonomial, lo:
     Keyed on the lowest mode lo itself, one entry per (pair, lo); the
     kernel body turns lo into its z-exponent bounds (see
     _mono_products_direct), so no caller converts a mode to a weight.
-    Returns (den, {n: {monomial: num}}) in ints: the J-basis coefficient
-    of monomial x in a_(n) b is num/den * sqrt(2N)^r, where r = (len(x) -
-    len(a) - len(b)) & 1.  den > 0 and gcd(den, every num) = 1, no num is
-    zero and no block is empty.  Only charge-canonical keys (ca > 0, or
-    ca == 0 and cb >= 0) are computed, by _mono_products_direct; any
-    other key is the phi-image of the cached canonical entry of
-    (phi a, phi b): every output monomial's charge negated and its num
-    times (-1)^r over the same den, which is exact by the phi-equivariance
-    in the module docstring (the sign is (-1)^(len x - len a - len b), and
-    only its parity r counts).  In the kernel's own terms, every E_+-
-    weight (+-k)^{len lambda}/z_lambda and the alpha_0 factor 2N cb change
-    sign once per alpha-factor, while zshift = 2N ca cb, base_e, top_e, F
-    and the sqrt(2N) power do not change.
+    Returns (den, even, odd) in ints, each part {n: {monomial: num}}: the
+    J-basis coefficient of monomial x in a_(n) b is num/den *
+    sqrt(2N)^r, where r = (len(x) - len(a) - len(b)) & 1 is 0 for an
+    entry of even and 1 for an entry of odd.  A mode may sit in either
+    part or in both.  den > 0 and gcd(den, every num of both parts) = 1,
+    no num is zero and no block is empty.  Only charge-canonical keys
+    (ca > 0, or ca == 0 and cb >= 0) are computed, by
+    _mono_products_direct; any other key is the phi-image of the cached
+    canonical entry of (phi a, phi b): every output monomial's charge
+    negated, even unchanged and odd negated over the same den, which is
+    exact by the phi-equivariance in the module docstring (the sign is
+    (-1)^(len x - len a - len b), and only its parity r counts).  In the
+    kernel's own terms, every E_+- weight (+-k)^{len lambda}/z_lambda and
+    the alpha_0 factor 2N cb change sign once per alpha-factor, while
+    zshift = 2N ca cb, base_e, top_e, F and the sqrt(2N) power do not
+    change.
     """
     ca, cb = amono.charge, bmono.charge
     if ca > 0 or (ca == 0 and cb >= 0):
         return _mono_products_direct(ctx, amono, bmono, lo)
-    den, canon = _mono_products(
+    den, even, odd = _mono_products(
         ctx, _mk_mono(-ca, amono.partition), _mk_mono(-cb, bmono.partition), lo
     )
-    lab = len(amono.partition) + len(bmono.partition)
-    return den, {n: _flip_terms(block, lab) for n, block in canon.items()}
+    ctot = ca + cb
+    return (
+        den,
+        {n: {_mk_mono(ctot, m.partition): c for m, c in b.items()} for n, b in even.items()},
+        {n: {_mk_mono(ctot, m.partition): -c for m, c in b.items()} for n, b in odd.items()},
+    )
 
 
 def _mono_products_direct(
@@ -331,12 +345,14 @@ def _mono_products_direct(
 ) -> tuple:
     """All modes a_(n) b with n >= lo for two basis monomials, uncached.
 
-    Returns (den, {n: {monomial: num}}) as _mono_products does.  Stage 1
-    enumerates, per J-factor of a, the annihilation-mode and creation-mode
-    choices (merged on equal z-exponent and pending-creation multiset),
-    each one _alpha_terms step.  Stage 2 applies E_- (through _exp_series,
-    its recurrence) and the z^{(a|b)} shift from z^{alpha_0} at b's
-    original charge to every stage-1 state, merges the state's pending
+    Returns (den, even, odd) as _mono_products does: the last stage reads
+    each entry's length to fold its even sqrt(2N) power into the ints,
+    and files the entry by the parity r of that power in the same pass.
+    Stage 1 enumerates, per J-factor of a, the annihilation-mode and
+    creation-mode choices (merged on equal z-exponent and pending-creation
+    multiset), each one _alpha_terms step.  Stage 2 applies E_- (through
+    _exp_series, its recurrence) and the z^{(a|b)} shift from z^{alpha_0}
+    at b's original charge to every stage-1 state, merges the state's pending
     creations into each partition, and sums the results into one state
     per z-exponent e1; then it expands E_+ once per e1 over that sum.
     This equals applying E_+ and the pending creations to each state
@@ -351,7 +367,7 @@ def _mono_products_direct(
     cb)^2, the weight of the output's charge.  So a mode n >= lo has
     e <= top_e = -lo - 1 and e >= base_e = base - wt a - wt b, and a pair
     with top_e < base_e, which is lo >= wt a + wt b - base, has no mode
-    n >= lo: its entry is (1, {}).
+    n >= lo: its entry is (1, {}, {}).
 
     Stage 1 makes no creation choice that cannot reach e <= top_e.  A
     factor d^{(k)} alpha(z) moves the z-exponent by s - k - 1 >= 0 for
@@ -400,7 +416,7 @@ def _mono_products_direct(
     top_e = -lo - 1
     fmax = top_e - base_e
     if fmax < 0:
-        return 1, {}
+        return 1, {}, {}
 
     # stage 1: one mode choice per alpha-factor of a; every state has charge
     # cb, so the dicts are keyed on bare partitions
@@ -460,7 +476,7 @@ def _mono_products_direct(
         entries = {key: {m: c for m, c in vec.items() if c} for key, vec in new.items()}
         entries = {key: vec for key, vec in entries.items() if vec}
         if not entries:
-            return 1, {}
+            return 1, {}, {}
 
     # stage 2: E_- and the pending creations into one state per z-exponent
     # e1, then one E_+ pass per e1; weights scaled by F!, and every output
@@ -503,29 +519,34 @@ def _mono_products_direct(
                     prev = block.get(lam)
                     block[lam] = add if prev is None else prev + add
 
-    # back to the J-basis: drop cancelled entries and empty blocks, fold
-    # the even power of sqrt(2N) into the ints, reduce by one gcd, and key
-    # each entry on its interned monomial
-    blocks: dict = {}
-    for n, block in result.items():
-        block = {lam: c for lam, c in block.items() if c}
-        if block:
-            blocks[n] = block
-    if not blocks:
-        return 1, {}
+    # back to the J-basis: drop cancelled entries, fold the even power of
+    # sqrt(2N) into the ints and file each entry in the part of its parity,
+    # both read off its length; reduce by one gcd, and key each entry on
+    # its interned monomial
     lab = len(amono.partition) + len(bmono.partition)
-    lens = {len(lam) for block in blocks.values() for lam in block}
+    lens = {len(lam) for block in result.values() for lam in block}
+    if not lens:
+        return 1, {}, {}
     low = min(0, (min(lens) - lab) >> 1)
-    mult = {s: two_n ** (((s - lab) >> 1) - low) for s in lens}
-    for block in blocks.values():
+    fold = {s: (two_n ** (((s - lab) >> 1) - low), (s - lab) & 1) for s in lens}
+    parts = ({}, {})
+    for n, block in result.items():
+        halves = ({}, {})
         for lam, c in block.items():
-            block[lam] = c * mult[len(lam)]
+            if c:
+                mult, r = fold[len(lam)]
+                halves[r][lam] = c * mult
+        for part, half in zip(parts, halves):
+            if half:
+                part[n] = half
+    if not any(parts):
+        return 1, {}, {}
     den = scale * scale * two_n**-low
-    g = gcd(den, *(c for block in blocks.values() for c in block.values()))
-    return den // g, {
-        n: {_mk_mono(ctot, lam): c // g for lam, c in block.items()}
-        for n, block in blocks.items()
-    }
+    g = gcd(den, *(c for part in parts for block in part.values() for c in block.values()))
+    return den // g, *(
+        {n: {_mk_mono(ctot, lam): c // g for lam, c in block.items()} for n, block in part.items()}
+        for part in parts
+    )
 
 
 def vertex_mode(a: Vector, n: int, b: Vector) -> Vector:
@@ -537,11 +558,12 @@ def vertex_mode(a: Vector, n: int, b: Vector) -> Vector:
     return vertex_window(a, b, lo=n).get(n, Vector.zero(a.ctx))
 
 
-def _nonzero_slots(rat, rad, deg: int) -> list:
-    """(slot, coefficient) pairs of the nonzero entries of numerator tuples
-    laid out as in vertex_window: rat at slots 0..deg-1, rad from deg on."""
-    return [(i, x) for i, x in enumerate(rat) if x] + [
-        (deg + i, x) for i, x in enumerate(rad) if x
+def _nonzero_slots(rat, rad, deg: int, scale: int) -> list:
+    """(slot, coefficient times scale) pairs of the nonzero entries of
+    numerator tuples laid out as in vertex_window: rat at slots 0..deg-1,
+    rad from deg on."""
+    return [(i, x * scale) for i, x in enumerate(rat) if x] + [
+        (deg + i, x * scale) for i, x in enumerate(rad) if x
     ]
 
 
@@ -551,17 +573,43 @@ def _layout_degree(ctx: Context, width: int) -> int:
     return width if ctx.fold is not None else width // 2
 
 
+def _odd_slots(ctx: Context, f: Scalar, slots: list, deg: int, scale: int) -> list:
+    """The nonzero slots of f sqrt(2N) scale over f.den, in a layout of
+    degree deg, from those of f scale (slots).  Where sqrt(2N) is an int
+    s they are slots times s, and where it does not fold rat slot i moves
+    to deg + i and rad slot deg + i to i times 2N: no Scalar product.
+    Where it folds into Q(zeta_n) as a non-rational they come from one
+    product f sqrt(2N), whose canonical den divides f.den."""
+    fold = ctx.fold
+    if fold is None:
+        two_n = 2 * ctx.N
+        return [(i + deg, x) if i < deg else (i - deg, x * two_n) for i, x in slots]
+    if len(fold) == 1:
+        s = fold[0]
+        return [(i, x * s) for i, x in slots]
+    fr = f * ctx.sqrt_2n()
+    return _nonzero_slots(fr.rat_num, fr.rad_num, deg, scale * (f.den // fr.den))
+
+
 def _window_ints(a: Vector, b: Vector, lo: int) -> tuple:
     """All modes a_(n) b with n >= lo as (den, width, {n: {monomial:
     nums}}), in ints: the coefficient of a monomial is nums over den in the
     layout of vertex_window, whose docstring has the rules.  An entry
     whose terms cancel stays, all zero.  This is the one accumulator of
-    the engine's windows, and it builds no Scalar."""
+    the engine's windows, and it builds no Scalar where sqrt(2N) is an
+    int or does not fold.
+
+    Each pair's kernel entry comes split by parity, so a block is read
+    with its slots fixed: the even part with the slots of f, the odd one
+    with those of f sqrt(2N) (_odd_slots, made only for a pair with an odd
+    part), both with den/(f.den dp) folded in once per pair.  A part read
+    with one slot, the case of every rational factor, adds num x to one
+    int per entry."""
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
     pairs = [
-        (cav * cbv, len(am.partition) + len(bm.partition), *_mono_products(ctx, am, bm, lo))
+        (cav * cbv, *_mono_products(ctx, am, bm, lo))
         for am, cav in a.terms.items()
         for bm, cbv in b.terms.items()
     ]
@@ -570,41 +618,45 @@ def _window_ints(a: Vector, b: Vector, lo: int) -> tuple:
     rational = (fold is None or len(fold) == 1) and all(
         not f.rad_num and len(f.rat_num) <= 1 for f, _, _, _ in pairs
     )
-    deg, root = (1, None) if rational else (ctx.degree, ctx.sqrt_2n())
+    deg = 1 if rational else ctx.degree
     width = deg if fold is not None else 2 * deg
-    den = lcm(*{f.den * dp for f, _, dp, _ in pairs})
+    den = lcm(*{f.den * dp for f, dp, _, _ in pairs})
     acc: dict = {}
-    for f, lab, dp, prod in pairs:
+    for f, dp, even, odd in pairs:
         scale = den // (f.den * dp)
-        if rational:
-            even = [(0, x) for x in f.rat_num]
-            if fold is None:
-                odd = [(1, x) for x in f.rat_num]
-            else:
-                odd = [(0, x * fold[0]) for x in f.rat_num]
-        else:
-            even = _nonzero_slots(f.rat_num, f.rad_num, deg)
-            odd = None
-        for n, block in prod.items():
+        slots = _nonzero_slots(f.rat_num, f.rad_num, deg, scale)
+        if even:
+            _add_part(acc, even, slots, width)
+        if odd:
+            _add_part(acc, odd, _odd_slots(ctx, f, slots, deg, scale), width)
+    return den, width, acc
+
+
+def _add_part(acc: dict, part: dict, slots: list, width: int) -> None:
+    """Adds num x at slot i of every entry {n: {monomial: num}} of part to
+    the numerator lists of acc, for each (i, x) in slots."""
+    if len(slots) == 1:
+        ((i, x),) = slots
+        for n, block in part.items():
             dst = acc.get(n)
             if dst is None:
                 dst = acc[n] = {}
             for mono, num in block.items():
-                if (len(mono.partition) - lab) & 1:
-                    if odd is None:
-                        fr = f * root
-                        up = f.den // fr.den
-                        odd = [(i, x * up) for i, x in _nonzero_slots(fr.rat_num, fr.rad_num, deg)]
-                    slots = odd
-                else:
-                    slots = even
-                k = num * scale
                 nums = dst.get(mono)
                 if nums is None:
                     nums = dst[mono] = [0] * width
-                for i, x in slots:
-                    nums[i] += k * x
-    return den, width, acc
+                nums[i] += num * x
+        return
+    for n, block in part.items():
+        dst = acc.get(n)
+        if dst is None:
+            dst = acc[n] = {}
+        for mono, num in block.items():
+            nums = dst.get(mono)
+            if nums is None:
+                nums = dst[mono] = [0] * width
+            for i, x in slots:
+                nums[i] += num * x
 
 
 def _block_vector(ctx: Context, den: int, width: int, block: dict) -> Vector:
@@ -643,20 +695,23 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
     entry of its blocks (see _mono_products).  An output entry is a list
     of width integer numerators over den, the lcm of every f.den * dp in
     the window: rat at slots 0..deg-1, then rad at slots deg..2 deg-1.  A
-    kernel entry adds num den/(f.den dp) times the numerators of f over
-    f.den when r = 0, and of f sqrt(2N) over f.den when r = 1.  There are
-    two layouts, chosen by the window's input alone:
+    kernel entry adds num times the numerators of f den/(f.den dp) over
+    f.den when it is in the even part (r = 0), and of f sqrt(2N) den/(f.den
+    dp) when it is in the odd one (r = 1); both slot lists are fixed once
+    per pair.  There are two layouts, chosen by the window's input alone:
 
     - deg = 1 when every f is rational, p/f.den, and ctx.fold is None or
       one int s (2N = s^2).  An even entry adds num den/(f.den dp) p to
       rat, an odd one the same to rad, or p s to rat when sqrt(2N) = s.
       Each entry's Scalar is (rat, rad) over den after one gcd, with no
       reduction mod Phi_n and no fold left to make;
-    - deg = phi(n) for every other window.  f sqrt(2N) is one Scalar
-      product per pair, made only for a pair with an odd entry, so a
-      radical that folds into Q(zeta_n) takes the same path; its
-      canonical den divides f.den.  ctx.from_ints builds each entry's
-      Scalar.
+    - deg = phi(n) for every other window.  The slots of f sqrt(2N) are
+      those of f times s when sqrt(2N) = s, and those of f with the two
+      halves swapped (the rad half times 2N) when sqrt(2N) is not in
+      Q(zeta_n).  Only a radical that folds into Q(zeta_n) as a
+      non-rational takes one Scalar product f sqrt(2N) per pair, made
+      only for a pair with an odd part; its canonical den divides f.den.
+      ctx.from_ints builds each entry's Scalar.
 
     One rule sizes both: width = deg when ctx.fold is not None, since then
     every radical folds into Q(zeta_n) and the rad half would stay zero,
@@ -690,7 +745,9 @@ class WindowSum:
     slot.  Both sides lie in the reduced basis of Q(zeta_n)(sqrt(2N)), so
     no gcd or reduction is needed, and a c too long for the layout is not
     in its span.  vector() builds the Vector through vertex_window's
-    Scalar path, for a defect that needs one.
+    Scalar path, for a defect or a table that needs one; a sum of one mode
+    at k = 1, as window_sums makes it, gives the same Vector as
+    vertex_window with no product.
     """
 
     __slots__ = ("ctx", "terms")
@@ -708,7 +765,8 @@ class WindowSum:
     def vector(self) -> Vector:
         out = Vector.zero(self.ctx)
         for k, den, width, block in self.terms:
-            out = out + _block_vector(self.ctx, den, width, block).scale(k)
+            v = _block_vector(self.ctx, den, width, block)
+            out = out + (v if k == 1 else v.scale(k))
         return out
 
     def __eq__(self, other):

@@ -946,18 +946,24 @@ def test_sl2_operator_row_names_witness_of_broken_zero_mode(monkeypatch):
 @pytest.fixture
 def off_by_one(monkeypatch):
     """Installs a kernel whose entry for one monomial pair has one numerator
-    off by one: the first monomial of the pair's top mode, on every read."""
+    off by one: the first monomial of the pair's top mode, on every read,
+    in whichever parity part it sits."""
     real = vertex_engine._mono_products
 
     def install(target):
         def perturbed(ctx, a, b, lo):
-            den, blocks = real(ctx, a, b, lo)
-            if (a, b) != target or not blocks:
-                return den, blocks
-            n = max(blocks)
-            block = dict(blocks[n])
-            block[min(block)] += 1
-            return den, {**blocks, n: block}
+            den, *parts = real(ctx, a, b, lo)
+            if (a, b) != target or not any(parts):
+                return (den, *parts)
+            n = max(n for part in parts for n in part)
+            first = min(m for part in parts for m in part.get(n, {}))
+            parts = [
+                {**part, n: {**part[n], first: part[n][first] + 1}}
+                if first in part.get(n, {})
+                else part
+                for part in parts
+            ]
+            return (den, *parts)
 
         # the pair's flip partner caches its image of the perturbed entry,
         # so the cache starts and ends empty
@@ -982,6 +988,47 @@ def test_perturbed_kernel_refuses_the_half_certificate_on_a_bracket(off_by_one):
     assert _sha256(vector_to_json(info.value.defect)) == (
         "012193f9896351541a61ef5c92ad5ca879abe09c3515242c58a50d0d240b86e7"
     )
+
+
+def test_perturbed_first_level_pair_refuses_through_the_right_side(off_by_one):
+    # the top mode of (J_{-1}^2, J_{-3} J_{-1}) is L_4 on that vector, a mode
+    # that no commutator reads (m, n <= 3), so only L_{m+n} v of the right
+    # side is wrong; the relation and defect were recorded while the right
+    # side was a Vector of Scalars
+    off_by_one((JJ, _mk_mono(0, (-3, -1))))
+    omega = split_virasoro_vector(Context(2, 8), 1, 8)
+    with pytest.raises(CertificateRefused) as info:
+        certify_virasoro_vector(omega, Fraction(1, 2), cutoff=4)
+    assert info.value.relation == "[L_3, L_1] on J(-3)J(-1)|k=0>"
+    assert _sha256(vector_to_json(info.value.defect)) == (
+        "a4a875c05cd6579190e1e626bcedfb8b2957a784dd41fab26ae77059222a95e0"
+    )
+
+
+def test_certificate_reads_each_window_once(monkeypatch):
+    # the right side's L_{m+n} v comes from the first-level window that
+    # feeds the commutators, not from a window of its own: the certificate
+    # at angle 1/8, cutoff 5 makes as many kernel calls and windows as when
+    # its right side was a Vector
+    real_kernel, real_window = vertex_engine._mono_products, vertex_engine._window_ints
+    calls = {"kernel": 0, "window": 0}
+
+    def kernel(*args):
+        calls["kernel"] += 1
+        return real_kernel(*args)
+
+    def window(*args):
+        calls["window"] += 1
+        return real_window(*args)
+
+    real_kernel.cache_clear()
+    monkeypatch.setattr(vertex_engine, "_mono_products", kernel)
+    monkeypatch.setattr(vertex_engine, "_window_ints", window)
+    omega = split_virasoro_vector(Context(2, 8), 1, 8)
+    cert = certify_virasoro_vector(omega, Fraction(1, 2), cutoff=5)
+    assert cert.rows[0]["relations_checked"] == 698
+    assert calls == {"kernel": 5115, "window": 244}
+    assert real_kernel.cache_info().misses == 495
 
 
 @pytest.mark.parametrize(

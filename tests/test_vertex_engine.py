@@ -36,6 +36,8 @@ from voa.vertex_engine import (
     _mk_mono,
     _mono_products,
     _mono_products_direct,
+    _nonzero_slots,
+    _odd_slots,
     _window_ints,
     find_locality_order,
     heis_apply,
@@ -575,19 +577,20 @@ def test_vertex_mode_is_bilinear_across_components():
 
 def _kernel_scalars(ctx, am, bm, lo):
     # the kernel's integer entries for the modes n >= lo, decoded by their
-    # documented meaning: num/den * sqrt(2N)^r, r = (len out - len a - len b)
-    # & 1, each Scalar built by ctx.scalar and not by engine code
-    den, blocks = _mono_products(ctx, am, bm, lo)
+    # documented meaning: num/den * sqrt(2N)^r, r = 0 in the even part and
+    # 1 in the odd one, each Scalar built by ctx.scalar and not by engine
+    # code; every entry must sit in the part of r = (len out - len a -
+    # len b) & 1
+    den, even, odd = _mono_products(ctx, am, bm, lo)
     lab = len(am.partition) + len(bm.partition)
-    return {
-        n: {
-            m: ctx.scalar(0, Fraction(num, den))
-            if (len(m.partition) - lab) & 1
-            else ctx.scalar(Fraction(num, den))
-            for m, num in block.items()
-        }
-        for n, block in blocks.items()
-    }
+    out = {}
+    for r, part in enumerate((even, odd)):
+        for n, block in part.items():
+            for m, num in block.items():
+                assert (len(m.partition) - lab) & 1 == r, (am, bm, n, m)
+                c = Fraction(num, den)
+                out.setdefault(n, {})[m] = ctx.scalar(0, c) if r else ctx.scalar(c)
+    return out
 
 
 def _window_by_pairs(a, b, lo):
@@ -826,12 +829,33 @@ def test_general_window_layout_width_per_context(n_lat, conductor, width):
     assert all(len(nums) == width for b in blocks.values() for nums in b.values())
 
 
+@pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS + [(2, 4)])
+def test_odd_slots_are_the_slots_of_f_times_the_root(n_lat, conductor):
+    # the slots an odd kernel entry is read with are those of f sqrt(2N):
+    # the even slots times s where sqrt(2N) = s, the two halves swapped
+    # (one times 2N) where it does not fold, one Scalar product where it
+    # folds as a non-rational (1, 8); each at the pair's scale
+    ctx = Context(n_lat, conductor)
+    deg = ctx.degree
+    width = deg if ctx.fold is not None else 2 * deg
+    z, root = ctx.zeta(), ctx.sqrt_2n()
+    third = ctx.from_fraction(Fraction(1, 3))
+    for f in (ctx.from_fraction(Fraction(-5, 3)), z * z - third, root * z + third, root):
+        for scale in (1, 7):
+            slots = _nonzero_slots(f.rat_num, f.rad_num, deg, scale)
+            nums = [0] * width
+            for i, x in _odd_slots(ctx, f, slots, deg, scale):
+                nums[i] += x
+            got = ctx.from_ints(nums[:deg], nums[deg:], f.den * scale)
+            assert got == f * root, (f, scale)
+
+
 def test_single_unit_pair_window_does_not_share_the_cache():
     ctx = Context(3)
     a, b = charged_vacuum(ctx, 1), mono(ctx, (-1,), -1)
     (am,), (bm,) = a.terms, b.terms
     cached = _mono_products(ctx, am, bm, 1)
-    before = (cached[0], {n: dict(block) for n, block in cached[1].items()})
+    before = (cached[0], *({n: dict(b) for n, b in part.items()} for part in cached[1:]))
     # the window from mode 1 reads the pair's kernel entry at lo = 1
     win = vertex_window(a, b, lo=1)
     original = {n: Vector(ctx, v.terms) for n, v in win.items()}
@@ -856,11 +880,12 @@ def test_kernel_coefficients_are_one_rational_times_a_root_power(n_lat, conducto
     seen = {0: 0, 1: 0}
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        den, blocks = _mono_products(ctx, am, bm, -3)
+        den, *parts = _mono_products(ctx, am, bm, -3)
         assert type(den) is int and den > 0, (am, bm)
+        nums = {(n, m): num for part in parts for n, b in part.items() for m, num in b.items()}
         for n, block in _kernel_scalars(ctx, am, bm, -3).items():
             for out, c in block.items():
-                assert type(blocks[n][out]) is int, (am, bm, out)
+                assert type(nums[n, out]) is int, (am, bm, out)
                 odd = (len(out.partition) - len(am.partition) - len(bm.partition)) % 2
                 rat, rad = (c.rad, c.rat) if odd else (c.rat, c.rad)
                 assert len(rat) == 1 and not rad, (am, bm, out, c)
@@ -893,42 +918,40 @@ def test_kernel_outputs_are_interned_and_valid(n_lat, conductor):
 
 @pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS)
 def test_integer_kernel_entries_are_reduced_and_flip_by_parity(n_lat, conductor):
-    # a cached entry is (den, {n: {monomial: num}}) with den > 0 coprime to
-    # every num, no zero num and no empty block; a non-canonical key holds
-    # its canonical partner's nums times (-1)^r over the same den; and the
+    # a cached entry is (den, even, odd), each part {n: {monomial: num}},
+    # with den > 0 coprime to every num of both parts, no zero num and no
+    # empty block; a non-canonical key holds its canonical partner's even
+    # nums unchanged and its odd nums negated, over the same den; and the
     # decoded blocks are the window of the unit pair
     ctx = Context(n_lat, conductor)
-    flipped = 0
+    flipped = odd_flipped = 0
     for a, b in _unit_pairs(ctx):
         (am,), (bm,) = a.terms, b.terms
-        den, blocks = _mono_products(ctx, am, bm, -3)
-        nums = [num for block in blocks.values() for num in block.values()]
+        den, even, odd = _mono_products(ctx, am, bm, -3)
+        blocks = [*even.values(), *odd.values()]
+        nums = [num for block in blocks for num in block.values()]
         assert den > 0 and gcd(den, *nums) == 1, (am, bm)
-        assert all(blocks.values()) and all(nums), (am, bm)
+        assert all(blocks) and all(nums), (am, bm)
         if not _canonical(am, bm):
-            partner = _mono_products(
+            pden, peven, podd = _mono_products(
                 ctx,
                 BasisMonomial(-am.charge, am.partition),
                 BasisMonomial(-bm.charge, bm.partition),
                 -3,
             )
-            lab = len(am.partition) + len(bm.partition)
-            assert (den, blocks) == (
-                partner[0],
-                {
-                    n: {
-                        BasisMonomial(-m.charge, m.partition): (
-                            -num if (len(m.partition) - lab) & 1 else num
-                        )
-                        for m, num in block.items()
-                    }
-                    for n, block in partner[1].items()
-                },
-            ), (am, bm)
+
+            def flip(part, sign):
+                return {
+                    n: {BasisMonomial(-m.charge, m.partition): sign * num for m, num in b.items()}
+                    for n, b in part.items()
+                }
+
+            assert (den, even, odd) == (pden, flip(peven, 1), flip(podd, -1)), (am, bm)
             flipped += 1
+            odd_flipped += bool(odd)
         win = vertex_window(a, b, lo=-3)
         assert {n: v.terms for n, v in win.items()} == _kernel_scalars(ctx, am, bm, -3)
-    assert flipped
+    assert flipped and odd_flipped
 
 
 def _window_json(a, b, lo):
@@ -1155,7 +1178,7 @@ def test_pair_with_no_mode_from_lo_reads_empty(n_lat, conductor):
         (am,), (bm,) = a.terms, b.terms
         top = a.weight() + b.weight()
         for lo in (top, top + 1, top + 5):
-            assert _mono_products(ctx, am, bm, lo) == (1, {}), (am, bm, lo)
+            assert _mono_products(ctx, am, bm, lo) == (1, {}, {}), (am, bm, lo)
             assert vertex_window(a, b, lo=lo) == {}, (am, bm, lo)
         tight += top - 1 in vertex_window(a, b, lo=top - 1)
     assert tight
