@@ -29,14 +29,32 @@ per monomial pair, every even power of sqrt(2N) folded into those ints,
 and the odd power left to the reader, with each mode's entries split by
 that parity into an even and an odd part.
 
+Every multiset of parts that the kernel and the module action step
+through is a packed multiplicity code, one int: a partition with m_s
+parts -s at field width b is
+
+    len | m_1 << b | m_2 << 2b | ...,
+
+stated once by _part_code and _count (_pack and _unpack convert).  When
+no field can exceed 2^b - 1 the code of a multiset is the sum of its
+parts' codes, so adding or removing a part is one int addition or
+subtraction (after one count read to weigh a removal), merging two
+multisets is one addition, and the length parity is code & (2^b - 1).
+A caller derives b = max(1, F.bit_length()) from a bound F on the Fock
+weight of every state it makes (the kernel's proof is in
+_mono_products_direct's docstring).  Outputs decode once each, through
+the bounded decode cache _unpack, to partition tuples.
+
 E_+ and E_- have one formula, _exp_series: E = exp(sum_j s_j w^j) has
 q E_q = sum_j j s_j E_{q-j}, so T_q = q! E_q on a state comes from the
 lower orders by one alpha_{+-j} each, in ints.  The kernel applies E_-
-to each stage-2 state by it, and reads E_+ from _eplus_pairs, the
-series on the vacuum, cached as (creation partition, int) pairs.  Every
-step of the series, of the kernel's first stage and of the Heisenberg
-action is _alpha_terms, alpha_j on a {partition: int} dict, the one
-code that removes (j > 0) or adds (j < 0) a part.
+to each stage-2 partition by it, and reads E_+ from _eplus_pairs, the
+series on the vacuum, cached as (creation code, int) pairs per field
+width.  Every step of the series, of the kernel's first stage and of
+the module action is _alpha_terms, alpha_j on a {code: int} dict,
+the one code that removes (j > 0) or adds (j < 0) a part; a creation in
+the kernel's first stage adds the part's code to the pending
+creations, which is what _alpha_terms does for j < 0.
 
 The kernel's first stage makes no creation choice whose z-exponent the
 later factors and E_- can no longer bring down into the window: they
@@ -74,7 +92,7 @@ phi-fixed and L_m commutes with phi.
 
 Inside the kernel every state of a stage has one charge (b's in stage 1,
 a's plus b's in the output blocks), so its dicts are keyed on bare
-partition tuples and compare in C.  A BasisMonomial is built only for a
+codes and compare as ints.  A BasisMonomial is built only for a
 final block entry, by state_space._mk_mono, the interning constructor:
 one object per (charge, partition) for as long as its bounded cache
 keeps it, shared by the kernel, _flip_terms, _virasoro_mono and
@@ -84,9 +102,13 @@ entry costs only speed.
 
 The Heisenberg and Virasoro actions are the free-boson module action.
 J_k removes a part (k > 0), adds one (k < 0), or is charge * sqrt(2N)
-(k = 0), and _heis_terms is its one implementation on {partition: coeff}
-dicts at one charge: _alpha_terms at norm 1, plus J_0.  The Virasoro
-modes are the Sugawara sums
+(k = 0), and _heis_terms is its one implementation on {code: coeff}
+dicts at one charge: _alpha_terms at norm 1, plus J_0.  _virasoro_mono
+packs its monomial once and decodes each output once.  heis_apply reads
+J_k, k != 0, of each term from _j_image(k, partition), a bounded cache
+of the same _alpha_terms step on the packed partition, decoded once, so
+it packs and decodes nothing per call; it applies J_0 to a term itself.
+The Virasoro modes are the Sugawara sums
 
     L_m = (1/2) sum_j :J_j J_{m-j}:    (Frenkel-Lepowsky-Meurman 1988),
 
@@ -137,57 +159,119 @@ from .state_space import (
 )
 
 
-def _alpha_terms(j: int, vec: dict, norm: int) -> dict:
-    """alpha_j, j != 0, on a {partition: coefficient} dict at one fixed
-    charge; the result is keyed on partitions too, and a caller that needs
-    monomials re-attaches the charge with _mk_mono.  This is the only code
-    in the package that adds or removes a single part.
+def _width(f: int) -> int:
+    """Field width b of the codes of states whose Fock weight is at most
+    f.  A length and every multiplicity are at most the Fock weight, as
+    every part is at least 1, so every field is at most f < 2^b, also in
+    any sum of codes whose Fock weights sum to at most f."""
+    return max(1, f.bit_length())
+
+
+def _pack(lam: tuple, b: int) -> int:
+    """The code len | m_1 << b | m_2 << 2b | ... of a partition at field
+    width b (module docstring): one in field 0 and one in field s for
+    each part -s."""
+    code = len(lam)
+    for p in lam:
+        code += 1 << -p * b
+    return code
+
+
+def _part_code(s: int, b: int) -> int:
+    """The code of the one-part partition (-s,), _pack((-s,), b); adding
+    or removing a part -s adds or subtracts it."""
+    return 1 | 1 << s * b
+
+
+def _count(code: int, s: int, b: int) -> int:
+    """The multiplicity of the part -s in a code (field s); field 0,
+    s = 0, is the length."""
+    return code >> s * b & (1 << b) - 1
+
+
+@lru_cache(maxsize=16_384)
+def _unpack(code: int, b: int) -> tuple:
+    """The partition of a code, as an ascending tuple of negative modes;
+    the decode cache.  It holds tuples, never monomials: a caller that
+    needs one interns it through _mk_mono."""
+    mask = (1 << b) - 1
+    parts: list = []
+    s = 0
+    code >>= b
+    while code:
+        s += 1
+        parts += [-s] * (code & mask)
+        code >>= b
+    parts.reverse()
+    return tuple(parts)
+
+
+def _alpha_terms(j: int, vec: dict, norm: int, b: int) -> dict:
+    """alpha_j, j != 0, on a {code: coefficient} dict at one fixed charge
+    and field width b; the result is keyed on codes too, and a caller that
+    needs monomials decodes with _unpack and re-attaches the charge with
+    _mk_mono.  The exponential series, the kernel's first stage and the
+    Heisenberg action all step through it.
 
     For j > 0 it removes a part j, times count * j * norm, count being the
     number of parts j; norm is the squared norm of the Heisenberg
     generator, 1 for J ([J_m, J_{-m}] = m) and 2N for alpha.  For j < 0 it
-    adds the part j by a sorted merge, times 1.  Removing or adding one
-    part is injective, so no two terms of the image meet.
+    adds the part j, times 1.  Removing or adding one part is injective,
+    so no two terms of the image meet.
     """
+    if j < 0:
+        step = _part_code(-j, b)
+        return {code + step: c for code, c in vec.items()}
+    step = _part_code(j, b)
     out: dict = {}
-    for lam, c in vec.items():
-        if j < 0:
-            out[tuple(sorted(lam + (j,)))] = c
-        elif cnt := lam.count(-j):
-            parts = list(lam)
-            parts.remove(-j)
-            out[tuple(parts)] = c * (cnt * j * norm)
+    for code, c in vec.items():
+        if cnt := _count(code, j, b):
+            out[code - step] = c * (cnt * j * norm)
     return out
 
 
-def _heis_terms(k: int, terms: dict, charge: int) -> tuple:
-    """J_k on a {partition: coefficient} dict at one charge, as (image,
-    radical): J_k maps sum c lam to the image, times sqrt(2N) when radical
-    is True.  J_k for k != 0 is _alpha_terms at norm 1; J_0 = charge *
-    sqrt(2N) multiplies by the charge and marks the image radical."""
+def _heis_terms(k: int, terms: dict, charge: int, b: int) -> tuple:
+    """J_k on a {code: coeff} dict at one charge and field width b, as
+    (image, radical): J_k maps sum c lam to the image, times sqrt(2N) when
+    radical is True.  J_k for k != 0 is _alpha_terms at norm 1; J_0 =
+    charge * sqrt(2N) multiplies by the charge and marks the image
+    radical."""
     if k:
-        return _alpha_terms(k, terms, 1), False
+        return _alpha_terms(k, terms, 1, b), False
     if not charge:
         return {}, False
-    return {lam: c * charge for lam, c in terms.items()}, True
+    return {code: c * charge for code, c in terms.items()}, True
+
+
+@lru_cache(maxsize=512)
+def _j_image(k: int, lam: tuple) -> tuple:
+    """J_k, k != 0, on a monomial with partition lam at any charge, as
+    (image partition, int factor); for k > 0 lam must have a part -k.
+    lam is packed once, takes one _alpha_terms step at norm 1, and the
+    image is decoded once.  The bound trades a few misses for memory: on
+    the axiom suite at N = 3, cutoff 6, 512 entries serve 79% of the
+    calls against 88% unbounded, where it grows to 902 entries and adds
+    1.0-1.5% to the peak RSS."""
+    b = _width(max(0, -k) - sum(lam))
+    ((code, c),) = _alpha_terms(k, {_pack(lam, b): 1}, 1, b).items()
+    return _unpack(code, b), c
 
 
 def heis_apply(m: int, v: Vector) -> Vector:
     """Heisenberg mode J_m; [J_m, J_n] = m delta_{m,-n} and J_0 = charge * sqrt(2N)."""
     ctx = v.ctx
-    by_charge: dict = {}
-    for mono, c in v.terms.items():
-        by_charge.setdefault(mono.charge, {})[mono.partition] = c
     # J_m multiplies every coefficient by a nonzero factor and no two terms
     # meet, so no entry of the image is zero
     out = {}
-    for charge, terms in by_charge.items():
-        img, radical = _heis_terms(m, terms, charge)
-        if radical:
-            root = ctx.sqrt_2n()
-            img = {lam: c * root for lam, c in img.items()}
-        for lam, c in img.items():
-            out[_mk_mono(charge, lam)] = c
+    for (charge, lam), c in v.terms.items():
+        if m:
+            # J_m, m > 0, kills a partition with no part -m
+            if m > 0 and -m not in lam:
+                continue
+            lam, f = _j_image(m, lam)
+            out[_mk_mono(charge, lam)] = c if f == 1 else c * f
+        elif charge:
+            out[_mk_mono(charge, lam)] = c * charge * ctx.sqrt_2n()
     return raw_vector(ctx, out)
 
 
@@ -204,34 +288,42 @@ def _virasoro_mono(ctx: Context, m: int, mono: BasisMonomial) -> Vector:
     if m == 0:
         w = mono.weight(ctx.N)
         return raw_vector(ctx, {mono: ctx.from_ints((w,))} if w else {})
-    charge = mono.charge
-    one = {mono.partition: 1}
+    charge, part = mono
+    fock = -sum(part)
+    # every state on the way has Fock weight at most fock - m (m < 0) or
+    # fock (m > 0); the monomial is packed once and each output decoded once
+    b = _width(fock + max(0, -m))
+    one = {_pack(part, b): 1}
     sums: dict = {}
     # L_m = (1/2) sum_j :J_j J_{m-j}:, and for m != 0 the two factors always
     # commute, so the terms j and m - j are equal: each pair p < q counts
     # twice, with J_q applied first (annihilator first).  A J_q with q > 0
     # needs a part of size q, so q runs up to the Fock weight; at most one
     # of p, q is 0, so a term is radical at most once.
-    for q in range((m + 1) // 2, 1 - sum(mono.partition)):
+    sizes = set(part)
+    for q in range((m + 1) // 2, 1 + fock):
+        # J_q, q > 0, kills a partition with no part -q
+        if q > 0 and -q not in sizes:
+            continue
         p = m - q
-        img, rq = _heis_terms(q, one, charge)
+        img, rq = _heis_terms(q, one, charge, b)
         if not img:
             continue
-        img, rp = _heis_terms(p, img, charge)
+        img, rp = _heis_terms(p, img, charge, b)
         slot = rq + rp
         twice = 1 if p == q else 2
-        for lam, c in img.items():
-            pair = sums.get(lam)
+        for code, c in img.items():
+            pair = sums.get(code)
             if pair is None:
-                pair = sums[lam] = [0, 0]
+                pair = sums[code] = [0, 0]
             pair[slot] += c * twice
     # every term adds a positive int, as the charge is >= 0, so no entry
     # cancels and none is zero
     return raw_vector(
         ctx,
         {
-            _mk_mono(charge, lam): ctx.from_ints((rat,), (rad,), 2)
-            for lam, (rat, rad) in sums.items()
+            _mk_mono(charge, _unpack(code, b)): ctx.from_ints((rat,), (rad,), 2)
+            for code, (rat, rad) in sums.items()
         },
     )
 
@@ -251,22 +343,23 @@ def virasoro_apply(m: int, v: Vector) -> Vector:
 
 
 @lru_cache(maxsize=4096)
-def _eplus_pairs(k: int, m: int) -> tuple:
-    """z^m coefficient of E_+(k alpha, z) times m!, as (creation partition,
-    int) pairs in ascending order of the partition.
+def _eplus_pairs(k: int, m: int, b: int) -> tuple:
+    """z^m coefficient of E_+(k alpha, z) times m!, as (creation code, int)
+    pairs at field width b, in ascending order of the code.
 
     It is _exp_series(k, -1) on the vacuum: in the alpha-basis E_+ =
     exp(sum_{j>0} k alpha_{-j} z^j / j), so the weight of a partition
     lambda of m is m! k^{len(lambda)}/z_lambda, an integer (see
     _mono_products_direct).  Adding a part ignores the norm.
     """
-    return tuple(sorted(_exp_series(k, -1, {(): 1}, m, 1)[m].items()))
+    return tuple(sorted(_exp_series(k, -1, {0: 1}, m, 1, b)[m].items()))
 
 
-def _exp_series(c: int, sign: int, vec: dict, top: int, norm: int) -> list:
+def _exp_series(c: int, sign: int, vec: dict, top: int, norm: int, b: int) -> list:
     """[T_0, ..., T_top], T_q = q! E_q vec for the coefficient E_q of w^q
-    in E = exp(sum_{j>0} c alpha_{sign j} w^j / j), on a {partition: int}
-    dict at one charge; norm as in _alpha_terms (2N for alpha).
+    in E = exp(sum_{j>0} c alpha_{sign j} w^j / j), on a {code: int} dict
+    at one charge and field width b; norm as in _alpha_terms (2N for
+    alpha).
 
     E_-(k alpha, z) is (c, sign) = (-k, 1) with w = z^{-1}, and E_+(k
     alpha, z) is (k, -1) with w = z.  The alpha_{sign j} commute, so d/dw
@@ -283,10 +376,8 @@ def _exp_series(c: int, sign: int, vec: dict, top: int, norm: int) -> list:
         if c:
             w = c  # c (q-1)!/(q-j)!, starting at j = 1
             for j in range(1, q + 1):
-                for lam, x in _alpha_terms(sign * j, series[q - j], norm).items():
-                    add = x * w
-                    prev = acc.get(lam)
-                    acc[lam] = add if prev is None else prev + add
+                for code, x in _alpha_terms(sign * j, series[q - j], norm, b).items():
+                    acc[code] = acc.get(code, 0) + x * w
                 w *= q - j
         series.append(acc)
     return series
@@ -348,13 +439,20 @@ def _mono_products_direct(
     Returns (den, even, odd) as _mono_products does: the last stage reads
     each entry's length to fold its even sqrt(2N) power into the ints,
     and files the entry by the parity r of that power in the same pass.
-    Stage 1 enumerates, per J-factor of a, the annihilation-mode and
-    creation-mode choices (merged on equal z-exponent and pending-creation
-    multiset), each one _alpha_terms step.  Stage 2 applies E_- (through
-    _exp_series, its recurrence) and the z^{(a|b)} shift from z^{alpha_0}
-    at b's original charge to every stage-1 state, merges the state's pending
-    creations into each partition, and sums the results into one state
-    per z-exponent e1; then it expands E_+ once per e1 over that sum.
+    Every multiset is a packed code of one field width b (see Codes
+    below).  Stage 1 enumerates, per J-factor of a, the annihilation-mode
+    and creation-mode choices on one flat dict {(zexp, pend, lam): int},
+    pend the code of the pending creations and lam that of the state's
+    partition, merged on equal keys.  The annihilation choices and the
+    creation bound depend on lam alone, so they are made once per
+    distinct lam and factor, alpha_s by one _alpha_terms step; a creation
+    adds its part's code to pend.  Stage 2 applies E_- (through
+    _exp_series, its recurrence, once per distinct lam) and the z^{(a|b)}
+    shift from z^{alpha_0} at b's original charge to every stage-1 state,
+    adds the state's pending creations to each image code, and sums the
+    results into one state per z-exponent e1; then it expands E_+ once
+    per e1 over that sum, each term one addition of a code from
+    _eplus_pairs.
     This equals applying E_+ and the pending creations to each state
     apart: both are creation operators, so they commute, and E_+ is
     linear.  The E_+ orders p run over the same range for every state of
@@ -407,6 +505,24 @@ def _mono_products_direct(
     multiplied by (2N)^{floor(d/2) - low} and den = (F!)^2 (2N)^{-low},
     low = min(0, every floor(d/2) of the pair); one gcd pass then reduces
     the pair.
+
+    Codes.  With b = _width(F), every multiset the kernel makes has Fock
+    weight at most F, so no field of its code exceeds F < 2^b (a length
+    or a multiplicity is at most the Fock weight, every part being at
+    least 1), and adding two codes whose Fock weights sum to at most F
+    adds their multisets:
+    - a stage-1 partition and its E_- images are sub-multisets of b's
+      partition, of Fock weight at most that of b;
+    - pending creations weigh at most fmax, as a creation s is made only
+      for s <= cap <= fmax - (pending weight so far);
+    - a merged state at e1 has Fock weight e1 - base_e <= fmax: the
+      output at z-exponent e has Fock weight e - base_e, E_+ of order p
+      adds p of it, and only E_- orders with e1 <= top_e are merged;
+    - an E_+ term is a partition of p <= fmax, and an output has Fock
+      weight at most fmax.
+    The last stage reads each entry's length as lam & (2^b - 1) and
+    decodes each output code once, through _unpack, to the partition
+    tuple that _mk_mono interns.
     """
     n_lat = ctx.N
     two_n = 2 * n_lat
@@ -417,90 +533,94 @@ def _mono_products_direct(
     fmax = top_e - base_e
     if fmax < 0:
         return 1, {}, {}
+    fock_b = -sum(bmono.partition)
+    big_f = max(fmax, fock_b)
+    b = _width(big_f)
+    # the code of each part a creation can add (Codes, below)
+    steps = [_part_code(s, b) for s in range(fmax + 1)]
 
-    # stage 1: one mode choice per alpha-factor of a; every state has charge
-    # cb, so the dicts are keyed on bare partitions
+    # stage 1: one mode choice per alpha-factor of a, on one flat dict
+    # {(zexp, pend, lam): int} of codes, pend the pending creations and lam
+    # the partition of the state, of charge cb
     zshift = 2 * n_lat * ca * cb
-    entries: dict = {(0, ()): {bmono.partition: 1}}
+    states: dict = {(0, 0, _pack(bmono.partition, b)): 1}
     top = -min(bmono.partition, default=0)
     aparts = amono.partition
+    done = 0  # the sum of a's parts before this factor
     for i, part in enumerate(aparts):
         k = -part - 1
         # the later factors lower the z-exponent by at most rem plus the
         # parts they remove; left of them can remove one part each
         left = len(aparts) - i - 1
         rem = -sum(aparts[i + 1 :])
-        new: dict = {}
         # this factor's field coefficients, once per part: ann[s] at the
         # annihilation mode s <= top (no state has a part above b's
         # largest) and cre[s] at the creation mode -s, read for s > k only
         ann = [_field_coeff(k, s) for s in range(top + 1)]
         cre = [_field_coeff(k, -s) for s in range(fmax + 1)]
-        zero_mode = ann[0] * two_n * cb
-
-        def put(key, vec_terms, factor):
-            cur = new.get(key)
-            if cur is None:
-                new[key] = (
-                    dict(vec_terms)
-                    if factor == 1
-                    else {m: c * factor for m, c in vec_terms.items()}
-                )
-                return
-            for m, c in vec_terms.items():
-                add = c * factor if factor != 1 else c
-                prev = cur.get(m)
-                cur[m] = add if prev is None else prev + add
-
-        for (zexp, pend), vec in entries.items():
-            pend_sum = -sum(pend)
-            # annihilation choices: alpha_0 (nonzero charge) and every part size
-            if cb:
-                put((zexp - k - 1, pend), vec, zero_mode)
-            sizes = sorted({-p for lam in vec for p in lam})
-            for s in sizes:
-                put((zexp - s - k - 1, pend), _alpha_terms(s, vec, two_n), ann[s])
-            # creation choices: modes -k-1, -k-2, ... within the Fock budget,
-            # and low enough that the later factors and E_- can still bring
-            # the z-exponent down to top_e by removing at most lift
-            if ca:
-                lift = max(-sum(lam) for lam in vec)
-            elif left:
-                lift = max(-sum(lam[:left]) for lam in vec)
-            else:
-                lift = 0
-            cap = min(fmax - pend_sum, top_e - zshift - zexp + k + 1 + rem + lift)
-            for s in range(k + 1, cap + 1):
-                (grown,) = _alpha_terms(-s, {pend: 1}, two_n)
-                put((zexp + s - k - 1, grown), vec, cre[s])
-        entries = {key: {m: c for m, c in vec.items() if c} for key, vec in new.items()}
-        entries = {key: vec for key, vec in entries.items() if vec}
-        if not entries:
+        zero_mode = _field_coeff(k, 0) * two_n * cb
+        # every choice so far moved zexp by its factor's part, plus the
+        # parts it created, minus the parts it removed, so a state's
+        # pending weight is zexp - done + fock_b - |lam|; both creation
+        # bounds below are a function of lam minus zexp
+        budget = fmax + done - fock_b
+        reach = top_e - zshift + k + 1 + rem
+        moves: dict = {}
+        new: dict = {}
+        for (zexp, pend, lam), c in states.items():
+            got = moves.get(lam)
+            if got is None:
+                parts = _unpack(lam, b)
+                # annihilation choices: alpha_0 (nonzero charge) and alpha_s
+                # for every part size s, as (z-exponent drop, image, factor)
+                anns = [(k + 1, lam, zero_mode)] if cb else []
+                for s in sorted({-p for p in parts}):
+                    ((img, f),) = _alpha_terms(s, {lam: 1}, two_n, b).items()
+                    anns.append((s + k + 1, img, f * ann[s]))
+                # creation choices: modes -k-1, -k-2, ... within the Fock
+                # budget, and low enough that the later factors and E_- can
+                # still bring the z-exponent down to top_e by removing at
+                # most lift
+                if ca:
+                    lift = -sum(parts)
+                elif left:
+                    lift = -sum(parts[:left])
+                else:
+                    lift = 0
+                got = moves[lam] = anns, min(budget - sum(parts), reach + lift)
+            anns, cap = got
+            for drop, img, f in anns:
+                key = (zexp - drop, pend, img)
+                new[key] = new.get(key, 0) + c * f
+            for s in range(k + 1, cap - zexp + 1):
+                key = (zexp + s - k - 1, pend + steps[s], lam)
+                new[key] = new.get(key, 0) + c * cre[s]
+        states = {key: c for key, c in new.items() if c}
+        if not states:
             return 1, {}, {}
+        done += part
 
     # stage 2: E_- and the pending creations into one state per z-exponent
     # e1, then one E_+ pass per e1; weights scaled by F!, and every output
-    # has charge ctot, so the states are keyed on partitions too
-    scale = factorial(max(fmax, -sum(bmono.partition)))
+    # has charge ctot.  E_- runs once per partition lam, on lam alone
+    scale = factorial(big_f)
+    mults = [scale // factorial(q) for q in range(big_f + 1)]
+    eminus: dict = {}
     merged: dict = {}
-    for (zexp, pend), vec in entries.items():
+    for (zexp, pend, lam), c in states.items():
         # E_-(0 alpha) is the identity, and E_- of order q removes q from
         # the Fock weight; orders q with e1 > top_e leave no E_+ order
         # p >= 0 with n >= lo
-        qtop = max(-sum(lam) for lam in vec) if ca else 0
-        qlo = max(0, zexp + zshift - top_e)
-        if qlo > qtop:
-            continue
-        series = _exp_series(-ca, 1, vec, qtop, two_n)
-        for q in range(qlo, qtop + 1):
-            mult = scale // factorial(q)
+        series = eminus.get(lam)
+        if series is None:
+            qtop = -sum(_unpack(lam, b)) if ca else 0
+            series = eminus[lam] = _exp_series(-ca, 1, {lam: 1}, qtop, two_n, b)
+        for q in range(max(0, zexp + zshift - top_e), len(series)):
             state = merged.setdefault(zexp - q + zshift, {})
-            for lam, c in series[q].items():
-                if pend:
-                    lam = tuple(sorted(lam + pend))
-                c *= mult
-                prev = state.get(lam)
-                state[lam] = c if prev is None else prev + c
+            cq = c * mults[q]
+            for img, x in series[q].items():
+                img += pend
+                state[img] = state.get(img, 0) + cq * x
     result: dict = {}
     for e1, state in merged.items():
         state = [(lam, c) for lam, c in state.items() if c]
@@ -509,22 +629,20 @@ def _mono_products_direct(
         # the z-exponent e1 + p = -n - 1 must lie in [base_e, top_e]
         for p in range(max(0, base_e - e1), top_e - e1 + 1):
             block = result.setdefault(-(e1 + p) - 1, {})
-            mult = scale // factorial(p)
-            for cparts, w in _eplus_pairs(ca, p):
+            mult = mults[p]
+            for cparts, w in _eplus_pairs(ca, p, b):
                 w *= mult
                 for lam, c in state:
-                    if cparts:
-                        lam = tuple(sorted(lam + cparts))
-                    add = c * w
-                    prev = block.get(lam)
-                    block[lam] = add if prev is None else prev + add
+                    lam += cparts
+                    block[lam] = block.get(lam, 0) + c * w
 
     # back to the J-basis: drop cancelled entries, fold the even power of
     # sqrt(2N) into the ints and file each entry in the part of its parity,
-    # both read off its length; reduce by one gcd, and key each entry on
-    # its interned monomial
+    # both read off its length, field 0 of its code; reduce by one gcd, and
+    # key each entry on its interned monomial
+    mask = (1 << b) - 1
     lab = len(amono.partition) + len(bmono.partition)
-    lens = {len(lam) for block in result.values() for lam in block}
+    lens = {lam & mask for block in result.values() for lam in block}
     if not lens:
         return 1, {}, {}
     low = min(0, (min(lens) - lab) >> 1)
@@ -534,7 +652,7 @@ def _mono_products_direct(
         halves = ({}, {})
         for lam, c in block.items():
             if c:
-                mult, r = fold[len(lam)]
+                mult, r = fold[lam & mask]
                 halves[r][lam] = c * mult
         for part, half in zip(parts, halves):
             if half:
@@ -544,7 +662,10 @@ def _mono_products_direct(
     den = scale * scale * two_n**-low
     g = gcd(den, *(c for part in parts for block in part.values() for c in block.values()))
     return den // g, *(
-        {n: {_mk_mono(ctot, lam): c // g for lam, c in block.items()} for n, block in part.items()}
+        {
+            n: {_mk_mono(ctot, _unpack(lam, b)): c // g for lam, c in block.items()}
+            for n, block in part.items()
+        }
         for part in parts
     )
 

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, gcd
+from pathlib import Path
 
 import pytest
 
@@ -36,8 +40,13 @@ from voa.vertex_engine import (
     _mk_mono,
     _mono_products,
     _mono_products_direct,
+    _count,
     _nonzero_slots,
     _odd_slots,
+    _pack,
+    _part_code,
+    _unpack,
+    _width,
     _window_ints,
     find_locality_order,
     heis_apply,
@@ -193,12 +202,32 @@ def _eminus_pairs(k, q):
     )
 
 
+def _packed(vec, b):
+    """A {partition: coefficient} dict as {code: coefficient} at width b."""
+    return {_pack(lam, b): c for lam, c in vec.items()}
+
+
+def _decoded(vec, b):
+    """A {code: coefficient} dict at width b as {partition: coefficient}."""
+    return {_unpack(code, b): c for code, c in vec.items()}
+
+
 def _alpha_product(modes, vec, norm):
     """alpha_{m_1} ... alpha_{m_s} on a {partition: coefficient} dict, one
-    _alpha_terms step per mode."""
+    _alpha_terms step per mode on the codes of a width that holds every
+    state on the way."""
+    b = _width(max((-sum(lam) for lam in vec), default=0) + sum(-m for m in modes if m < 0))
+    vec = _packed(vec, b)
     for m in modes:
-        vec = _alpha_terms(m, vec, norm)
-    return vec
+        vec = _alpha_terms(m, vec, norm, b)
+    return _decoded(vec, b)
+
+
+def _eplus_tuples(k, m):
+    """_eplus_pairs(k, m) at the narrowest width that holds order m, each
+    code decoded, in ascending order of the partition."""
+    b = _width(m)
+    return tuple(sorted((_unpack(code, b), w) for code, w in _eplus_pairs(k, m, b)))
 
 
 def _weights(table, k, order):
@@ -209,11 +238,11 @@ def _weights(table, k, order):
 
 def test_eplus_coefficients_low_orders():
     # alpha-basis: the z^m coefficient of E_+(k alpha, z) is k^len(lambda)/z_lambda
-    assert _weights(_eplus_pairs, 1, 0) == (((), 1),)
-    assert _weights(_eplus_pairs, 0, 3) == ()
-    assert dict(_weights(_eplus_pairs, 1, 1)) == {(-1,): 1}
+    assert _weights(_eplus_tuples, 1, 0) == (((), 1),)
+    assert _weights(_eplus_tuples, 0, 3) == ()
+    assert dict(_weights(_eplus_tuples, 1, 1)) == {(-1,): 1}
 
-    quartic = dict(_weights(_eplus_pairs, 1, 4))
+    quartic = dict(_weights(_eplus_tuples, 1, 4))
     assert quartic == {
         (-4,): Fraction(1, 4),
         (-3, -1): Fraction(1, 3),
@@ -222,7 +251,7 @@ def test_eplus_coefficients_low_orders():
         (-1, -1, -1, -1): Fraction(1, 24),
     }
     # charge -1 flips the sign of odd-length partitions
-    neg = dict(_weights(_eplus_pairs, -1, 4))
+    neg = dict(_weights(_eplus_tuples, -1, 4))
     assert neg == {parts: (-1) ** len(parts) * f for parts, f in quartic.items()}
 
 
@@ -267,14 +296,15 @@ def test_eminus_series_matches_partition_sum(n_lat):
     checks = 0
     for k in range(-3, 4):
         for vec in singles + [mixed]:
-            series = _exp_series(-k, 1, vec, 7, norm)
-            assert len(series) == 8 and series[0] is vec
+            codes = _packed(vec, 3)
+            series = _exp_series(-k, 1, codes, 7, norm, 3)
+            assert len(series) == 8 and series[0] is codes
             for q in range(8):
                 expect: dict = {}
                 for modes, w in _eminus_pairs(k, q):
                     for lam, c in _alpha_product(modes, vec, norm).items():
                         expect[lam] = expect.get(lam, 0) + w * c
-                got = {lam: c for lam, c in series[q].items() if c}
+                got = {lam: c for lam, c in _decoded(series[q], 3).items() if c}
                 assert got == {lam: c for lam, c in expect.items() if c}, (k, vec, q)
                 checks += 1
     assert checks == 7 * 46 * 8
@@ -282,13 +312,16 @@ def test_eminus_series_matches_partition_sum(n_lat):
 
 def test_eplus_pairs_match_partition_formula():
     # E_+(k alpha, z) is the recurrence on the vacuum; the partition formula
-    # gives the same pairs in the same order, the modes of E_- negated
+    # gives the same pairs, the modes of E_- negated, at every width that
+    # holds order m, with the codes in ascending order
     for k in range(-3, 4):
         for m in range(8):
-            expect = tuple(
-                (tuple(-p for p in parts), w) for parts, w in _eminus_pairs(-k, m)
-            )
-            assert _eplus_pairs(k, m) == expect, (k, m)
+            expect = sorted((tuple(-p for p in parts), w) for parts, w in _eminus_pairs(-k, m))
+            for b in range(_width(m), _width(m) + 3):
+                pairs = _eplus_pairs(k, m, b)
+                assert [code for code, _ in pairs] == sorted(code for code, _ in pairs)
+                got = sorted((_unpack(code, b), w) for code, w in pairs)
+                assert got == expect, (k, m, b)
 
 
 @pytest.mark.parametrize("n_lat", [1, 2, 3])
@@ -1017,6 +1050,218 @@ def test_flipped_kernel_entries_match_direct_computation(n_lat, conductor):
             ), (am, bm, lo)
             flipped += 1
     assert flipped
+
+
+# ------------------------------------------- iterate-formula kernel oracle
+
+
+def _iterate_oracle(n_lat):
+    """mode(a, b, n) = a_(n) b for basis monomials a, b given as (charge,
+    partition), by the Borcherds iterate formula and no kernel code.  A
+    coefficient is (rat, rad) = rat + rad s in Q[s], s^2 = 2N, s standing
+    for sqrt(2N).
+
+    For a = J_{-k} a' (the first part of a), with J_(m) = J_m:
+
+        (J_{-k} a')_(n) b = sum_i C(k-1+i, i) [J_{-k-i} a'_(n+i) b
+                                                - (-1)^k a'_(n-k-i) J_i b],
+
+    J_0 b = cb s b.  For a charged vacuum e = e^{ca alpha} and b = J_{-j} b',
+    [J_m, e_(n)] = ca s e_(n+m) gives e_(n) b = J_{-j} e_(n) b' - ca s
+    e_(n-j) b'.  For two charged vacua, e_(n) e^{cb alpha} is the order p =
+    -n-1-2N ca cb term of E_+(ca alpha, z) = exp(sum_j ca s J_{-j} z^j / j):
+    ca^len(lam) s^len(lam) / z_lam on each partition lam of p.  A mode above
+    top = wt a + wt b - 1 - N (ca + cb)^2 is zero, as its output would lie
+    below the lowest weight of its charge."""
+    two_n = 2 * n_lat
+    memo: dict = {}
+
+    def weight(m):
+        return n_lat * m[0] ** 2 - sum(m[1])
+
+    def raised(j, vec):
+        # J_{-j}, j > 0, adds the part -j
+        return {(c, tuple(sorted(p + (-j,)))): x for (c, p), x in vec.items()}
+
+    def add(acc, vec, rat, rad):
+        # acc += (rat + rad s) vec
+        for mono, (r, q) in vec.items():
+            old_r, old_q = acc.get(mono, (0, 0))
+            acc[mono] = (old_r + rat * r + two_n * rad * q, old_q + rat * q + rad * r)
+
+    def mode(a, b, n):
+        key = (a, b, n)
+        if key in memo:
+            return memo[key]
+        (ca, pa), (cb, pb) = a, b
+        top = weight(a) + weight(b) - 1 - n_lat * (ca + cb) ** 2
+        out: dict = {}
+        if n > top:
+            pass
+        elif pa:
+            k, a1 = -pa[0], (ca, pa[1:])
+            sign = -1 if k % 2 else 1
+            for i in range(top - k - n + 1):
+                add(out, raised(k + i, mode(a1, b, n + i)), comb(k - 1 + i, i), 0)
+            for i in sorted({0, *(-p for p in pb)}):
+                w = -sign * comb(k - 1 + i, i)
+                if i == 0:
+                    if cb:
+                        add(out, mode(a1, b, n - k), 0, w * cb)
+                    continue
+                rest = list(pb)
+                rest.remove(-i)
+                add(out, mode(a1, (cb, tuple(rest)), n - k - i), w * pb.count(-i) * i, 0)
+        elif pb:
+            j, b1 = -pb[0], (cb, pb[1:])
+            add(out, raised(j, mode(a, b1, n)), 1, 0)
+            add(out, mode(a, b1, n - j), 0, -ca)
+        else:
+            p = -n - 1 - two_n * ca * cb
+            for parts in partitions_of(p):
+                ell = len(parts)
+                c = Fraction(ca**ell, z_lambda(parts)) * two_n ** (ell // 2)
+                out[(ca + cb, tuple(-q for q in parts))] = (0, c) if ell % 2 else (c, 0)
+        out = {mono: x for mono, x in out.items() if x != (0, 0)}
+        memo[key] = out
+        return out
+
+    def window(a, b, lo):
+        top = weight(a) + weight(b) - 1 - n_lat * (a[0] + b[0]) ** 2
+        return {n: v for n in range(lo, top + 1) if (v := mode(a, b, n))}
+
+    return window
+
+
+def _kernel_pairs(ctx, am, bm, lo):
+    # the kernel's entry as {n: {(charge, partition): (rat, rad)}}: an even
+    # entry is num/den, an odd one num/den times sqrt(2N)
+    den, even, odd = _mono_products(ctx, am, bm, lo)
+    out: dict = {}
+    for r, part in enumerate((even, odd)):
+        for n, block in part.items():
+            for m, num in block.items():
+                c = Fraction(num, den)
+                out.setdefault(n, {})[(m.charge, m.partition)] = (0, c) if r else (c, 0)
+    return out
+
+
+@pytest.mark.parametrize("n_lat", [1, 2, 3])
+def test_kernel_matches_iterate_formula_oracle(n_lat):
+    # every unit pair of weight <= 4 at both conductors, from three lowest
+    # modes: the kernel's entries are those of the iterate recursion
+    window = _iterate_oracle(n_lat)
+    checked = 0
+    for conductor in (4, 8):
+        ctx = Context(n_lat, conductor)
+        for a, b in _unit_pairs(ctx, max_weight=4):
+            (am,), (bm,) = a.terms, b.terms
+            for lo in (-5, -3, 0):
+                expect = window(tuple(am), tuple(bm), lo)
+                assert _kernel_pairs(ctx, am, bm, lo) == expect, (am, bm, lo)
+                checked += bool(expect)
+    assert checked
+
+
+def _kernel_field_bound(ctx, am, bm, lo):
+    # F = max(fmax, Fock weight of b), as _mono_products_direct defines it
+    ctot = am.charge + bm.charge
+    base_e = ctx.N * ctot * ctot - am.weight(ctx.N) - bm.weight(ctx.N)
+    return max(-lo - 1 - base_e, -sum(bm.partition))
+
+
+@pytest.mark.parametrize("field_bound", [7, 15])
+def test_kernel_matches_oracle_where_a_field_is_full(field_bound):
+    # at F = 2^k - 1 a field of k bits can fill exactly: e^a_(n) e^-a holds
+    # J_{-1}^F, whose multiplicity field is all ones, and the pairs with
+    # J-factors on both sides fill fields through stage 1
+    ctx = Context(1)
+    window = _iterate_oracle(1)
+    pairs = [
+        (BasisMonomial(1, ()), BasisMonomial(-1, ())),
+        (BasisMonomial(-1, ()), BasisMonomial(1, ())),
+        (BasisMonomial(1, (-1,)), BasisMonomial(-1, (-2,))),
+        (BasisMonomial(0, (-1, -1)), BasisMonomial(1, (-1,))),
+    ]
+    for am, bm in pairs:
+        lo = next(lo for lo in range(0, -30, -1) if _kernel_field_bound(ctx, am, bm, lo) == field_bound)
+        expect = window(tuple(am), tuple(bm), lo)
+        assert expect and _kernel_pairs(ctx, am, bm, lo) == expect, (am, bm, lo)
+    # the full field: J_{-1}^F at the lowest mode of e^a_(n) e^-a
+    am, bm = pairs[0]
+    lo = -field_bound + 1
+    assert _kernel_field_bound(ctx, am, bm, lo) == field_bound
+    assert (0, (-1,) * field_bound) in _kernel_pairs(ctx, am, bm, lo)[lo]
+
+
+@pytest.mark.parametrize("field_bound", [1, 3, 7, 15])
+def test_codes_hold_every_partition_up_to_the_field_bound(field_bound):
+    # b = _width(F) holds every partition of weight <= F: it packs and
+    # unpacks to itself, field 0 is its length, field s the count of -s,
+    # and adding or removing a part's code is adding or removing the part
+    # while the weight stays <= F; F = 2^k - 1 fills a field exactly
+    b = _width(field_bound)
+    assert (1 << b) - 1 == field_bound
+    mask = (1 << b) - 1
+    seen = set()
+    for w in range(field_bound + 1):
+        for parts in partitions_of(w):
+            lam = tuple(-p for p in parts)
+            code = _pack(lam, b)
+            assert _unpack(code, b) == lam
+            assert code & mask == len(lam)
+            assert all(_count(code, s, b) == lam.count(-s) for s in range(1, field_bound + 1))
+            for s in range(1, field_bound - w + 1):
+                assert code + _part_code(s, b) == _pack(tuple(sorted(lam + (-s,))), b)
+            for s in set(parts):
+                rest = list(lam)
+                rest.remove(-s)
+                assert code - _part_code(s, b) == _pack(tuple(rest), b)
+            seen.add(code)
+    assert len(seen) == sum(len(partitions_of(w)) for w in range(field_bound + 1))
+    full = _pack((-1,) * field_bound, b)
+    assert full == field_bound | field_bound << b
+
+
+# the benchmark's jobs, as workload:seed; each seed of certificate and
+# closure builds a different input
+BENCHMARK_JOBS = (
+    "axioms:1 certificate:0 certificate:1 certificate:2 certificate:3 "
+    "closure:0 closure:1 verify_all:1"
+).split()
+
+COLD_CACHE_SCRIPT = """
+import sys
+import voa.vertex_engine as engine
+from workloads import WORKLOADS
+
+for job in sys.argv[1:]:
+    name, seed = job.split(":")
+    WORKLOADS[name](int(seed))
+    warm = [key for key, value in vars(engine).items()
+            if hasattr(value, "cache_info") and value.cache_info().currsize]
+    print(job, *warm)
+"""
+
+
+def test_building_benchmark_inputs_leaves_engine_caches_cold():
+    # every timed benchmark call starts in a fresh interpreter and refuses
+    # to run if building its inputs filled any lru_cache in the engine's
+    # namespace, imported ones included; build every job's inputs the way
+    # the benchmark does, in a fresh interpreter, and read every cache
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root / "benchmark")])
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_CACHE_SCRIPT, *BENCHMARK_JOBS],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:-1] == BENCHMARK_JOBS
 
 
 def _virasoro_sum(m, v):
