@@ -128,20 +128,18 @@ lowest mode, vertex_window hands that mode to the kernel unchanged, and
 the kernel alone turns it into z-exponent bounds by the grading
 contract.  _window_ints is the one accumulator of the cached ints: it
 sums every output entry of a window as integer numerators over one
-common denominator.  It reads each part of a pair's entry with fixed
-slots, the pair factor's scaled numerators for the even part and those
-of the factor times sqrt(2N) for the odd one, so a factor with one
-nonzero numerator adds one int product per entry; it builds no Scalar
-unless sqrt(2N) folds into Q(zeta_n) as a non-rational.  vertex_window
-builds each entry's Scalar from those ints once (_block_vector);
-window_sums hands the same ints to the identity checks as WindowSums,
-which compare with a Vector or with each other by cross-multiplying, so
-a check that holds builds no Scalar.  When every pair factor is rational
-and sqrt(2N) is not in Q(zeta_n) or is an int, an entry is one [rat,
-rad] int pair (one int when sqrt(2N) is an int) whose Scalar takes one
-gcd; any other window sums phi(n) ints per entry where sqrt(2N) lies in
-Q(zeta_n) and 2 phi(n) where it does not, and builds its Scalar through
-Context.from_ints.
+common denominator, in one layout per Context: phi(n) slots where
+sqrt(2N) folds into Q(zeta_n) and 2 phi(n), rat then rad, where it does
+not.  It reads each part of a pair's entry with fixed slots, the pair
+factor's scaled numerators for the even part and those of the factor
+times sqrt(2N) for the odd one, so a factor with one nonzero numerator,
+as every rational factor has, adds one int product per entry; it builds
+no Scalar unless sqrt(2N) folds into Q(zeta_n) as a non-rational.
+vertex_window builds each entry's Scalar from those ints once, with one
+trim per half and one gcd (_block_vector); window_sums hands the same
+ints to the identity checks as WindowSums, which compare with a Vector
+or with each other by cross-multiplying, so a check that holds builds
+no Scalar.
 """
 
 from __future__ import annotations
@@ -149,7 +147,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
 
-from .scalars import Context, ContextMismatchError, Scalar
+from .scalars import Context, ContextMismatchError, Scalar, _canonical, _trim
 from .state_space import (
     BasisMonomial,
     Vector,
@@ -457,7 +455,8 @@ def _mono_products_direct(
     apart: both are creation operators, so they commute, and E_+ is
     linear.  The E_+ orders p run over the same range for every state of
     one e1, as the total z-exponent e1 + p = -n - 1 must lie in [base_e,
-    top_e], which depends on e1 alone.
+    top_e], which depends on e1 alone; for ca = 0 only p = 0 is read, as
+    E_+(0 alpha) is the identity and every higher order is empty.
 
     This is the one place that applies the grading contract wt(a_(n) b) =
     wt a + wt b - n - 1: the output of mode n has weight wt a + wt b + e
@@ -626,8 +625,9 @@ def _mono_products_direct(
         state = [(lam, c) for lam, c in state.items() if c]
         if not state:
             continue
-        # the z-exponent e1 + p = -n - 1 must lie in [base_e, top_e]
-        for p in range(max(0, base_e - e1), top_e - e1 + 1):
+        # the z-exponent e1 + p = -n - 1 must lie in [base_e, top_e]; E_+(0
+        # alpha) is the identity, so a charge-0 a reads only its order 0
+        for p in range(max(0, base_e - e1), (top_e - e1 if ca else 0) + 1):
             block = result.setdefault(-(e1 + p) - 1, {})
             mult = mults[p]
             for cparts, w in _eplus_pairs(ca, p, b):
@@ -688,12 +688,6 @@ def _nonzero_slots(rat, rad, deg: int, scale: int) -> list:
     ]
 
 
-def _layout_degree(ctx: Context, width: int) -> int:
-    """deg of a window layout of width slots: width itself when sqrt(2N)
-    folds into Q(zeta_n), which leaves no rad half, else width // 2."""
-    return width if ctx.fold is not None else width // 2
-
-
 def _odd_slots(ctx: Context, f: Scalar, slots: list, deg: int, scale: int) -> list:
     """The nonzero slots of f sqrt(2N) scale over f.den, in a layout of
     degree deg, from those of f scale (slots).  Where sqrt(2N) is an int
@@ -713,19 +707,21 @@ def _odd_slots(ctx: Context, f: Scalar, slots: list, deg: int, scale: int) -> li
 
 
 def _window_ints(a: Vector, b: Vector, lo: int) -> tuple:
-    """All modes a_(n) b with n >= lo as (den, width, {n: {monomial:
-    nums}}), in ints: the coefficient of a monomial is nums over den in the
-    layout of vertex_window, whose docstring has the rules.  An entry
-    whose terms cancel stays, all zero.  This is the one accumulator of
-    the engine's windows, and it builds no Scalar where sqrt(2N) is an
-    int or does not fold.
+    """All modes a_(n) b with n >= lo as (den, {n: {monomial: nums}}), in
+    ints: the coefficient of a monomial is nums over den in the layout of
+    vertex_window, whose docstring has the rules.  An entry whose terms
+    cancel stays, all zero.  This is the one accumulator of the engine's
+    windows, and it builds no Scalar where sqrt(2N) is an int or does not
+    fold.
 
-    Each pair's kernel entry comes split by parity, so a block is read
-    with its slots fixed: the even part with the slots of f, the odd one
-    with those of f sqrt(2N) (_odd_slots, made only for a pair with an odd
-    part), both with den/(f.den dp) folded in once per pair.  A part read
-    with one slot, the case of every rational factor, adds num x to one
-    int per entry."""
+    The layout is the Context's alone, deg = phi(n) and width = deg where
+    sqrt(2N) folds into Q(zeta_n), which leaves no rad half, and 2 deg
+    where it does not.  Each pair's kernel entry comes split by parity,
+    so a block is read with its slots fixed: the even part with the slots
+    of f, the odd one with those of f sqrt(2N) (_odd_slots, made only for
+    a pair with an odd part), both with den/(f.den dp) folded in once per
+    pair.  A part read with one slot, the case of every rational factor,
+    adds num x to one int per entry."""
     if a.ctx != b.ctx:
         raise ContextMismatchError("vertex mode needs a common context")
     ctx = a.ctx
@@ -734,13 +730,8 @@ def _window_ints(a: Vector, b: Vector, lo: int) -> tuple:
         for am, cav in a.terms.items()
         for bm, cbv in b.terms.items()
     ]
-    fold = ctx.fold
-    # the two-int layout is the general one at deg = 1
-    rational = (fold is None or len(fold) == 1) and all(
-        not f.rad_num and len(f.rat_num) <= 1 for f, _, _, _ in pairs
-    )
-    deg = 1 if rational else ctx.degree
-    width = deg if fold is not None else 2 * deg
+    deg = ctx.degree
+    width = deg if ctx.fold is not None else 2 * deg
     den = lcm(*{f.den * dp for f, dp, _, _ in pairs})
     acc: dict = {}
     for f, dp, even, odd in pairs:
@@ -750,7 +741,7 @@ def _window_ints(a: Vector, b: Vector, lo: int) -> tuple:
             _add_part(acc, even, slots, width)
         if odd:
             _add_part(acc, odd, _odd_slots(ctx, f, slots, deg, scale), width)
-    return den, width, acc
+    return den, acc
 
 
 def _add_part(acc: dict, part: dict, slots: list, width: int) -> None:
@@ -780,24 +771,17 @@ def _add_part(acc: dict, part: dict, slots: list, width: int) -> None:
                 nums[i] += num * x
 
 
-def _block_vector(ctx: Context, den: int, width: int, block: dict) -> Vector:
+def _block_vector(ctx: Context, den: int, block: dict) -> Vector:
     """The Vector of one mode of an integer window: each nonzero entry's
-    Scalar is built once, with one gcd in the two-int layout and through
-    Context.from_ints in the other."""
-    deg = _layout_degree(ctx, width)
+    Scalar is its rat and rad halves, trimmed once each, over den after
+    one gcd.  The numerators are reduced mod Phi_n and folded already, so
+    no reduction or fold is left to make."""
+    deg = ctx.degree
     terms = {}
     for mono, nums in block.items():
-        if deg == 1:
-            rat = nums[0]
-            rad = nums[1] if width == 2 else 0
-            if not (rat or rad):
-                continue
-            g = gcd(den, rat, rad)
-            terms[mono] = Scalar(
-                ctx, (rat // g,) if rat else (), (rad // g,) if rad else (), den // g
-            )
-        elif any(nums):
-            terms[mono] = ctx.from_ints(nums[:deg], nums[deg:], den)
+        rat, rad = _trim(nums[:deg]), _trim(nums[deg:])
+        if rat or rad:
+            terms[mono] = _canonical(ctx, rat, rad, den)
     return raw_vector(ctx, terms)
 
 
@@ -814,39 +798,30 @@ def vertex_window(a: Vector, b: Vector, *, lo: int) -> dict:
     canonicalized once by _block_vector.  Let f be the factor of a
     monomial pair, (dp, blocks) its kernel entry and num/dp sqrt(2N)^r an
     entry of its blocks (see _mono_products).  An output entry is a list
-    of width integer numerators over den, the lcm of every f.den * dp in
-    the window: rat at slots 0..deg-1, then rad at slots deg..2 deg-1.  A
-    kernel entry adds num times the numerators of f den/(f.den dp) over
-    f.den when it is in the even part (r = 0), and of f sqrt(2N) den/(f.den
-    dp) when it is in the odd one (r = 1); both slot lists are fixed once
-    per pair.  There are two layouts, chosen by the window's input alone:
+    of integer numerators over den, the lcm of every f.den * dp in the
+    window: rat at slots 0..deg-1, deg = phi(n), then rad at slots
+    deg..2 deg-1 where sqrt(2N) is not in Q(zeta_n).  Where it is, every
+    radical folds into Q(zeta_n) and the list stops at deg.  The layout
+    depends on the Context alone.  A kernel entry adds num times the
+    numerators of f den/(f.den dp) over f.den when it is in the even part
+    (r = 0), and of f sqrt(2N) den/(f.den dp) when it is in the odd one
+    (r = 1); both slot lists are fixed once per pair.  The slots of f
+    sqrt(2N) are those of f times s when sqrt(2N) = s, and those of f
+    with the two halves swapped (the rad half times 2N) when sqrt(2N) is
+    not in Q(zeta_n).  Only a radical that folds into Q(zeta_n) as a
+    non-rational takes one Scalar product f sqrt(2N) per pair, made only
+    for a pair with an odd part; its canonical den divides f.den.
 
-    - deg = 1 when every f is rational, p/f.den, and ctx.fold is None or
-      one int s (2N = s^2).  An even entry adds num den/(f.den dp) p to
-      rat, an odd one the same to rad, or p s to rat when sqrt(2N) = s.
-      Each entry's Scalar is (rat, rad) over den after one gcd, with no
-      reduction mod Phi_n and no fold left to make;
-    - deg = phi(n) for every other window.  The slots of f sqrt(2N) are
-      those of f times s when sqrt(2N) = s, and those of f with the two
-      halves swapped (the rad half times 2N) when sqrt(2N) is not in
-      Q(zeta_n).  Only a radical that folds into Q(zeta_n) as a
-      non-rational takes one Scalar product f sqrt(2N) per pair, made
-      only for a pair with an odd part; its canonical den divides f.den.
-      ctx.from_ints builds each entry's Scalar.
-
-    One rule sizes both: width = deg when ctx.fold is not None, since then
-    every radical folds into Q(zeta_n) and the rad half would stay zero,
-    and width = 2 deg otherwise.  Every numerator list lies in the reduced
-    basis {zeta^i, zeta^i sqrt(2N) : i < deg}, so an entry is zero exactly
-    when its ints are.  Both layouts give the canonical form of the same
-    value, so they give the same bytes.  Entries that cancel are dropped,
-    and so are modes left empty.
+    Every numerator list lies in the reduced basis {zeta^i, zeta^i
+    sqrt(2N) : i < deg}, so an entry is zero exactly when its ints are,
+    and its Scalar is the list over den after one gcd.  Entries that
+    cancel are dropped, and so are modes left empty.
     """
-    den, width, blocks = _window_ints(a, b, lo)
+    den, blocks = _window_ints(a, b, lo)
     ctx = a.ctx
     out = {}
     for n, block in blocks.items():
-        v = _block_vector(ctx, den, width, block)
+        v = _block_vector(ctx, den, block)
         if v.terms:
             out[n] = v
     return out
@@ -856,19 +831,19 @@ class WindowSum:
     """An exact vector sum_i k_i B_i / d_i over modes B_i of integer
     windows, compared with a Vector or another WindowSum in ints.
 
-    A term (k, d, width, block) is one mode of a _window_ints window: block
-    maps a monomial to its width numerators over d, and k is a nonzero
-    int.  Equality cross-multiplies and builds no Scalar: the terms are
-    summed over the lcm D of their d, each widened to the widest layout
-    (slot i of the rat half stays at i, slot i of the rad half moves to
-    deg + i), and a Vector entry c = (rat_num, rad_num)/c.den matches a
-    summed entry w/D exactly when w c.den == (rat_num, rad_num) D slot by
-    slot.  Both sides lie in the reduced basis of Q(zeta_n)(sqrt(2N)), so
-    no gcd or reduction is needed, and a c too long for the layout is not
-    in its span.  vector() builds the Vector through vertex_window's
-    Scalar path, for a defect or a table that needs one; a sum of one mode
-    at k = 1, as window_sums makes it, gives the same Vector as
-    vertex_window with no product.
+    A term (k, d, block) is one mode of a _window_ints window: block maps
+    a monomial to its numerators over d in the Context's one layout, and
+    k is a nonzero int.  As with Vectors, a sum is unequal to anything of
+    another Context.  Equality cross-multiplies and builds no Scalar:
+    the terms are summed slot by slot over the lcm D of their d, and a
+    Vector entry c = (rat_num, rad_num)/c.den matches a summed entry w/D
+    exactly when w c.den == (rat_num, rad_num) D slot by slot, rat_num
+    from slot 0 and rad_num from slot phi(n).  Both sides lie in the
+    reduced basis of Q(zeta_n)(sqrt(2N)), so no gcd or reduction is
+    needed, and a c too long for the layout is not in its span.  vector()
+    builds the Vector through vertex_window's Scalar path, for a defect or
+    a table that needs one; a sum of one mode at k = 1, as window_sums
+    makes it, gives the same Vector as vertex_window with no product.
     """
 
     __slots__ = ("ctx", "terms")
@@ -878,51 +853,46 @@ class WindowSum:
         self.terms = tuple(terms)
 
     def scale(self, k: int) -> "WindowSum":
-        return WindowSum(self.ctx, [(k * c, d, w, b) for c, d, w, b in self.terms] if k else ())
+        return WindowSum(self.ctx, [(k * c, d, b) for c, d, b in self.terms] if k else ())
 
     def __sub__(self, other: "WindowSum") -> "WindowSum":
         return WindowSum(self.ctx, self.terms + other.scale(-1).terms)
 
     def vector(self) -> Vector:
         out = Vector.zero(self.ctx)
-        for k, den, width, block in self.terms:
-            v = _block_vector(self.ctx, den, width, block)
+        for k, den, block in self.terms:
+            v = _block_vector(self.ctx, den, block)
             out = out + (v if k == 1 else v.scale(k))
         return out
 
     def __eq__(self, other):
         if isinstance(other, WindowSum):
-            return (self - other)._matches({})
+            return self.ctx == other.ctx and (self - other)._matches({})
         if isinstance(other, Vector):
-            return self._matches(other.terms)
+            return self.ctx == other.ctx and self._matches(other.terms)
         return NotImplemented
 
     def _matches(self, terms: dict) -> bool:
         """Whether the sum equals the {monomial: Scalar} terms."""
-        ctx = self.ctx
-        width = max((w for _, _, w, _ in self.terms), default=0)
-        deg = _layout_degree(ctx, width)
-        den = lcm(*(d for _, d, _, _ in self.terms))
+        deg = self.ctx.degree
+        den = lcm(*(d for _, d, _ in self.terms))
         acc: dict = {}
-        for k, d, w, block in self.terms:
+        for k, d, block in self.terms:
             f = k * (den // d)
-            half = _layout_degree(ctx, w)
-            shift = deg - half
             for mono, nums in block.items():
                 dst = acc.get(mono)
                 if dst is None:
-                    dst = acc[mono] = [0] * width
+                    dst = acc[mono] = [0] * len(nums)
                 for i, x in enumerate(nums):
                     if x:
-                        dst[i if i < half else i + shift] += f * x
+                        dst[i] += f * x
         for mono, c in terms.items():
             nums = acc.pop(mono, None)
             rat, rad = c.rat_num, c.rad_num
-            if nums is None or len(rat) > deg or len(rad) > deg:
+            if nums is None or len(rat) > deg or deg + len(rad) > len(nums):
                 return False
-            cn = [*rat, *[0] * (deg - len(rat))]
-            if width > deg:
-                cn += [*rad, *[0] * (deg - len(rad))]
+            cn = [*rat, *[0] * (deg - len(rat)), *rad]
+            cn += [0] * (len(nums) - len(cn))
             cd = c.den
             if any(x * cd != y * den for x, y in zip(nums, cn)):
                 return False
@@ -933,9 +903,9 @@ def window_sums(a: Vector, b: Vector, *, lo: int) -> dict:
     """Every mode of the integer window of vertex_window as {n:
     WindowSum}, with no Scalar built; a mode whose entries all cancel
     stays, as a zero sum."""
-    den, width, blocks = _window_ints(a, b, lo)
+    den, blocks = _window_ints(a, b, lo)
     ctx = a.ctx
-    return {n: WindowSum(ctx, ((1, den, width, block),)) for n, block in blocks.items()}
+    return {n: WindowSum(ctx, ((1, den, block),)) for n, block in blocks.items()}
 
 
 def virasoro_field_of(omega: Vector, m: int, v: Vector) -> Vector:

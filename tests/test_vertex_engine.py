@@ -324,6 +324,27 @@ def test_eplus_pairs_match_partition_formula():
                 assert got == expect, (k, m, b)
 
 
+def test_charge_zero_a_reads_only_eplus_order_zero(monkeypatch):
+    # E_+(0 alpha) is the identity, so the kernel reads no order p > 0 of it
+    # for a charge-0 a, and a charged a still reads its higher orders
+    reads = []
+
+    def counting(k, m, b):
+        reads.append((k, m))
+        return _eplus_pairs(k, m, b)
+
+    monkeypatch.setattr(vertex_engine, "_eplus_pairs", counting)
+    ctx = Context(2)
+    j2 = BasisMonomial(0, (-2, -1))
+    for bm in (BasisMonomial(0, (-1,)), BasisMonomial(1, (-1, -1)), BasisMonomial(-1, ())):
+        reads.clear()
+        assert _mono_products_direct(ctx, j2, bm, -4)[1]
+        assert reads and all(m == 0 for k, m in reads if k == 0), bm
+    reads.clear()
+    _mono_products_direct(ctx, BasisMonomial(1, (-1,)), BasisMonomial(0, (-1,)), -4)
+    assert any(m > 0 for _, m in reads)
+
+
 @pytest.mark.parametrize("n_lat", [1, 2, 3])
 def test_heisenberg_modes_are_adjoint(n_lat):
     # <J_{-j} u, v> = <u, J_j v> on unit vectors, with the monomial norms
@@ -697,27 +718,11 @@ def test_vertex_window_single_pair_with_non_unit_factor(n_lat, conductor):
     assert got and got == _window_by_pairs(a, b, lo)
 
 
-# where sqrt(2N) is not in Q(zeta_n) or is an int there (2N = 4), a window
-# whose factors are all rational sums one [rat, rad] int pair per entry; at
-# (1, 8) sqrt 2 folds to a cyclotomic number, so every window takes the
-# 2 phi(n) layout
+# where sqrt(2N) is not in Q(zeta_n) or is an int there (2N = 4), a rational
+# pair factor is one slot of the layout and so is its product with sqrt(2N);
+# at (1, 8) sqrt 2 folds to a cyclotomic number, so its odd slots come from
+# one Scalar product
 RATIONAL_FOLD_CONTEXTS = [(3, 4), (3, 8), (2, 4), (2, 8)]
-
-
-def _from_ints_calls(monkeypatch, a, b, lo):
-    # the window and the number of Context.from_ints calls it made; the
-    # two-int layout builds its Scalars without from_ints
-    calls = []
-    original = Context.from_ints
-
-    def counting(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(Context, "from_ints", counting)
-        win = vertex_window(a, b, lo=lo)
-    return win, len(calls)
 
 
 def _assert_same_bytes(got, expect):
@@ -744,30 +749,21 @@ def _rational_operands(ctx):
 
 
 @pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS + [(1, 8)])
-def test_rational_factor_window_matches_per_pair_sum(monkeypatch, n_lat, conductor):
+def test_rational_factor_window_matches_per_pair_sum(n_lat, conductor):
+    # all pair factors rational, and the same with one zeta factor beside
+    # them: both windows have the bytes of the per-pair sum
     ctx = Context(n_lat, conductor)
     a, b = _rational_operands(ctx)
-    two_int = (n_lat, conductor) != (1, 8)
-    for lo in (-1, -3, -5, -7):
-        got, calls = _from_ints_calls(monkeypatch, a, b, lo)
-        assert got
-        _assert_same_bytes(got, _window_by_pairs(a, b, lo))
-        entries = sum(len(v.terms) for v in got.values())
-        assert (calls == 0) if two_int else (calls >= entries), lo
-
-
-@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS)
-def test_one_zeta_factor_keeps_the_general_layout(monkeypatch, n_lat, conductor):
-    ctx = Context(n_lat, conductor)
-    a, b = _rational_operands(ctx)
-    a = a + mono(ctx, (-3,), 0).scale(ctx.zeta())
-    got, calls = _from_ints_calls(monkeypatch, a, b, -4)
-    _assert_same_bytes(got, _window_by_pairs(a, b, -4))
-    assert calls >= sum(len(v.terms) for v in got.values())
+    u = mono(ctx, (-3,), 0).scale(ctx.zeta())
+    for x in (a, a + u):
+        for lo in (-1, -3, -5, -7):
+            got = vertex_window(x, b, lo=lo)
+            assert got
+            _assert_same_bytes(got, _window_by_pairs(x, b, lo))
 
 
 @pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS + [(1, 8)])
-def test_rational_window_drops_a_mode_that_cancels(monkeypatch, n_lat, conductor):
+def test_rational_window_drops_a_mode_that_cancels(n_lat, conductor):
     # J_(0) e^a = sqrt(2N) e^a and, by skew symmetry, (e^a)_(0) J = -sqrt(2N)
     # e^a, the only entries of mode 0 in (J + e^a)_(0) (J + e^a): the entry
     # cancels and the mode is dropped, beside modes that survive
@@ -777,10 +773,9 @@ def test_rational_window_drops_a_mode_that_cancels(monkeypatch, n_lat, conductor
     assert 0 in _kernel_scalars(ctx, jm, em, -2) and 0 in _kernel_scalars(ctx, em, jm, -2)
     for scale in (1, Fraction(-2, 3)):
         a = (j + ep).scale(scale)
-        got, calls = _from_ints_calls(monkeypatch, a, j + ep, -2)
+        got = vertex_window(a, j + ep, lo=-2)
         assert 0 not in got and -1 in got, scale
         _assert_same_bytes(got, _window_by_pairs(a, j + ep, -2))
-        assert (calls == 0) == ((n_lat, conductor) != (1, 8))
 
 
 def _zeta_operands(ctx):
@@ -817,36 +812,32 @@ def test_window_sums_compare_equal_to_their_window(n_lat, conductor):
                 for nudge in (ctx.from_ints((1,), (), c.den), ctx.zeta(), ctx.sqrt_2n()):
                     assert s != v + Vector(ctx, {first: nudge}), (lo, n, nudge)
                 assert s != v + mono(ctx, (-9,), 4), (lo, n)
-    # a mode whose entries all cancel (as in
-    # test_rational_window_drops_a_mode_that_cancels) stays as a zero sum,
-    # where vertex_window drops it
-    j = mono(ctx, (-1,), 0) + charged_vacuum(ctx, 1)
-    assert 0 not in vertex_window(j, j, lo=-2)
-    assert window_sums(j, j, lo=-2)[0] == Vector.zero(ctx)
-
-
-@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS)
-def test_window_sums_compare_across_layouts(n_lat, conductor):
-    # (a + u) - u reads u's zeta factor in the general layout, a alone the
-    # two-int one: the two-int numerators widen into the general layout (rat
-    # slot 0 stays, rad slot 1 moves to phi(n)), and the sums agree
-    ctx = Context(n_lat, conductor)
+    # (a + u) - u == a: the sums of the window with u's zeta factor, less
+    # those of u's own window, equal the sums and the Vectors of a's window;
+    # a Vector that differs by a zeta factor is unequal
     a, b = _rational_operands(ctx)
     u = mono(ctx, (-3,), 0).scale(ctx.zeta())
     plain, mixed, extra = (window_sums(x, b, lo=-4) for x in (a, a + u, u))
     empty = WindowSum(ctx)
-    folds = ctx.fold is not None
-    assert {w for s in plain.values() for _, _, w, _ in s.terms} == {1 if folds else 2}
-    general = ctx.degree if folds else 2 * ctx.degree
-    assert {w for s in mixed.values() for _, _, w, _ in s.terms} == {general}
     win = vertex_window(a, b, lo=-4)
     for n in plain.keys() | mixed.keys() | extra.keys():
         lhs = mixed.get(n, empty) - extra.get(n, empty)
         assert lhs == plain.get(n, empty) and plain.get(n, empty) == lhs, n
         assert lhs == win.get(n, Vector.zero(ctx)), n
         if n in win:
-            # a Vector entry outside the two-int span is not equal to it
             assert plain[n] != win[n].scale(ctx.zeta()), n
+    # a mode whose entries all cancel (as in
+    # test_rational_window_drops_a_mode_that_cancels) stays as a zero sum,
+    # where vertex_window drops it
+    j = mono(ctx, (-1,), 0) + charged_vacuum(ctx, 1)
+    assert 0 not in vertex_window(j, j, lo=-2)
+    assert window_sums(j, j, lo=-2)[0] == Vector.zero(ctx)
+    # as with Vectors, the same window in another context is unequal
+    other = Context(n_lat, 2 * conductor)
+    k = mono(other, (-1,), 0) + charged_vacuum(other, 1)
+    far, far_sums = vertex_window(k, k, lo=-2), window_sums(k, k, lo=-2)
+    for n, s in window_sums(j, j, lo=-2).items():
+        assert s != far.get(n, Vector.zero(other)) and s != far_sums[n], n
 
 
 @pytest.mark.parametrize(
@@ -854,12 +845,14 @@ def test_window_sums_compare_across_layouts(n_lat, conductor):
 )
 def test_general_window_layout_width_per_context(n_lat, conductor, width):
     # phi(n) slots where sqrt(2N) folds into Q(zeta_n), whose rad half would
-    # stay zero, and 2 phi(n) where it does not
+    # stay zero, and 2 phi(n) where it does not; the width is the context's
+    # alone, so a window whose pair factors are all rational has it too
     ctx = Context(n_lat, conductor)
     a = mono(ctx, (-1,), 0).scale(ctx.zeta()) + charged_vacuum(ctx, 1)
-    den, got, blocks = _window_ints(a, charged_vacuum(ctx, 1) + mono(ctx, (-1,), 0), -2)
-    assert got == width and blocks
-    assert all(len(nums) == width for b in blocks.values() for nums in b.values())
+    for x, y in ((a, charged_vacuum(ctx, 1) + mono(ctx, (-1,), 0)), _rational_operands(ctx)):
+        den, blocks = _window_ints(x, y, -2)
+        assert blocks
+        assert all(len(nums) == width for b in blocks.values() for nums in b.values())
 
 
 @pytest.mark.parametrize("n_lat, conductor", ACCUMULATOR_CONTEXTS + [(2, 4)])
