@@ -750,16 +750,28 @@ def _rational_operands(ctx):
 
 @pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS + [(1, 8)])
 def test_rational_factor_window_matches_per_pair_sum(n_lat, conductor):
-    # all pair factors rational, and the same with one zeta factor beside
-    # them: both windows have the bytes of the per-pair sum
     ctx = Context(n_lat, conductor)
     a, b = _rational_operands(ctx)
-    u = mono(ctx, (-3,), 0).scale(ctx.zeta())
-    for x in (a, a + u):
-        for lo in (-1, -3, -5, -7):
-            got = vertex_window(x, b, lo=lo)
-            assert got
-            _assert_same_bytes(got, _window_by_pairs(x, b, lo))
+    for lo in (-1, -3, -5, -7):
+        got = vertex_window(a, b, lo=lo)
+        assert got
+        _assert_same_bytes(got, _window_by_pairs(a, b, lo))
+
+
+@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS)
+def test_one_zeta_factor_keeps_the_general_layout(n_lat, conductor):
+    # one zeta factor beside rational ones: the window has the bytes of the
+    # per-pair sum, and its ints the context's layout width, as do those of
+    # the window with rational factors alone
+    ctx = Context(n_lat, conductor)
+    a, b = _rational_operands(ctx)
+    mixed = a + mono(ctx, (-3,), 0).scale(ctx.zeta())
+    _assert_same_bytes(vertex_window(mixed, b, lo=-4), _window_by_pairs(mixed, b, -4))
+    width = ctx.degree if ctx.fold is not None else 2 * ctx.degree
+    for x in (a, mixed):
+        den, blocks = _window_ints(x, b, -4)
+        assert blocks
+        assert all(len(nums) == width for blk in blocks.values() for nums in blk.values())
 
 
 @pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS + [(1, 8)])
@@ -812,20 +824,6 @@ def test_window_sums_compare_equal_to_their_window(n_lat, conductor):
                 for nudge in (ctx.from_ints((1,), (), c.den), ctx.zeta(), ctx.sqrt_2n()):
                     assert s != v + Vector(ctx, {first: nudge}), (lo, n, nudge)
                 assert s != v + mono(ctx, (-9,), 4), (lo, n)
-    # (a + u) - u == a: the sums of the window with u's zeta factor, less
-    # those of u's own window, equal the sums and the Vectors of a's window;
-    # a Vector that differs by a zeta factor is unequal
-    a, b = _rational_operands(ctx)
-    u = mono(ctx, (-3,), 0).scale(ctx.zeta())
-    plain, mixed, extra = (window_sums(x, b, lo=-4) for x in (a, a + u, u))
-    empty = WindowSum(ctx)
-    win = vertex_window(a, b, lo=-4)
-    for n in plain.keys() | mixed.keys() | extra.keys():
-        lhs = mixed.get(n, empty) - extra.get(n, empty)
-        assert lhs == plain.get(n, empty) and plain.get(n, empty) == lhs, n
-        assert lhs == win.get(n, Vector.zero(ctx)), n
-        if n in win:
-            assert plain[n] != win[n].scale(ctx.zeta()), n
     # a mode whose entries all cancel (as in
     # test_rational_window_drops_a_mode_that_cancels) stays as a zero sum,
     # where vertex_window drops it
@@ -838,6 +836,26 @@ def test_window_sums_compare_equal_to_their_window(n_lat, conductor):
     far, far_sums = vertex_window(k, k, lo=-2), window_sums(k, k, lo=-2)
     for n, s in window_sums(j, j, lo=-2).items():
         assert s != far.get(n, Vector.zero(other)) and s != far_sums[n], n
+
+
+@pytest.mark.parametrize("n_lat, conductor", RATIONAL_FOLD_CONTEXTS)
+def test_window_sums_compare_across_layouts(n_lat, conductor):
+    # (a + u) - u == a: a's factors are all rational, u's is zeta, and both
+    # windows sum in the context's one layout; the sums of the window of
+    # a + u, less those of u's own window, equal the sums and the Vectors of
+    # a's window, and a Vector that differs by a zeta factor is unequal
+    ctx = Context(n_lat, conductor)
+    a, b = _rational_operands(ctx)
+    u = mono(ctx, (-3,), 0).scale(ctx.zeta())
+    plain, mixed, extra = (window_sums(x, b, lo=-4) for x in (a, a + u, u))
+    empty = WindowSum(ctx)
+    win = vertex_window(a, b, lo=-4)
+    for n in plain.keys() | mixed.keys() | extra.keys():
+        lhs = mixed.get(n, empty) - extra.get(n, empty)
+        assert lhs == plain.get(n, empty) and plain.get(n, empty) == lhs, n
+        assert lhs == win.get(n, Vector.zero(ctx)), n
+        if n in win:
+            assert plain[n] != win[n].scale(ctx.zeta()), n
 
 
 @pytest.mark.parametrize(
